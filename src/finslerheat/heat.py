@@ -66,44 +66,53 @@ class DiffusionAssembly:
     degenerate_nodes: int
     cg_rtol: float = CG_RTOL
 
+    def _w(self, rows: np.ndarray) -> np.ndarray:
+        """W applied to one field (n,) or to each row of a stack (m, n)."""
+        return (self.weights @ rows.T).T
+
     def apply(self, values: np.ndarray) -> np.ndarray:
-        """Apply the frozen diffusion operator."""
-        return (self.weights @ values - self.degree * values) / self.sigma
+        """Apply the frozen diffusion operator to one field (n,) or to a
+        block (n, m) with fields as columns."""
+        rows = values.T
+        return ((self._w(rows) - self.degree * rows) / self.sigma).T
 
     def carre_du_champ(self, values: np.ndarray) -> np.ndarray:
         """Edge-based squared gradient (1/2)(A(u^2) - 2 u A u) of this
-        operator; equals F^2 of the frozen gradient up to O(h^2)."""
-        sq = values * values
+        operator, for one field or a block of columns; equals F^2 of the
+        frozen gradient up to O(h^2)."""
+        rows = values.T
+        sq = rows * rows
         return (
-            self.weights @ sq + self.degree * sq - 2.0 * values * (self.weights @ values)
-        ) / (2.0 * self.sigma)
-
-    def _op_implicit(self, dt_eff: float):
-        def op(x):
-            return x + dt_eff * (self.degree * x - self.weights @ x) / self.sigma
-
-        return op
+            (self._w(sq) + self.degree * sq - 2.0 * rows * self._w(rows))
+            / (2.0 * self.sigma)
+        ).T
 
     def advance(self, values: np.ndarray) -> np.ndarray:
-        """One step of the recorded scheme applied to an arbitrary field.
+        """One step of the recorded scheme applied to one field (n,) or to a
+        block (n, m) with fields as columns.
 
         The same routine drives both the nonlinear solve and the linearized
         transport, so re-running it on recorded data reproduces the solver
-        trajectory bit for bit.
+        trajectory bit for bit. Column j of a block result is bitwise the
+        result for column j alone.
         """
         if self.scheme == "explicit":
             return values + self.dt * self.apply(values)
+        rows = np.asarray(values, dtype=float).T
         if self.scheme == "implicit_euler":
-            rhs = values
-            op = self._op_implicit(self.dt)
+            dt_eff, rhs = self.dt, rows
         elif self.scheme == "crank_nicolson":
-            rhs = values - 0.5 * self.dt * (
-                self.degree * values - self.weights @ values
-            ) / self.sigma
-            op = self._op_implicit(0.5 * self.dt)
+            dt_eff = 0.5 * self.dt
+            rhs = rows - dt_eff * (self.degree * rows - self._w(rows)) / self.sigma
         else:  # pragma: no cover
             raise UnsupportedFamily(f"unknown scheme {self.scheme}")
-        return cg_measure(op, rhs, self.sigma, x0=values, rel_tol=self.cg_rtol)
+        diag = 1.0 + dt_eff * self.degree / self.sigma
+        scale = dt_eff / self.sigma
+
+        def op(x):
+            return diag * x - scale * self._w(x)
+
+        return cg_measure(op, rhs, self.sigma, x0=rows, rel_tol=self.cg_rtol).T
 
 
 def _face_average(grid, node_values: np.ndarray, axis_offsets) -> np.ndarray:
@@ -298,6 +307,18 @@ class Trajectory:
         )
         self.assemblies.append(extra)
         return extra
+
+    def transport(
+        self, values: np.ndarray, start: int, end: int, adjoint: bool = False
+    ) -> np.ndarray:
+        """Apply the recorded steps start, ..., end - 1 (in reverse order
+        when ``adjoint``) to one field (n,) or a block (n, m) of fields as
+        columns, every field moving through each step in one call."""
+        steps = range(start, end)
+        x = np.array(values, dtype=float)
+        for k in reversed(steps) if adjoint else steps:
+            x = self.assemblies[k].advance(x)
+        return x
 
     def delta_u(self, index: int) -> np.ndarray:
         """Spatial-operator value A_t u_t at a recorded index."""

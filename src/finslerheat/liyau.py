@@ -684,13 +684,6 @@ def kernel_equality_residual(dim: int, t: float, points: np.ndarray) -> np.ndarr
 # entropy functionals
 
 
-def _transport_values(traj: Trajectory, i0: int, i1: int, values: np.ndarray):
-    x = np.array(values, dtype=float, copy=True)
-    for k in range(i0, i1):
-        x = traj.assemblies[k].advance(x)
-    return x
-
-
 def _entropy_state(traj: Trajectory, s: float, t: float, phi: ScalarField):
     if not 0.0 <= s <= t:
         raise DomainError("need 0 <= s <= t")
@@ -711,7 +704,7 @@ def entropy_H(traj: Trajectory, s: float, t: float, phi: ScalarField) -> float:
     entropy_production at the same arguments.
     """
     src, dst, u = _entropy_state(traj, s, t, phi)
-    moved = _transport_values(traj, src, dst, u * np.log(u))
+    moved = traj.transport(u * np.log(u), src, dst)
     return float(np.sum(phi.values * moved * traj.measure.sigma))
 
 
@@ -719,7 +712,7 @@ def entropy_production(traj: Trajectory, s: float, t: float, phi: ScalarField) -
     """Dissipation integrand of entropy_H, from the recorded assemblies."""
     src, dst, u = _entropy_state(traj, s, t, phi)
     gamma_log = traj.assembly_at(src).carre_du_champ(np.log(u))
-    moved = _transport_values(traj, src, dst, u * gamma_log)
+    moved = traj.transport(u * gamma_log, src, dst)
     return float(np.sum(phi.values * moved * traj.measure.sigma))
 
 
@@ -756,9 +749,10 @@ def check_exp_uu(
     zeta = 2.0 / (N * mass_t)
     lap_t = traj.assembly_at(dst).apply(u_t)
     int_t = float(np.sum(w * _u_lap_log(traj, dst) * sig))
-    moved = _transport_values(traj, src, dst, _u_lap_log(traj, src))
+    moved, ent_moved = traj.transport(
+        np.column_stack([_u_lap_log(traj, src), u_s * np.log(u_s)]), src, dst
+    ).T
     int_s = float(np.sum(w * moved * sig))
-    ent_moved = _transport_values(traj, src, dst, u_s * np.log(u_s))
     exponent = zeta * float(
         np.sum(w * (u_t * np.log(u_t) - ent_moved + delta * lap_t) * sig)
     )
@@ -825,13 +819,15 @@ def check_log_sob_weak(
         )
     prefactor = t * _s_kernel((K * t) ** 2 * (chi - 1.0))
 
-    ent_moved = _transport_values(traj, 0, dst, u_0 * np.log(u_0))
+    grad_0 = traj.fields[0] * traj.assembly_at(0).carre_du_champ(np.log(u_0))
+    ent_moved, grad_0_moved = traj.transport(
+        np.column_stack([u_0 * np.log(u_0), grad_0]), 0, dst
+    ).T
     ent_gap = float(np.sum(w * (u_t * np.log(u_t) - ent_moved) * sig))
     grad_t = float(
         np.sum(w * u_t * traj.assembly_at(dst).carre_du_champ(np.log(u_t)) * sig)
     )
-    grad_0 = traj.fields[0] * traj.assembly_at(0).carre_du_champ(np.log(u_0))
-    grad_0_moved = float(np.sum(w * _transport_values(traj, 0, dst, grad_0) * sig))
+    grad_0_moved = float(np.sum(w * grad_0_moved * sig))
 
     lhs1 = math.exp(zeta * ent_gap + 0.5 * K * t * chi - K * t)
     rhs1 = prefactor * (-zeta * grad_t + ev.psi(chi))

@@ -149,6 +149,14 @@ def bisect_root(
     return 0.5 * (lo + hi)
 
 
+#: working-set size, in array elements, of one lockstep CG sweep: m fields
+#: on n nodes are solved in chunks of max(1, C // n). Small grids share the
+#: per-iteration overhead (1-d, n = 128: 0.22 ms per field and step in chunks
+#: of 32, 1.9 ms alone); at 64^2 wider chunks leave the cache (4.8-6.5 ms per
+#: field for widths 2-6, 4.3 ms alone). 2-core Xeon, numpy 2.4, scipy 1.17.
+CG_BLOCK_ELEMENTS = 4096
+
+
 def cg_measure(
     apply_op: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
@@ -157,51 +165,78 @@ def cg_measure(
     rel_tol: float = 1e-13,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Conjugate gradient for an operator self-adjoint in the measure inner
-    product ``<u, v> = sum(u * v * sigma)``.
+    """Conjugate gradient for an operator self-adjoint (and positive
+    definite) in the measure inner product ``<u, v> = sum(u * v * sigma)``.
 
-    ``apply_op`` must be positive definite with respect to that inner product.
-    Convergence is declared when the measure-norm residual drops below
-    ``rel_tol`` times the measure norm of ``rhs`` (with a machine-precision
-    floor). Raises :class:`SolverDivergence` after ``max_iter`` iterations
-    (default ``10 * n``).
+    ``rhs`` and ``x0`` are one field ``(n,)`` or a stack ``(m, n)`` of fields
+    as rows, and ``apply_op`` maps either shape to itself. The m solves run
+    in lockstep, each with its own scalars, stopping rule and row-wise
+    reductions, so a field's result does not depend on its stack, bit for
+    bit. A field stops when its measure-norm residual is below ``rel_tol``
+    (floored at 64 eps) times that of its right-hand side, or after 20
+    iterations without a new best residual (the round-off floor). Raises
+    :class:`SolverDivergence` if one is still iterating after ``max_iter``
+    iterations (default ``10 * n``).
     """
-    n = rhs.shape[0]
+    b = np.ascontiguousarray(np.atleast_2d(rhs), dtype=float)
+    m, n = b.shape
+    x = np.array(b if x0 is None else np.atleast_2d(x0), dtype=float, order="C")
+    tol2 = max(rel_tol, 64.0 * np.finfo(float).eps) ** 2
     if max_iter is None:
         max_iter = 10 * n
-    x = rhs.copy() if x0 is None else x0.copy()
+    width = max(1, CG_BLOCK_ELEMENTS // n)
+    for lo in range(0, m, width):
+        chunk = slice(lo, lo + width)
+        _cg_lockstep(apply_op, b[chunk], sigma, x[chunk], tol2, max_iter)
+    return x.reshape(np.shape(rhs))
 
-    def inner(u, v):
-        return float(np.dot(u * sigma, v))
 
-    r = rhs - apply_op(x)
-    rr = inner(r, r)
-    target = max(rel_tol, 64.0 * np.finfo(float).eps) ** 2 * max(
-        inner(rhs, rhs), 1e-300
-    )
-    if rr <= target:
-        return x
+def _cg_lockstep(apply_op, b, sigma, x, tol2, max_iter) -> None:
+    """Measure-CG on the rows of ``b``, in place on the start rows ``x``;
+    a row leaves the working set once it converges or stalls."""
+    r = b - apply_op(x)
+    rr = np.einsum("ij,ij,j->i", r, r, sigma)
+    target = tol2 * np.maximum(np.einsum("ij,ij,j->i", b, b, sigma), 1e-300)
+    rows = np.flatnonzero(rr > target)
+    if rows.size == 0:
+        return
+    xa = x
+    if rows.size < len(b):
+        xa, r, rr, target = x[rows], r[rows], rr[rows], target[rows]
     p = r.copy()
-    stagnation = 0
-    best_rr = rr
-    for _ in range(max_iter):
+    # best residual and the iteration that reached it; best_rr is updated in
+    # place and must never alias rr. No row can stall before stall_check.
+    best_rr = rr.copy()
+    best_it = np.full(rows.size, -1)
+    stall_check = 19
+    for it in range(max_iter):
+        if rows.size == 0:
+            return
         ap = apply_op(p)
-        alpha = rr / inner(p, ap)
-        x = x + alpha * p
-        r = r - alpha * ap
-        rr_new = inner(r, r)
-        if rr_new <= target:
-            return x
-        if rr_new >= best_rr:
-            stagnation += 1
-            # round-off floor reached; the iterate cannot improve further
-            if stagnation >= 20:
-                return x
-        else:
-            best_rr = rr_new
-            stagnation = 0
-        p = r + (rr_new / rr) * p
+        alpha = (rr / np.einsum("ij,ij,j->i", p, ap, sigma))[:, None]
+        xa += alpha * p
+        r -= alpha * ap
+        rr_new = np.einsum("ij,ij,j->i", r, r, sigma)
+        improved = rr_new < best_rr
+        np.copyto(best_rr, rr_new, where=improved)
+        np.copyto(best_it, it, where=improved)
+        done = rr_new <= target
+        if it >= stall_check:
+            # 20 iterations without a new best: round-off floor reached
+            done |= best_it <= it - 20
+            stall_check = int(np.min(best_it)) + 20
+        if np.count_nonzero(done):
+            x[rows[done]] = xa[done]
+            keep = ~done
+            rows, xa, r, p = rows[keep], xa[keep], r[keep], p[keep]
+            rr, rr_new, target = rr[keep], rr_new[keep], target[keep]
+            best_rr, best_it = best_rr[keep], best_it[keep]
+            stall_check = it + 1
+        p *= (rr_new / rr)[:, None]
+        p += r
         rr = rr_new
-    raise SolverDivergence(
-        f"measure-CG exceeded {max_iter} iterations (residual^2 {rr:.3e})"
-    )
+    if rows.size:
+        raise SolverDivergence(
+            f"measure-CG exceeded {max_iter} iterations "
+            f"(residual^2 {float(np.max(rr)):.3e})"
+        )

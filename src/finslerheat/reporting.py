@@ -67,13 +67,16 @@ def compare(
     """Build a report for the pointwise inequality lhs <= rhs + tolerance.
 
     ``locations`` maps flat indices to a location description (index is
-    used when omitted); scalar comparisons pass size-1 arrays.
+    used when omitted); scalar comparisons pass size-1 arrays. A NaN or
+    infinite residual is a violation, and the first one is the worst.
     """
     lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    residual = lhs - rhs
-    worst = int(np.argmax(residual))
-    violations = int(np.count_nonzero(residual > tolerance))
+    with np.errstate(invalid="ignore"):
+        residual = lhs - rhs
+    broken = ~np.isfinite(residual)
+    worst = int(np.argmax(broken)) if broken.any() else int(np.argmax(residual))
+    violations = int(np.count_nonzero(broken | (residual > tolerance)))
     if locations is None:
         where = {"index": worst}
     else:

@@ -142,48 +142,36 @@ def _check_registry(config, traj: Trajectory, K: float, rng):
         profile = _profile(config)
         return liyau.alpha_phi(profile, K, _finite_n(config), t_end)
 
+    # each check draws all its fields, in the order of the generator
+    # stream, and then transports them as one block
+    def draws(make, count=config.n_fields):
+        return [make() for _ in range(count)]
+
     def do_duality():
-        return [
-            semigroup.check_duality(plan, rand_field(), rand_field())
-            for _ in range(config.n_fields)
-        ]
+        pairs = draws(lambda: (rand_field(), rand_field()))
+        return semigroup.check_duality(plan, *zip(*pairs))
 
     def do_positivity():
-        return [semigroup.check_positivity(plan, rand_positive()) for _ in range(config.n_fields)]
+        return semigroup.check_positivity(plan, draws(rand_positive))
 
     def do_contraction():
-        out = []
-        for _ in range(config.n_fields):
-            g = rand_field()
-            for p in (1, 2, math.inf):
-                out.append(semigroup.check_contraction(plan, g, p))
-        return out
+        return semigroup.check_contraction(plan, draws(rand_field), (1, 2, math.inf))
 
     def do_order_bounds():
-        out = []
-        for _ in range(config.n_fields):
-            g = rand_positive()
-            out.append(
-                semigroup.check_order_and_bounds(
-                    plan, g, float(np.min(g.values)), float(np.max(g.values))
-                )
-            )
-        return out
+        gs = draws(rand_positive)
+        lows = [float(np.min(g.values)) for g in gs]
+        highs = [float(np.max(g.values)) for g in gs]
+        return semigroup.check_order_and_bounds(plan, gs, lows, highs)
 
     def do_cauchy_schwarz():
-        return [
-            semigroup.check_cauchy_schwarz(plan, rand_field(), rand_field())
-            for _ in range(config.n_fields)
-        ]
+        pairs = draws(lambda: (rand_field(), rand_field()))
+        return semigroup.check_cauchy_schwarz(plan, *zip(*pairs))
 
     def do_variance():
         # C calibrated against the band limit of smooth_field: worst
         # observed constant over seeded draws is about 175, so 600 keeps
         # margin while staying well below any structural failure
-        return [
-            semigroup.variance_identity(plan, smooth_field(), c_dt=600.0)
-            for _ in range(3)
-        ]
+        return semigroup.variance_identity(plan, draws(smooth_field, 3), c_dt=600.0)
 
     def do_semigroup_law():
         if plan.end - plan.start < 2:

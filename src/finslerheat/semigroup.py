@@ -52,6 +52,12 @@ class TransportPlan:
     def elapsed(self) -> float:
         return self.trajectory.times[self.end] - self.trajectory.times[self.start]
 
+    def run(self, values: np.ndarray, direction: str | None = None) -> np.ndarray:
+        """The plan's recorded steps applied to one field (n,) or a block
+        (n, m) of fields as columns; ``direction`` overrides the plan's."""
+        adjoint = (direction or self.direction) == "adjoint"
+        return self.trajectory.transport(values, self.start, self.end, adjoint)
+
     def grid_meta(self) -> dict:
         traj = self.trajectory
         return {
@@ -73,27 +79,29 @@ def plan_for_times(
     )
 
 
-def _run_steps(plan: TransportPlan, values: np.ndarray) -> np.ndarray:
-    steps = range(plan.start, plan.end)
-    if plan.direction == "adjoint":
-        steps = reversed(steps)
-    x = np.array(values, dtype=float, copy=True)
-    for k in steps:
-        x = plan.trajectory.assemblies[k].advance(x)
-    return x
-
-
 def transport(plan: TransportPlan, g: ScalarField) -> ScalarField:
     """Apply the recorded step operators of the plan to g."""
     if g.grid != plan.trajectory.grid:
         raise ValueError("field lives on a different grid")
-    return ScalarField(g.grid, _run_steps(plan, g.values))
+    return ScalarField(g.grid, plan.run(g.values))
 
 
-def _forward(plan: TransportPlan, values: np.ndarray) -> np.ndarray:
-    return _run_steps(
-        TransportPlan(plan.trajectory, plan.start, plan.end, "forward"), values
-    )
+def _block(fields) -> tuple[np.ndarray, bool]:
+    """Values of one field, or of a list of fields as the columns of one
+    block, and whether a single field came in."""
+    if isinstance(fields, ScalarField):
+        return fields.values[:, None], True
+    return np.column_stack([f.values for f in fields]), False
+
+
+def _reports(plan: TransportPlan, single: bool, rule: str, cases):
+    """One report per (name, lhs, rhs, tolerance) case, in order; the bare
+    report when a single field came in."""
+    reports = [
+        compare(name, lhs, rhs, tol, rule, grid_meta=plan.grid_meta())
+        for name, lhs, rhs, tol in cases
+    ]
+    return reports[0] if single else reports
 
 
 def _lp_norm(values: np.ndarray, weights: np.ndarray, p) -> float:
@@ -110,8 +118,7 @@ def _log_carre(assembly, u: np.ndarray) -> np.ndarray:
 
 def check_conservative(plan: TransportPlan, tol: float = 1e-12) -> InequalityReport:
     """Transported constants stay constant; exact by the stored row sums."""
-    ones = np.ones(plan.trajectory.grid.n_nodes)
-    out = _run_steps(plan, ones)
+    out = plan.run(np.ones(plan.trajectory.grid.n_nodes))
     return compare(
         "conservative",
         np.abs(out - 1.0),
@@ -122,25 +129,25 @@ def check_conservative(plan: TransportPlan, tol: float = 1e-12) -> InequalityRep
     )
 
 
-def check_duality(
-    plan: TransportPlan, g: ScalarField, psi: ScalarField, tol: float = 1e-12
-) -> InequalityReport:
-    """<psi, P g>_m equals <adjoint-P psi, g>_m up to solver tolerance."""
-    traj = plan.trajectory
-    sig = traj.measure.sigma
-    fwd = _run_steps(TransportPlan(traj, plan.start, plan.end, "forward"), g.values)
-    adj = _run_steps(TransportPlan(traj, plan.start, plan.end, "adjoint"), psi.values)
-    a = float(np.sum(psi.values * fwd * sig))
-    b = float(np.sum(adj * g.values * sig))
-    scale = max(1.0, abs(a), abs(b))
-    return compare(
-        "duality",
-        np.array([abs(a - b)]),
-        np.array([0.0]),
-        tol * scale,
-        "1e-12 * pairing scale",
-        grid_meta=plan.grid_meta(),
-    )
+def check_duality(plan: TransportPlan, g, psi, tol: float = 1e-12):
+    """<psi, P g>_m equals <adjoint-P psi, g>_m up to solver tolerance.
+
+    ``g`` and ``psi`` are fields or equal-length lists of fields; for lists
+    every g moves forward in one block, every psi backward in another, and
+    one report per pair comes back in order.
+    """
+    gs, single = _block(g)
+    psis, _ = _block(psi)
+    sig = plan.trajectory.measure.sigma
+    cases = []
+    for gj, pj, fwd, adj in zip(
+        gs.T, psis.T, plan.run(gs, "forward").T, plan.run(psis, "adjoint").T
+    ):
+        a = float(np.sum(pj * fwd * sig))
+        b = float(np.sum(adj * gj * sig))
+        scale = max(1.0, abs(a), abs(b))
+        cases.append(("duality", np.array([abs(a - b)]), np.array([0.0]), tol * scale))
+    return _reports(plan, single, "1e-12 * pairing scale", cases)
 
 
 def check_semigroup_law(
@@ -154,9 +161,9 @@ def check_semigroup_law(
     if not plan.start < mid < plan.end:
         raise IndexRange("intermediate index must lie strictly inside the plan")
     traj = plan.trajectory
-    first = _run_steps(TransportPlan(traj, plan.start, mid, plan.direction), g.values)
-    two = _run_steps(TransportPlan(traj, mid, plan.end, plan.direction), first)
-    direct = _run_steps(plan, g.values)
+    first = TransportPlan(traj, plan.start, mid, plan.direction).run(g.values)
+    two = TransportPlan(traj, mid, plan.end, plan.direction).run(first)
+    direct = plan.run(g.values)
     return compare(
         "semigroup-law",
         np.abs(two - direct),
@@ -167,118 +174,107 @@ def check_semigroup_law(
     )
 
 
-def check_positivity(plan: TransportPlan, g: ScalarField) -> InequalityReport:
+def check_positivity(plan: TransportPlan, g):
     """Strictly positive input stays strictly positive after transport.
 
     Anisotropic stencils can break the discrete minimum principle; failures
-    are reported with magnitude rather than clamped.
+    are reported with magnitude rather than clamped. ``g`` is a field or a
+    list of fields, moved as one block with one report each.
     """
-    if np.min(g.values) <= 0.0:
+    block, single = _block(g)
+    if np.min(block) <= 0.0:
         raise DomainError("positivity check needs g > 0")
-    out = _run_steps(plan, g.values)
-    return compare(
-        "positivity",
-        -out,
-        np.zeros_like(out),
-        0.0,
-        "strict: transported field must stay positive",
-        grid_meta=plan.grid_meta(),
-    )
+    cases = (("positivity", -out, np.zeros_like(out), 0.0) for out in plan.run(block).T)
+    return _reports(plan, single, "strict: transported field must stay positive", cases)
 
 
-def check_contraction(plan: TransportPlan, g: ScalarField, p=2) -> InequalityReport:
-    if p not in (1, 2, math.inf):
+def check_contraction(plan: TransportPlan, g, p=2):
+    """L^p contraction ||P g||_p <= ||g||_p for p in 1, 2, inf.
+
+    ``g`` is a field or a list of fields and ``p`` an exponent or a tuple
+    of them: each field is transported once, in one block, and reported
+    for every exponent, fields outer.
+    """
+    ps = p if isinstance(p, tuple) else (p,)
+    if any(q not in (1, 2, math.inf) for q in ps):
         raise ValueError("p must be 1, 2 or inf")
+    block, single = _block(g)
     sig = plan.trajectory.measure.sigma
-    lhs = _lp_norm(_run_steps(plan, g.values), sig, p)
-    rhs = _lp_norm(g.values, sig, p)
-    tol = 1e-10 * max(1.0, rhs)
-    return compare(
-        f"contraction-l{p}",
-        np.array([lhs]),
-        np.array([rhs]),
-        tol,
-        "1e-10 * norm scale",
-        grid_meta=plan.grid_meta(),
-    )
+    cases = []
+    for before, after in zip(block.T, plan.run(block).T):
+        for q in ps:
+            lhs, rhs = _lp_norm(after, sig, q), _lp_norm(before, sig, q)
+            tol = 1e-10 * max(1.0, rhs)
+            cases.append((f"contraction-l{q}", np.array([lhs]), np.array([rhs]), tol))
+    single_report = single and not isinstance(p, tuple)
+    return _reports(plan, single_report, "1e-10 * norm scale", cases)
 
 
-def check_order_and_bounds(
-    plan: TransportPlan, g: ScalarField, k1: float, k2: float
-) -> InequalityReport:
-    """Transport maps [k1, k2]-valued fields into [k1, k2] up to tolerance."""
-    if k1 > k2:
+def check_order_and_bounds(plan: TransportPlan, g, k1, k2):
+    """Transport maps [k1, k2]-valued fields into [k1, k2] up to tolerance.
+
+    ``g``, ``k1`` and ``k2`` may be equal-length lists: the fields move as
+    one block, each against its own bounds, with one report each.
+    """
+    block, single = _block(g)
+    lows = np.broadcast_to(np.asarray(k1, dtype=float), block.shape[1:])
+    highs = np.broadcast_to(np.asarray(k2, dtype=float), block.shape[1:])
+    if np.any(lows > highs):
         raise ValueError("need k1 <= k2")
-    v = g.values
-    if np.min(v) < k1 or np.max(v) > k2:
+    if np.any(np.min(block, axis=0) < lows) or np.any(np.max(block, axis=0) > highs):
         raise DomainError("input field leaves the declared bounds")
-    out = _run_steps(plan, v)
-    # one-sided residuals against both bounds, stacked
-    lhs = np.concatenate([k1 - out, out - k2])
-    tol = 1e-10 * max(1.0, abs(k1), abs(k2))
-    return compare(
-        "order-bounds",
-        lhs,
-        np.zeros_like(lhs),
-        tol,
-        "1e-10 * bound scale",
-        grid_meta=plan.grid_meta(),
-    )
+    cases = []
+    for out, lo, hi in zip(plan.run(block).T, lows, highs):
+        # one-sided residuals against both bounds, stacked
+        lhs = np.concatenate([lo - out, out - hi])
+        tol = 1e-10 * max(1.0, abs(lo), abs(hi))
+        cases.append(("order-bounds", lhs, np.zeros_like(lhs), tol))
+    return _reports(plan, single, "1e-10 * bound scale", cases)
 
 
-def check_cauchy_schwarz(
-    plan: TransportPlan, f: ScalarField, g: ScalarField
-) -> InequalityReport:
-    pf = _run_steps(plan, f.values * g.values)
-    p2f = _run_steps(plan, f.values**2)
-    p2g = _run_steps(plan, g.values**2)
-    lhs = pf**2
-    rhs = p2f * p2g
-    scale = max(1.0, float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))
-    return compare(
-        "cauchy-schwarz",
-        lhs,
-        rhs,
-        1e-10 * scale,
-        "1e-10 * field scale",
-        grid_meta=plan.grid_meta(),
-    )
+def check_cauchy_schwarz(plan: TransportPlan, f, g):
+    """Pointwise (P fg)^2 <= P(f^2) P(g^2). ``f`` and ``g`` are fields or
+    equal-length lists of fields; the three transported columns of every
+    pair move as one block, with one report per pair."""
+    fs, single = _block(f)
+    gs, _ = _block(g)
+    moved = np.hsplit(plan.run(np.hstack([fs * gs, fs**2, gs**2])), 3)
+    cases = []
+    for pf, p2f, p2g in zip(*(block.T for block in moved)):
+        lhs, rhs = pf**2, p2f * p2g
+        scale = max(1.0, float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))
+        cases.append(("cauchy-schwarz", lhs, rhs, 1e-10 * scale))
+    return _reports(plan, single, "1e-10 * field scale", cases)
 
 
-def variance_identity(
-    plan: TransportPlan, f: ScalarField, c_dt: float = 50.0
-) -> InequalityReport:
+def variance_identity(plan: TransportPlan, f, c_dt: float = 50.0):
     """Pointwise identity between the transported-square gap and the
     time-integrated, transported carre du champ.
 
     (P f)^2 - P(f^2) = -2 * integral of P(carre du champ of the running
     transport), the integral taken by the trapezoid rule over recorded
     steps. The two sides agree to O(dt) because both are built from the
-    same discrete operators; no spatial error enters.
+    same discrete operators; no spatial error enters. ``f`` is a field or a
+    list of fields: x, y and acc of every field move as one block per step,
+    with one report per field.
     """
     traj = plan.trajectory
     dt = traj.dt
-    x = np.array(f.values, dtype=float, copy=True)
-    y = x * x
+    x, single = _block(f)
+    m = x.shape[1]
     acc = 0.5 * traj.assembly_at(plan.start).carre_du_champ(x)
+    state = np.hstack([x, x * x, acc])
     for k in range(plan.start, plan.end):
-        step = traj.assemblies[k]
-        x = step.advance(x)
-        y = step.advance(y)
-        acc = step.advance(acc)
+        state = traj.assemblies[k].advance(state)
         w = 0.5 if k + 1 == plan.end else 1.0
-        acc = acc + w * traj.assembly_at(k + 1).carre_du_champ(x)
-    lhs = x * x - y
-    rhs = -2.0 * dt * acc
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return compare(
-        "variance-identity",
-        np.abs(lhs - rhs),
-        np.zeros_like(lhs),
-        c_dt * dt * scale,
-        f"C*dt with C={c_dt:g}, scaled by field size",
-        grid_meta=plan.grid_meta(),
-    )
+        state[:, 2 * m :] += w * traj.assembly_at(k + 1).carre_du_champ(state[:, :m])
+    cases = []
+    for x, y, acc in zip(*(block.T for block in np.hsplit(state, 3))):
+        lhs, rhs = x * x - y, -2.0 * dt * acc
+        scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
+        gap = np.abs(lhs - rhs)
+        cases.append(("variance-identity", gap, np.zeros_like(lhs), c_dt * dt * scale))
+    return _reports(plan, single, f"C*dt with C={c_dt:g}, scaled by field size", cases)
 
 
 def laplacian_commutation(plan: TransportPlan) -> InequalityReport:
@@ -286,7 +282,7 @@ def laplacian_commutation(plan: TransportPlan) -> InequalityReport:
     traj = plan.trajectory
     lap_s = traj.delta_u(plan.start)
     lap_t = traj.delta_u(plan.end)
-    moved = _forward(plan, lap_s)
+    moved = plan.run(lap_s, "forward")
     gap = np.abs(lap_t - moved)
     scale = max(1.0, float(np.max(np.abs(lap_s))))
     tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
@@ -318,11 +314,10 @@ def gradient_estimate_check(plan: TransportPlan, K: float) -> InequalityReport:
     log_t = u_t * _log_carre(asm_t, u_t)
     raw_s = asm_s.carre_du_champ(u_s)
     raw_t = asm_t.carre_du_champ(u_t)
-    rhs_log = factor * _forward(plan, log_s)
-    rhs_raw = factor * _forward(plan, raw_s)
+    moved = plan.run(np.column_stack([log_s, raw_s]), "forward")
 
     lhs = np.concatenate([log_t, raw_t])
-    rhs = np.concatenate([rhs_log, rhs_raw])
+    rhs = np.concatenate(factor * moved.T)
     scale = max(1.0, float(np.max(np.abs(rhs))))
     tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
     meta = plan.grid_meta()
@@ -362,9 +357,11 @@ def local_logsob_check(plan: TransportPlan, K: float) -> InequalityReport:
     asm_t = traj.assembly_at(plan.end)
     c_fwd, c_rev = _logsob_coefficients(K, plan.elapsed)
 
-    gap = u_t * np.log(u_t) - _forward(plan, u_s * np.log(u_s))
+    ent_s_moved, grad_s_moved = plan.run(
+        np.column_stack([u_s * np.log(u_s), u_s * _log_carre(asm_s, u_s)]), "forward"
+    ).T
+    gap = u_t * np.log(u_t) - ent_s_moved
     grad_t = u_t * _log_carre(asm_t, u_t)
-    grad_s_moved = _forward(plan, u_s * _log_carre(asm_s, u_s))
 
     lhs = np.concatenate([gap - c_fwd * grad_t, c_rev * grad_s_moved - gap])
     scale = max(

@@ -29,7 +29,9 @@ from finslerheat import (
     solve_heat_flow,
     weighted_laplacian,
 )
+from finslerheat import numerics
 from finslerheat.geometry import differential_field
+from finslerheat.heat import SCHEMES
 
 
 def euclid_setup(nodes=64, dim=1):
@@ -235,6 +237,31 @@ def test_heat_step_keeps_constants(scheme):
     dt = 1e-4 if scheme == "explicit" else 1e-3
     out, _ = heat_step(metric, measure, u, dt, scheme=scheme)
     np.testing.assert_allclose(out.values, 2.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("width", [1, 3, 20])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_advance_block_columns_match_single_fields(scheme, width):
+    # 16^2 nodes with a 9-point Randers stencil; a 20-column block spans
+    # two CG chunks, so chunk boundaries are covered too
+    grid = TorusGrid(2, 16)
+    assert numerics.CG_BLOCK_ELEMENTS // grid.n_nodes < 20
+    metric = MetricField(
+        grid, RandersNorm(np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([0.3, 0.1]))
+    )
+    measure = MeasureField.from_log_density(
+        grid, lambda x, y: 0.2 * math.cos(2 * math.pi * x)
+    )
+    x, y = grid.coordinates().T
+    u = 1.0 + 0.4 * np.sin(2 * math.pi * x + 0.3) + 0.2 * np.cos(2 * math.pi * y)
+    dt = 0.2 * grid.h**2 if scheme == "explicit" else 1e-3
+    direction = gradient_field(metric, ScalarField(grid, u))
+    asm = weighted_laplacian(metric, measure, direction, dt=dt, scheme=scheme)
+    block = np.random.default_rng(width).standard_normal((grid.n_nodes, width))
+    out = asm.advance(block)
+    assert out.shape == block.shape
+    for j in range(width):
+        assert np.array_equal(out[:, j], asm.advance(block[:, j]))
 
 
 def test_heat_step_conserves_mass():

@@ -174,6 +174,53 @@ def test_semigroup_law_is_bitwise(randers_traj):
     assert rep.worst_residual == 0.0
 
 
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_block_transport_matches_per_field_transport(randers_traj, adjoint):
+    traj = randers_traj
+    block = np.random.default_rng(5).standard_normal((traj.grid.n_nodes, 7))
+    moved = traj.transport(block, 2, traj.n_times - 1, adjoint)
+    for j in range(block.shape[1]):
+        single = traj.transport(block[:, j], 2, traj.n_times - 1, adjoint)
+        assert np.array_equal(moved[:, j], single)
+
+
+def test_batched_checks_match_field_by_field_checks(weighted_traj):
+    traj, _ = weighted_traj
+    plan = full_plan(traj)
+    rng = np.random.default_rng(9)
+
+    def fields(count=3, positive=False):
+        values = rng.standard_normal((count, traj.grid.n_nodes))
+        if positive:
+            values = np.exp(0.3 * values)
+        return [ScalarField(traj.grid, v) for v in values]
+
+    def same(batched, singles):
+        assert [r.to_dict() for r in batched] == [r.to_dict() for r in singles]
+
+    gs, psis = fields(), fields()
+    same(check_duality(plan, gs, psis), map(check_duality, [plan] * 3, gs, psis))
+    same(
+        check_contraction(plan, gs, (1, 2, math.inf)),
+        [check_contraction(plan, g, p) for g in gs for p in (1, 2, math.inf)],
+    )
+    same(
+        check_cauchy_schwarz(plan, gs, psis),
+        map(check_cauchy_schwarz, [plan] * 3, gs, psis),
+    )
+    pos = fields(positive=True)
+    same(check_positivity(plan, pos), [check_positivity(plan, g) for g in pos])
+    lows = [float(np.min(g.values)) for g in pos]
+    highs = [float(np.max(g.values)) for g in pos]
+    same(
+        check_order_and_bounds(plan, pos, lows, highs),
+        map(check_order_and_bounds, [plan] * 3, pos, lows, highs),
+    )
+    x = traj.grid.coordinates()[:, 0]
+    smooth = [ScalarField(traj.grid, np.cos(2 * math.pi * k * x + 0.4)) for k in (1, 2)]
+    same(variance_identity(plan, smooth), [variance_identity(plan, f) for f in smooth])
+
+
 def test_semigroup_law_needs_interior_mid(euclid_traj):
     plan = TransportPlan(euclid_traj, 2, 10)
     g = positive_sine(euclid_traj.grid)
