@@ -29,6 +29,7 @@ from .config import load_config
 from .errors import FinslerHeatError
 from .harnack import harnack_bound_integral, harnack_bound_lf, theta_descriptor
 from .liyau import LiYauProfile, PsiEvaluator, alpha_phi
+from .reporting import json_safe
 from .runner import (
     build_problem,
     convergence_table,
@@ -85,7 +86,7 @@ def _cmd_convergence(args) -> int:
     table = convergence_table(manifests)
     json_path = os.path.join(out, "convergence.json")
     with open(json_path, "w") as fh:
-        json.dump(table, fh, indent=2, sort_keys=True, default=float)
+        json.dump(json_safe(table), fh, indent=2, sort_keys=True, default=float, allow_nan=False)
     write_convergence_csv(table, os.path.join(out, "convergence.csv"))
     for row in table["rows"]:
         order = row["fitted_order"]

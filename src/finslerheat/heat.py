@@ -14,11 +14,16 @@ standard 9-point box stencil): the tensor is split per face as
 antidiagonal edge matching the sign of g12. Strongly anisotropic tensors can
 make axis weights negative, which is allowed: minimum-principle violations
 are logged, never clamped.
+
+Every implicit step, in the solver and in transport alike, is one measure-CG
+solve preconditioned by the FFT inverse of the same step with every edge
+weight replaced by its direction's mean (see DiffusionAssembly.advance).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -26,6 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy import fft
 
 from .errors import CflViolation, DegenerateField, IndexRange, UnsupportedFamily
 from .geometry import (
@@ -64,6 +70,10 @@ class DiffusionAssembly:
     scheme: str
     kappa_max: float
     degenerate_nodes: int
+    #: grid shape and (offset, mean edge weight) of each stencil direction,
+    #: the constant-coefficient model behind the step preconditioner
+    shape: tuple[int, ...]
+    stencil: tuple[tuple[tuple[int, ...], float], ...]
     cg_rtol: float = CG_RTOL
 
     def _w(self, rows: np.ndarray) -> np.ndarray:
@@ -112,7 +122,59 @@ class DiffusionAssembly:
         def op(x):
             return diag * x - scale * self._w(x)
 
-        return cg_measure(op, rhs, self.sigma, x0=rows, rel_tol=self.cg_rtol).T
+        return cg_measure(
+            op, rhs, self.sigma, self._preconditioner(dt_eff), x0=rows,
+            rel_tol=self.cg_rtol,
+        ).T
+
+    def _preconditioner(self, dt_eff: float):
+        """Approximate inverse of the step operator I + dt_eff * Sigma^-1 L.
+
+        With every edge weight replaced by the mean of its stencil direction,
+        mean(sigma) + dt_eff * L is circulant on the torus, and a real FFT
+        diagonalises it with symbol lambda(theta) = mean(sigma) + dt_eff *
+        sum_d 2 max(w_d, 0) (1 - cos theta.d). The diagonal scaling Dh =
+        sqrt(mean(full) / full), full = sigma + dt_eff * degree, restores the
+        local size of the operator. The result M^-1 r = Dh F^-1[F(Sigma Dh r)
+        / lambda] is self-adjoint and positive definite in the sigma inner
+        product: the clip keeps lambda >= mean(sigma) > 0 even when
+        anisotropy makes an axis weight negative.
+        """
+        full = self.sigma + dt_eff * self.degree
+        dh = np.sqrt(np.mean(full) / full)
+        sdh = self.sigma * dh
+        offsets = tuple(d for d, _ in self.stencil)
+        weights = np.maximum([w for _, w in self.stencil], 0.0)
+        inv_lam = 1.0 / (
+            np.mean(self.sigma)
+            + dt_eff * np.tensordot(weights, _stencil_symbols(self.shape, offsets), 1)
+        )
+        shape = self.shape
+        axes = tuple(range(-len(shape), 0))
+
+        def precond(r):
+            rows = (sdh * r).reshape(-1, *shape)
+            spec = fft.rfftn(rows, axes=axes, overwrite_x=True)
+            spec *= inv_lam
+            z = fft.irfftn(spec, s=shape, axes=axes, overwrite_x=True).reshape(r.shape)
+            z *= dh
+            return z
+
+        return precond
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_symbols(shape: tuple[int, ...], offsets) -> np.ndarray:
+    """2 (1 - cos theta.d) on the real-FFT half spectrum of a grid, for each
+    stencil offset d: the symbol of a unit-weight edge family. Read-only,
+    as every caller shares it."""
+    freqs = [fft.fftfreq(n) for n in shape[:-1]] + [fft.rfftfreq(shape[-1])]
+    theta = np.meshgrid(*(2.0 * np.pi * f for f in freqs), indexing="ij")
+    symbols = np.stack(
+        [2.0 * (1.0 - np.cos(sum(t * k for t, k in zip(theta, d)))) for d in offsets]
+    )
+    symbols.flags.writeable = False
+    return symbols
 
 
 def _face_average(grid, node_values: np.ndarray, axis_offsets) -> np.ndarray:
@@ -160,7 +222,7 @@ def weighted_laplacian(
     rho = measure.density
     h_pow = grid.h ** (grid.dim - 2)
 
-    rows, cols, data = [], [], []
+    rows, cols, data, stencil = [], [], [], []
 
     def add_edges(offsets, coeff):
         i, j = _edge_indices(grid, offsets)
@@ -171,6 +233,7 @@ def weighted_laplacian(
         rows.append(j)
         cols.append(i)
         data.append(w)
+        stencil.append((offsets, float(np.mean(w))))
 
     if grid.dim == 1:
         g11 = _face_average(grid, ginv[:, 0, 0], (1,)) * _face_average(grid, rho, (1,))
@@ -209,6 +272,8 @@ def weighted_laplacian(
         scheme=scheme,
         kappa_max=kappa_max,
         degenerate_nodes=int(np.count_nonzero(mask)),
+        shape=grid.shape,
+        stencil=tuple(stencil),
     )
 
 
@@ -323,11 +388,6 @@ class Trajectory:
     def delta_u(self, index: int) -> np.ndarray:
         """Spatial-operator value A_t u_t at a recorded index."""
         return self.assembly_at(index).apply(self.fields[self._check(index)])
-
-    def dt_log_u(self, index: int) -> np.ndarray:
-        """Logarithmic time derivative (A_t u_t) / u_t."""
-        index = self._check(index)
-        return self.delta_u(index) / self.fields[index]
 
     def _check(self, index: int) -> int:
         if not 0 <= index < self.n_times:

@@ -151,9 +151,10 @@ def bisect_root(
 
 #: working-set size, in array elements, of one lockstep CG sweep: m fields
 #: on n nodes are solved in chunks of max(1, C // n). Small grids share the
-#: per-iteration overhead (1-d, n = 128: 0.22 ms per field and step in chunks
-#: of 32, 1.9 ms alone); at 64^2 wider chunks leave the cache (4.8-6.5 ms per
-#: field for widths 2-6, 4.3 ms alone). 2-core Xeon, numpy 2.4, scipy 1.17.
+#: per-iteration overhead of the sparse product and the FFT round trip
+#: (1-d, n = 128, one implicit step of a random field: 0.025-0.035 ms per
+#: field in chunks of 32, 0.44-0.61 ms alone); at 64^2 a field runs alone,
+#: 4.1-5.7 ms per step. 2-core Xeon, one thread, numpy 2.4, scipy 1.17.
 CG_BLOCK_ELEMENTS = 4096
 
 
@@ -161,18 +162,22 @@ def cg_measure(
     apply_op: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
     sigma: np.ndarray,
+    precond: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray | None = None,
     rel_tol: float = 1e-13,
     max_iter: int | None = None,
 ) -> np.ndarray:
-    """Conjugate gradient for an operator self-adjoint (and positive
-    definite) in the measure inner product ``<u, v> = sum(u * v * sigma)``.
+    """Preconditioned conjugate gradient for an operator self-adjoint (and
+    positive definite) in the measure inner product
+    ``<u, v> = sum(u * v * sigma)``.
 
     ``rhs`` and ``x0`` are one field ``(n,)`` or a stack ``(m, n)`` of fields
-    as rows, and ``apply_op`` maps either shape to itself. The m solves run
-    in lockstep, each with its own scalars, stopping rule and row-wise
-    reductions, so a field's result does not depend on its stack, bit for
-    bit. A field stops when its measure-norm residual is below ``rel_tol``
+    as rows; ``apply_op`` and ``precond`` map a stack ``(k, n)`` to itself,
+    and ``precond`` must be self-adjoint and positive definite in the same
+    inner product, acting on each row alone. The m solves run in lockstep,
+    each with its own scalars, stopping rule and row-wise reductions, so a
+    field's result does not depend on its stack, bit for bit. A field stops
+    when its (unpreconditioned) measure-norm residual is below ``rel_tol``
     (floored at 64 eps) times that of its right-hand side, or after 20
     iterations without a new best residual (the round-off floor). Raises
     :class:`SolverDivergence` if one is still iterating after ``max_iter``
@@ -187,13 +192,13 @@ def cg_measure(
     width = max(1, CG_BLOCK_ELEMENTS // n)
     for lo in range(0, m, width):
         chunk = slice(lo, lo + width)
-        _cg_lockstep(apply_op, b[chunk], sigma, x[chunk], tol2, max_iter)
+        _cg_lockstep(apply_op, precond, b[chunk], sigma, x[chunk], tol2, max_iter)
     return x.reshape(np.shape(rhs))
 
 
-def _cg_lockstep(apply_op, b, sigma, x, tol2, max_iter) -> None:
-    """Measure-CG on the rows of ``b``, in place on the start rows ``x``;
-    a row leaves the working set once it converges or stalls."""
+def _cg_lockstep(apply_op, precond, b, sigma, x, tol2, max_iter) -> None:
+    """Preconditioned measure-CG on the rows of ``b``, in place on the start
+    rows ``x``; a row leaves the working set once it converges or stalls."""
     r = b - apply_op(x)
     rr = np.einsum("ij,ij,j->i", r, r, sigma)
     target = tol2 * np.maximum(np.einsum("ij,ij,j->i", b, b, sigma), 1e-300)
@@ -203,24 +208,23 @@ def _cg_lockstep(apply_op, b, sigma, x, tol2, max_iter) -> None:
     xa = x
     if rows.size < len(b):
         xa, r, rr, target = x[rows], r[rows], rr[rows], target[rows]
-    p = r.copy()
+    p = precond(r)
+    rz = np.einsum("ij,ij,j->i", r, p, sigma)
     # best residual and the iteration that reached it; best_rr is updated in
     # place and must never alias rr. No row can stall before stall_check.
     best_rr = rr.copy()
     best_it = np.full(rows.size, -1)
     stall_check = 19
     for it in range(max_iter):
-        if rows.size == 0:
-            return
         ap = apply_op(p)
-        alpha = (rr / np.einsum("ij,ij,j->i", p, ap, sigma))[:, None]
+        alpha = (rz / np.einsum("ij,ij,j->i", p, ap, sigma))[:, None]
         xa += alpha * p
         r -= alpha * ap
-        rr_new = np.einsum("ij,ij,j->i", r, r, sigma)
-        improved = rr_new < best_rr
-        np.copyto(best_rr, rr_new, where=improved)
+        rr = np.einsum("ij,ij,j->i", r, r, sigma)
+        improved = rr < best_rr
+        np.copyto(best_rr, rr, where=improved)
         np.copyto(best_it, it, where=improved)
-        done = rr_new <= target
+        done = rr <= target
         if it >= stall_check:
             # 20 iterations without a new best: round-off floor reached
             done |= best_it <= it - 20
@@ -229,14 +233,17 @@ def _cg_lockstep(apply_op, b, sigma, x, tol2, max_iter) -> None:
             x[rows[done]] = xa[done]
             keep = ~done
             rows, xa, r, p = rows[keep], xa[keep], r[keep], p[keep]
-            rr, rr_new, target = rr[keep], rr_new[keep], target[keep]
+            rr, rz, target = rr[keep], rz[keep], target[keep]
             best_rr, best_it = best_rr[keep], best_it[keep]
             stall_check = it + 1
-        p *= (rr_new / rr)[:, None]
-        p += r
-        rr = rr_new
-    if rows.size:
-        raise SolverDivergence(
-            f"measure-CG exceeded {max_iter} iterations "
-            f"(residual^2 {float(np.max(rr)):.3e})"
-        )
+            if rows.size == 0:
+                return
+        z = precond(r)
+        rz_new = np.einsum("ij,ij,j->i", r, z, sigma)
+        p *= (rz_new / rz)[:, None]
+        p += z
+        rz = rz_new
+    raise SolverDivergence(
+        f"measure-CG exceeded {max_iter} iterations "
+        f"(residual^2 {float(np.max(rr)):.3e})"
+    )

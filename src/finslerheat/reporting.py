@@ -3,15 +3,30 @@
 Every checker returns an InequalityReport: the two compared sides, the worst
 signed residual (positive means violated), where it happened, and the
 tolerance that was applied together with how it was derived. Reports
-serialize to JSON with sorted keys so repeated runs produce identical bytes.
+serialize to strict JSON with sorted keys so repeated runs produce identical
+bytes; a NaN or an infinity is written as the string "nan", "inf" or "-inf".
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def json_safe(value):
+    """``value`` with every non-finite float, in nested dicts, lists and
+    tuples, replaced by the string "nan", "inf" or "-inf", so that it
+    serializes as strict JSON; finite values are left as they are."""
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        return repr(float(value))
+    return value
 
 
 def discretization_tolerance(h: float, dt: float, scale: float = 1.0) -> float:
@@ -49,10 +64,10 @@ class InequalityReport:
             "rhs_range": [float(v) for v in self.rhs_range],
             "grid_meta": self.grid_meta,
         }
-        return out
+        return json_safe(out)
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True, allow_nan=False)
 
 
 def compare(

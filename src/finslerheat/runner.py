@@ -26,7 +26,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, FinslerHeatError
 from .geometry import ScalarField, ricci_lower_bound
 from .heat import Trajectory, bochner_residual, solve_heat_flow
-from .reporting import InequalityReport
+from .reporting import InequalityReport, json_safe
 
 SCHEMA_VERSION = 1
 
@@ -46,13 +46,16 @@ class RunManifest:
     failed_checks: list = field(default_factory=list)
     wall_clock: dict = field(default_factory=dict)
     grid_meta: dict = field(default_factory=dict)
+    #: health of each solver step: its time, the largest eigenvalue of the
+    #: frozen tensor and the count of degenerate-gradient nodes
+    solver_steps: list = field(default_factory=list)
 
     @property
     def n_failed(self) -> int:
         return len(self.failed_checks)
 
     def to_dict(self) -> dict:
-        return {
+        return json_safe({
             "schema_version": SCHEMA_VERSION,
             "config_digest": self.config_digest,
             "tool_version": self.tool_version,
@@ -65,12 +68,16 @@ class RunManifest:
             "failed_checks": self.failed_checks,
             "wall_clock": self.wall_clock,
             "grid_meta": self.grid_meta,
-        }
+            "solver_steps": self.solver_steps,
+        })
 
     def write(self) -> str:
         path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, default=float)
+            json.dump(
+                self.to_dict(), fh, indent=2, sort_keys=True, default=float,
+                allow_nan=False,
+            )
         return path
 
 
@@ -259,7 +266,7 @@ def _write_check(out_dir: str, name: str, reports: list[InequalityReport]) -> tu
     }
     path = os.path.join(out_dir, f"check_{name}.json")
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=float, allow_nan=False)
     return path, passed
 
 
@@ -298,6 +305,14 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
             "scheme": config.scheme,
             "n_violations_solve": len(traj.violations),
         },
+        solver_steps=[
+            {
+                "time": a.time,
+                "kappa_max": a.kappa_max,
+                "degenerate_nodes": a.degenerate_nodes,
+            }
+            for a in traj.assemblies
+        ],
     )
     rng = np.random.default_rng(config.seed)
     registry = _check_registry(config, traj, K, rng)
@@ -351,7 +366,7 @@ def convergence_table(
             with open(path) as fh:
                 payload = json.load(fh)
             worst = max(
-                (r["worst_residual"] for r in payload["reports"]), default=0.0
+                (float(r["worst_residual"]) for r in payload["reports"]), default=0.0
             )
             h = manifest.grid_meta["h"]
             dt = manifest.grid_meta["dt"]

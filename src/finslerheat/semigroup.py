@@ -156,13 +156,18 @@ def check_semigroup_law(
     """Composition through an intermediate index equals direct transport.
 
     Same operator product in the same order, so the gap is exactly zero in
-    floating point; the check guards the indexing, not the arithmetic.
+    floating point; the check guards the indexing, not the arithmetic. An
+    adjoint plan runs its steps from the end back, so it composes the later
+    half first.
     """
     if not plan.start < mid < plan.end:
         raise IndexRange("intermediate index must lie strictly inside the plan")
-    traj = plan.trajectory
-    first = TransportPlan(traj, plan.start, mid, plan.direction).run(g.values)
-    two = TransportPlan(traj, mid, plan.end, plan.direction).run(first)
+    halves = [(plan.start, mid), (mid, plan.end)]
+    if plan.direction == "adjoint":
+        halves.reverse()
+    two = g.values
+    for lo, hi in halves:
+        two = TransportPlan(plan.trajectory, lo, hi, plan.direction).run(two)
     direct = plan.run(g.values)
     return compare(
         "semigroup-law",

@@ -387,6 +387,29 @@ def test_run_writes_manifest_and_reports(tmp_path):
     assert os.path.isdir(os.path.join(out, "fields"))
 
 
+def test_manifest_records_solver_health_per_step(tmp_path):
+    config = checked_config(
+        tmp_path,
+        """\
+        [checks]
+        names = conservative
+        """,
+    )
+    out = str(tmp_path / "out")
+    run(config, out_dir=out)
+    with open(os.path.join(out, "manifest.json")) as fh:
+        text = fh.read()
+    # strict JSON: the default N = inf is written as a string
+    on_disk = json.loads(text, parse_constant=lambda token: pytest.fail(token))
+    assert on_disk["n_effective"] == "inf"
+    steps = on_disk["solver_steps"]
+    assert len(steps) == round(config.t_final / config.dt)
+    for k, step in enumerate(steps):
+        assert step["time"] == pytest.approx(k * config.dt)
+        assert step["degenerate_nodes"] >= 0
+        assert math.isfinite(step["kappa_max"]) and step["kappa_max"] > 0.0
+
+
 def test_run_is_deterministic_for_a_fixed_config(tmp_path):
     config = checked_config(
         tmp_path,

@@ -29,7 +29,7 @@ from finslerheat import (
     solve_heat_flow,
     weighted_laplacian,
 )
-from finslerheat import numerics
+from finslerheat import heat, numerics
 from finslerheat.geometry import differential_field
 from finslerheat.heat import SCHEMES
 
@@ -262,6 +262,63 @@ def test_advance_block_columns_match_single_fields(scheme, width):
     assert out.shape == block.shape
     for j in range(width):
         assert np.array_equal(out[:, j], asm.advance(block[:, j]))
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        RandersNorm(np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([0.3, 0.1])),
+        RiemannianNorm(np.array([[0.5, 0.9], [0.9, 2.0]])),
+    ],
+    ids=lambda d: d.family,
+)
+def test_step_preconditioner_is_symmetric_positive_in_measure(desc):
+    grid = TorusGrid(2, 12)
+    metric = MetricField(grid, desc)
+    measure = MeasureField.from_log_density(
+        grid, lambda x, y: 0.3 * math.cos(2 * math.pi * x) + 0.1 * math.sin(2 * math.pi * y)
+    )
+    x, y = grid.coordinates().T
+    u = ScalarField(grid, np.sin(2 * math.pi * x) + 0.5 * np.cos(2 * math.pi * (x - y)))
+    asm = weighted_laplacian(metric, measure, gradient_field(metric, u), dt=1e-3)
+    if desc.family == "riemannian":
+        # strong anisotropy: the y-axis edges carry negative weights
+        assert min(w for _, w in asm.stencil) < 0.0
+    # column i of the matrix is M^-1 applied to the unit field at node i
+    mat = asm._preconditioner(1e-3)(np.eye(grid.n_nodes)).T
+    gram = measure.sigma[:, None] * mat
+    np.testing.assert_allclose(gram, gram.T, rtol=0, atol=1e-12 * np.max(np.abs(gram)))
+    assert np.min(np.linalg.eigvalsh(0.5 * (gram + gram.T))) > 0.0
+
+
+def test_step_solve_is_preconditioned(monkeypatch):
+    # one implicit step of a random field on the 64^2 Randers check setup;
+    # unpreconditioned CG takes about 80 operator applications here
+    grid = TorusGrid(2, 64)
+    metric = MetricField(
+        grid, RandersNorm(np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([0.3, 0.1]))
+    )
+    measure = MeasureField.lebesgue(grid)
+    x, y = grid.coordinates().T
+    u = 1.0 + 0.4 * np.sin(2 * math.pi * x + 0.3) + 0.2 * np.cos(2 * math.pi * (x + y))
+    direction = gradient_field(metric, ScalarField(grid, u))
+    asm = weighted_laplacian(metric, measure, direction, dt=5e-4)
+    calls = []
+
+    def counting(apply_op, rhs, sigma, *args, **kwargs):
+        def op(x):
+            calls.append(1)
+            return apply_op(x)
+
+        return numerics.cg_measure(op, rhs, sigma, *args, **kwargs)
+
+    monkeypatch.setattr(heat, "cg_measure", counting)
+    g = np.random.default_rng(0).standard_normal(grid.n_nodes)
+    out = asm.advance(g)
+    assert len(calls) <= 30
+    residual = g - out + asm.dt * asm.apply(out)
+    sig = measure.sigma
+    assert np.sum(residual**2 * sig) <= 1e-24 * np.sum(g**2 * sig)
 
 
 def test_heat_step_conserves_mass():

@@ -1,4 +1,7 @@
-"""Inequality reports: a NaN or an infinity never passes."""
+"""Inequality reports: a NaN or an infinity never passes, and reports are
+strict JSON."""
+
+import json
 
 import numpy as np
 from hypothesis import given
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from finslerheat.reporting import compare
+from finslerheat.runner import _write_check
 
 
 def test_non_finite_residuals_fail():
@@ -46,3 +50,44 @@ def test_any_non_finite_residual_fails(lhs, rhs, bad, tolerance):
     assert not rep.passed
     assert rep.n_violations >= broken.size
     assert rep.worst_location == {"index": int(broken[0])}
+
+
+def _strict_load(text):
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_reports_are_strict_json(tmp_path):
+    rep = compare(
+        "c", np.full(3, np.nan), np.full(3, np.nan), np.inf, "rule",
+        grid_meta={"N": float("inf"), "K": -np.inf},
+    )
+    payload = _strict_load(rep.to_json())
+    assert payload["worst_residual"] == "nan"
+    assert payload["tolerance"] == "inf"
+    assert payload["lhs_range"] == ["nan", "nan"]
+    assert payload["grid_meta"] == {"K": "-inf", "N": "inf"}
+    path, passed = _write_check(str(tmp_path), "c", [rep])
+    assert not passed
+    with open(path) as fh:
+        assert _strict_load(fh.read())["reports"][0]["worst_residual"] == "nan"
+
+
+def test_finite_report_bytes_are_unchanged():
+    rep = compare("c", np.array([0.5, -1.0]), np.zeros(2), 1.0, "rule", grid_meta={"h": 0.1})
+    fields = {
+        "name": "c",
+        "passed": True,
+        "worst_residual": 0.5,
+        "worst_location": {"index": 0},
+        "tolerance": 1.0,
+        "tolerance_rule": "rule",
+        "n_checked": 2,
+        "n_violations": 0,
+        "lhs_range": [-1.0, 0.5],
+        "rhs_range": [0.0, 0.0],
+        "grid_meta": {"h": 0.1},
+    }
+    assert rep.to_json() == json.dumps(fields, indent=2, sort_keys=True)

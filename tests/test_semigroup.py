@@ -174,6 +174,16 @@ def test_semigroup_law_is_bitwise(randers_traj):
     assert rep.worst_residual == 0.0
 
 
+def test_semigroup_law_is_bitwise_for_adjoint_plans(randers_traj):
+    plan = TransportPlan(randers_traj, 0, randers_traj.n_times - 1, "adjoint")
+    rng = np.random.default_rng(3)
+    g = ScalarField(randers_traj.grid, rng.standard_normal(randers_traj.grid.n_nodes))
+    for mid in (1, plan.end // 2, plan.end - 1):
+        rep = check_semigroup_law(plan, mid, g)
+        assert rep.passed
+        assert rep.worst_residual == 0.0
+
+
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_block_transport_matches_per_field_transport(randers_traj, adjoint):
     traj = randers_traj
