@@ -1,4 +1,4 @@
-"""Flat weighted tori: grids, fields, measures, curvature bounds, distance.
+"""Flat weighted tori: grids, fields, measures, curvature bounds, exact distance.
 
 The torus is [0, L)^dim with periodic wrap-around and uniform spacing
 h = L / nodes_per_axis. Fields are stored flat in C order; 2-d fields
@@ -7,14 +7,13 @@ reshape to (n, n) with axis 0 the x direction.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import IndexRange, UnsupportedFamily
-from .metrics import EPS_DEGENERATE, MetricField, MinkowskiNorm, RandersNorm
+from .metrics import EPS_DEGENERATE, MetricField, reversibility
 from .numerics import golden_section_max
 
 
@@ -51,6 +50,10 @@ class TorusGrid:
         axes = [np.arange(self.nodes_per_axis) * self.h] * self.dim
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
+
+    def flat_index(self, node) -> int:
+        """Flat index of a node given flat or per axis."""
+        return int(node) if np.isscalar(node) else self.ravel_index(node)
 
     def ravel_index(self, multi) -> int:
         multi = np.atleast_1d(multi) % self.nodes_per_axis
@@ -291,65 +294,38 @@ def ricci_lower_bound(
     return CurvatureBound(N, min(float(vals.min()), -neg_best), "sampled")
 
 
-_NEIGHBOR_OFFSETS_1D = [(-1,), (1,)]
-_NEIGHBOR_OFFSETS_2D = [
-    (-1, -1), (-1, 0), (-1, 1),
-    (0, -1), (0, 1),
-    (1, -1), (1, 0), (1, 1),
-]
-
-
 def finsler_distance(
     metric: MetricField,
     source,
     target=None,
 ):
-    """Asymmetric graph distance d_F(source, .) by Dijkstra.
+    """Exact asymmetric distance d_F(source, .) on the torus.
 
-    Edges connect each node to its 2 (1-d) or 8 (2-d) neighbors; the cost of
-    the directed edge p -> q is F evaluated on the displacement q - p (the
-    metric is spatially constant, so the midpoint evaluation of the cost is
-    exact). ``source``/``target`` are flat indices or per-axis tuples.
-    Returns the full distance array when ``target`` is None.
+    Every supported norm is constant in space, so straight segments are
+    geodesics (the flat case of Ohta-Sturm) and d_F(p, q) is the minimum
+    over integer shifts k of F(x_q - x_p + k L). With c |v| <= F(v) <= C |v|,
+    the wrapped displacement w (components in [-L/2, L/2)) gives
+    F(w) <= C sqrt(dim) L/2, so a minimising v = w + k L has
+    |v| <= (C/c) sqrt(dim) L/2 and |k_i| <= (C/c) sqrt(dim)/2 + 1/2, where
+    C/c is the condition root of the Riemannian part times the
+    reversibility. ``source``/``target`` are flat indices or per-axis
+    tuples. Returns the full distance array when ``target`` is None.
     """
     grid = metric.grid
     desc = metric.descriptor
-    src = source if np.isscalar(source) else grid.ravel_index(source)
-    offsets = _NEIGHBOR_OFFSETS_1D if grid.dim == 1 else _NEIGHBOR_OFFSETS_2D
-    steps = np.array(offsets, dtype=float) * grid.h
-    costs = desc.norm(steps)
     n_ax = grid.nodes_per_axis
-
-    if grid.dim == 1:
-        def neighbors(i):
-            for (off,), c in zip(offsets, costs):
-                yield (i + off) % n_ax, c
-    else:
-        def neighbors(i):
-            ix, iy = divmod(i, n_ax)
-            for (ox, oy), c in zip(offsets, costs):
-                yield ((ix + ox) % n_ax) * n_ax + (iy + oy) % n_ax, c
-
-    dist = np.full(grid.n_nodes, np.inf)
-    dist[src] = 0.0
-    heap = [(0.0, src)]
-    goal = None if target is None else (
-        target if np.isscalar(target) else grid.ravel_index(target)
-    )
-    while heap:
-        d, i = heapq.heappop(heap)
-        if d > dist[i]:
-            continue
-        if goal is not None and i == goal:
-            return float(d)
-        for j, c in neighbors(i):
-            nd = d + c
-            if nd < dist[j]:
-                dist[j] = nd
-                heapq.heappush(heap, (nd, j))
-    if goal is not None:
-        return float(dist[goal])
-    return dist
+    multi = lambda flat: np.stack(np.unravel_index(flat, grid.shape), axis=-1)
+    goal = np.arange(grid.n_nodes) if target is None else grid.flat_index(target)
+    delta = multi(goal) - multi(grid.flat_index(source))
+    wrapped = (delta + n_ax // 2) % n_ax - n_ax // 2  # per axis in [-n/2, n/2)
+    eig = np.linalg.eigvalsh(desc.riemannian_part())
+    ratio = math.sqrt(eig[-1] / eig[0]) * reversibility(desc)
+    radius = math.ceil(ratio * math.sqrt(grid.dim) / 2.0 + 0.5)
+    k = np.arange(-radius, radius + 1)
+    shifts = np.stack(np.meshgrid(*[k] * grid.dim, indexing="ij"), axis=-1)
+    steps = wrapped[..., None, :] + n_ax * shifts.reshape(-1, grid.dim)
+    dist = desc.norm(steps * grid.h).min(axis=-1)
+    return dist if target is None else float(dist)
 
 
 def differential_field(u: ScalarField) -> CovectorField:

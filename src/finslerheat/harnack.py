@@ -3,11 +3,10 @@
 Two routes to the same kind of statement: an integral bound built from a
 coefficient pair (alpha, phi), and a sharper one obtained by running the
 convex conjugate of the square-root envelope transform Theta under the
-time integral. Verification compares solution samples at grid nodes; the
-graph distance used for the spatial separation overestimates the true one
-by at most 8 percent on the 8-neighbor stencil, and since every bound here
-is non-decreasing in the distance the error direction only loosens the
-check.
+time integral. Verification compares solution samples at grid nodes
+separated by the exact torus distance. Every bound here grows with the
+distance, so an overestimated distance would loosen the check and could
+hide a violation.
 """
 
 from __future__ import annotations
@@ -22,7 +21,12 @@ from .errors import AlphaSignChange, DomainError, Unbounded
 from .geometry import finsler_distance
 from .liyau import LiYauCoefficients, PsiEvaluator, psi_roots
 from .metrics import MetricField
-from .numerics import adaptive_simpson, expand_bracket_max, golden_section_max
+from .numerics import (
+    adaptive_simpson,
+    elementwise,
+    expand_bracket_max,
+    golden_section_max,
+)
 from .reporting import InequalityReport, compare, discretization_tolerance
 
 #: exponents beyond this overflow double precision; the bound is reported
@@ -60,33 +64,22 @@ def theta_descriptor(N: float, K: float, t: float) -> ThetaDescriptor:
     return ThetaDescriptor(N, K, t, N * K * roots.chi0 / 4.0, math.inf)
 
 
-def theta(desc: ThetaDescriptor, xi):
+@elementwise
+def theta(desc: ThetaDescriptor, xi: float) -> float:
     """Square-root transform of the envelope on the feasible interval.
 
     Negative on the interior, zero at finite endpoints; tiny negative
     envelope values from endpoint roundoff are clamped to zero.
     """
     slack = 1e-12 * max(1.0, abs(desc.xi_lo))
-    if np.ndim(xi) == 0:
-        xf = float(xi)
-        if xf < desc.xi_lo - slack or xf > desc.xi_hi + slack:
-            raise DomainError("argument outside the feasible interval")
-        if desc.K == 0.0:
-            inner = max(desc.N / (2.0 * desc.t) + xf, 0.0)
-        else:
-            ev = PsiEvaluator(desc.N, desc.K, desc.t)
-            inner = max((desc.N / 2.0) * ev.psi(4.0 / (desc.N * desc.K) * xf), 0.0)
-        return -math.sqrt(inner)
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi < desc.xi_lo - slack) or np.any(xi > desc.xi_hi + slack):
+    if xi < desc.xi_lo - slack or xi > desc.xi_hi + slack:
         raise DomainError("argument outside the feasible interval")
     if desc.K == 0.0:
-        inner = np.maximum(desc.N / (2.0 * desc.t) + xi, 0.0)
+        inner = desc.N / (2.0 * desc.t) + xi
     else:
         ev = PsiEvaluator(desc.N, desc.K, desc.t)
-        x = 4.0 / (desc.N * desc.K) * xi
-        inner = np.maximum((desc.N / 2.0) * ev.psi(x), 0.0)
-    return -np.sqrt(inner)
+        inner = (desc.N / 2.0) * ev.psi(4.0 / (desc.N * desc.K) * xi)
+    return -math.sqrt(max(inner, 0.0))
 
 
 def theta_conjugate(desc: ThetaDescriptor, k: float, force_numeric: bool = False) -> float:
@@ -105,13 +98,10 @@ def theta_conjugate(desc: ThetaDescriptor, k: float, force_numeric: bool = False
     def objective(xi: float) -> float:
         return k * xi - theta(desc, xi)
 
-    if math.isfinite(desc.xi_hi):
-        x_star, val = golden_section_max(objective, desc.xi_lo, desc.xi_hi, tol=1e-10)
-        return val
-    step = 0.5 * max(1.0, abs(desc.xi_lo))
-    lo, hi = expand_bracket_max(objective, desc.xi_lo, step)
-    x_star, val = golden_section_max(objective, lo, hi, tol=1e-10)
-    return val
+    lo, hi = desc.xi_lo, desc.xi_hi
+    if not math.isfinite(hi):
+        lo, hi = expand_bracket_max(objective, lo, 0.5 * max(1.0, abs(lo)))
+    return golden_section_max(objective, lo, hi, tol=1e-10)[1]
 
 
 def harnack_bound_integral(
@@ -184,16 +174,14 @@ class CallableFlow:
 
     def sample(self, node, t: float) -> float:
         grid = self.metric.grid
-        flat = node if np.isscalar(node) else grid.ravel_index(node)
-        point = grid.coordinates()[flat]
+        point = grid.coordinates()[grid.flat_index(node)]
         return float(np.asarray(self.solution(np.atleast_2d(point), float(t)))[0])
 
 
 def _sample(flow, node, t: float) -> float:
     if hasattr(flow, "sample"):
         return flow.sample(node, t)
-    flat = node if np.isscalar(node) else flow.grid.ravel_index(node)
-    return float(flow.fields[flow.index_of(t)][flat])
+    return float(flow.fields[flow.index_of(t)][flow.grid.flat_index(node)])
 
 
 def verify_harnack(
@@ -212,16 +200,14 @@ def verify_harnack(
 
     ``flow`` is either a recorded trajectory or a :class:`CallableFlow`;
     ``x1``/``x2`` are node indices (flat or per-axis). The separation is
-    the graph distance from x2 to x1, in that order; the bounds increase
-    with distance, so the stencil overestimate cannot hide a violation.
+    the exact distance d_F(x2, x1), from x2 to x1 in that order.
     """
     if t2 <= t1:
         raise DomainError("need t1 < t2; equal-time pairs are vacuous")
     metric = flow.metric
     grid = metric.grid
-    to_flat = lambda x: x if np.isscalar(x) else grid.ravel_index(x)
-    f1, f2 = to_flat(x1), to_flat(x2)
-    d = 0.0 if f1 == f2 else finsler_distance(metric, f2, f1)
+    f1, f2 = grid.flat_index(x1), grid.flat_index(x2)
+    d = finsler_distance(metric, f2, f1)
     if mode == "integral":
         if coeffs is None:
             raise DomainError("integral mode needs a coefficient pair")

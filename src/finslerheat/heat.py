@@ -44,6 +44,7 @@ from .geometry import (
 )
 from .metrics import EPS_DEGENERATE, MetricField
 from .numerics import cg_measure
+from .reporting import InequalityReport, compare
 
 SCHEMES = ("implicit_euler", "crank_nicolson", "explicit")
 
@@ -537,3 +538,22 @@ def bochner_residual(
     lap_sq = 0.0 if math.isinf(N) else lap_u**2 / N
     slack = assembly.apply(energy) - term_transport - ric_n - lap_sq
     return BochnerResult(ScalarField(grid, residual), ScalarField(grid, slack))
+
+
+def bochner_report(
+    metric: MetricField, measure: MeasureField, u: ScalarField, N: float
+) -> InequalityReport:
+    """The ``bochner-slack`` check: the N-form slack of
+    :func:`bochner_residual` stays above -10 h^2 times the residual scale.
+    """
+    result = bochner_residual(metric, measure, u, N)
+    slack = result.n_form_slack.values
+    res_max = float(np.max(np.abs(result.residual.values)))
+    return compare(
+        "bochner-slack",
+        -slack,
+        np.zeros_like(slack),
+        10.0 * u.grid.h**2 * max(1.0, res_max),
+        "10 h^2 * residual scale",
+        grid_meta={"h": u.grid.h, "max_abs_residual": res_max, "dim": u.grid.dim},
+    )

@@ -35,7 +35,7 @@ from .errors import (
 from .geometry import ScalarField
 from .heat import Trajectory
 from .metrics import EuclideanNorm
-from .numerics import adaptive_simpson, bisect_root
+from .numerics import adaptive_simpson, bisect_root, elementwise
 from .reporting import InequalityReport, compare, discretization_tolerance
 
 #: half-width of the Taylor window on w; cot/coth cancellation is
@@ -46,68 +46,29 @@ SERIES_WINDOW = 1e-4
 _COTH_SATURATION = 350.0
 
 
-def _t_kernel(w):
+@elementwise
+def _t_kernel(w: float) -> float:
     """sqrt(w) cot(sqrt(w)) continued through w <= 0 as r coth(r)."""
-    if np.ndim(w) == 0:
-        # scalar lane: the conjugate searches hammer this with floats
-        wf = float(w)
-        if abs(wf) <= SERIES_WINDOW:
-            return 1.0 - wf / 3.0 - wf**2 / 45.0 - 2.0 * wf**3 / 945.0 - wf**4 / 4725.0
-        if wf > 0.0:
-            s = math.sqrt(wf)
-            return s * math.cos(s) / math.sin(s)
-        r = math.sqrt(-wf)
-        return r / math.tanh(r)
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    small = np.abs(w) <= SERIES_WINDOW
-    if np.any(small):
-        ws = w[small]
-        out[small] = 1.0 - ws / 3.0 - ws**2 / 45.0 - 2.0 * ws**3 / 945.0 - ws**4 / 4725.0
-    pos = w > SERIES_WINDOW
-    if np.any(pos):
-        s = np.sqrt(w[pos])
-        out[pos] = s * np.cos(s) / np.sin(s)
-    neg = w < -SERIES_WINDOW
-    if np.any(neg):
-        r = np.sqrt(-w[neg])
-        out[neg] = r / np.tanh(r)
-    return out
+    if abs(w) <= SERIES_WINDOW:
+        return 1.0 - w / 3.0 - w**2 / 45.0 - 2.0 * w**3 / 945.0 - w**4 / 4725.0
+    if w > 0.0:
+        s = math.sqrt(w)
+        return s * math.cos(s) / math.sin(s)
+    r = math.sqrt(-w)
+    return r / math.tanh(r)
 
 
-def _t_kernel_prime(w):
-    if np.ndim(w) == 0:
-        wf = float(w)
-        if abs(wf) <= SERIES_WINDOW:
-            return -1.0 / 3.0 - 2.0 * wf / 45.0 - 2.0 * wf**2 / 315.0 - 4.0 * wf**3 / 4725.0
-        if wf > 0.0:
-            s = math.sqrt(wf)
-            return math.cos(s) / (2.0 * s * math.sin(s)) - 0.5 / math.sin(s) ** 2
-        r = math.sqrt(-wf)
-        if r > _COTH_SATURATION:
-            return -0.5 / r
-        return -1.0 / (2.0 * r * math.tanh(r)) + 0.5 / math.sinh(r) ** 2
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    small = np.abs(w) <= SERIES_WINDOW
-    if np.any(small):
-        ws = w[small]
-        out[small] = -1.0 / 3.0 - 2.0 * ws / 45.0 - 2.0 * ws**2 / 315.0 - 4.0 * ws**3 / 4725.0
-    pos = w > SERIES_WINDOW
-    if np.any(pos):
-        s = np.sqrt(w[pos])
-        out[pos] = np.cos(s) / (2.0 * s * np.sin(s)) - 0.5 / np.sin(s) ** 2
-    neg = w < -SERIES_WINDOW
-    if np.any(neg):
-        r = np.sqrt(-w[neg])
-        val = np.empty_like(r)
-        sat = r > _COTH_SATURATION
-        val[sat] = -0.5 / r[sat]
-        mod = ~sat
-        rm = r[mod]
-        val[mod] = -1.0 / (2.0 * rm * np.tanh(rm)) + 0.5 / np.sinh(rm) ** 2
-        out[neg] = val
-    return out
+@elementwise
+def _t_kernel_prime(w: float) -> float:
+    if abs(w) <= SERIES_WINDOW:
+        return -1.0 / 3.0 - 2.0 * w / 45.0 - 2.0 * w**2 / 315.0 - 4.0 * w**3 / 4725.0
+    if w > 0.0:
+        s = math.sqrt(w)
+        return math.cos(s) / (2.0 * s * math.sin(s)) - 0.5 / math.sin(s) ** 2
+    r = math.sqrt(-w)
+    if r > _COTH_SATURATION:
+        return -0.5 / r
+    return -1.0 / (2.0 * r * math.tanh(r)) + 0.5 / math.sinh(r) ** 2
 
 
 def _s_kernel(w: float) -> float:
@@ -461,38 +422,25 @@ class PsiEvaluator:
     def x_max(self) -> float:
         return 1.0 + math.pi**2 / (self.K * self.t) ** 2
 
-    def _w(self, x: np.ndarray) -> np.ndarray:
-        return (self.K * self.t) ** 2 * (np.asarray(x, dtype=float) - 1.0)
-
-    def _check_domain(self, x):
-        if np.any(np.asarray(x, dtype=float) >= self.x_max):
+    def _check_domain(self, x: float) -> None:
+        if x >= self.x_max:
             raise DomainError(f"argument at or beyond the domain end {self.x_max:.6g}")
 
-    def psi(self, x):
-        if np.ndim(x) == 0:
-            xf = float(x)
-            if xf >= self.x_max:
-                raise DomainError(f"argument at or beyond the domain end {self.x_max:.6g}")
-            w = (self.K * self.t) ** 2 * (xf - 1.0)
-            return 0.5 * self.K * (xf - 2.0) + _t_kernel(w) / self.t
+    def _w(self, x: float) -> float:
         self._check_domain(x)
-        x = np.asarray(x, dtype=float)
+        return (self.K * self.t) ** 2 * (x - 1.0)
+
+    @elementwise
+    def psi(self, x: float) -> float:
         return 0.5 * self.K * (x - 2.0) + _t_kernel(self._w(x)) / self.t
 
-    def psi_prime(self, x):
-        if np.ndim(x) == 0:
-            xf = float(x)
-            if xf >= self.x_max:
-                raise DomainError(f"argument at or beyond the domain end {self.x_max:.6g}")
-            w = (self.K * self.t) ** 2 * (xf - 1.0)
-            return 0.5 * self.K + self.K**2 * self.t * _t_kernel_prime(w)
-        self._check_domain(x)
+    @elementwise
+    def psi_prime(self, x: float) -> float:
         return 0.5 * self.K + self.K**2 * self.t * _t_kernel_prime(self._w(x))
 
-    def psi_tilde(self, x):
-        x = np.asarray(x, dtype=float)
-        out = self.psi(x) - self.K * x + 2.0 * self.K
-        return float(out) if np.ndim(out) == 0 else out
+    @elementwise
+    def psi_tilde(self, x: float) -> float:
+        return self.psi(x) - self.K * x + 2.0 * self.K
 
 
 @dataclass(frozen=True)

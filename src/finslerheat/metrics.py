@@ -24,6 +24,7 @@ inverse y -> g_y(y, .) = d(F^2)/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -454,41 +455,33 @@ class MetricConstants:
     samples: int
 
 
+def reversibility(desc: MinkowskiNorm) -> float:
+    """Exact sup F(-y)/F(y): (1 + |b|_a)/(1 - |b|_a) for Randers, the slope
+    ratio for the asymmetric 1-d norm, 1 for quadratic norms."""
+    if desc.family == "randers":
+        beta = math.sqrt(desc.b_norm_sq)
+        return (1.0 + beta) / (1.0 - beta)
+    if desc.family == "asym1d":
+        return max(desc.p_plus / desc.p_minus, desc.p_minus / desc.p_plus)
+    return 1.0
+
+
 def metric_constants(metric, samples: int = 4096) -> MetricConstants:
     """Estimate reversibility and uniform smoothness/convexity constants.
 
     ``metric`` may be a descriptor or a :class:`MetricField`. Quadratic
-    families short-circuit to the exact constants; asymmetric families use
-    dense direction sampling with golden-section polish.
+    families short-circuit to the exact constants and the reversibility is
+    exact for every family; the Randers ``kappa``/``kappa_star`` use dense
+    direction sampling with golden-section polish.
     """
     desc = getattr(metric, "descriptor", metric)
     if samples < 16:
         raise ValueError("need at least 16 direction samples")
     if desc.family in ("euclidean", "riemannian"):
         return MetricConstants(1.0, 1.0, 1.0, samples)
+    lam = reversibility(desc)
     if desc.family == "asym1d":
-        lam = max(desc.p_plus / desc.p_minus, desc.p_minus / desc.p_plus)
         return MetricConstants(lam, lam**2, lam**-2, samples)
-
-    # Randers: reversibility has a closed form but is still sampled + polished
-    # to keep the code path exercised; the closed form is asserted in tests.
-    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    if desc.dim == 1:
-        dirs = np.array([[1.0], [-1.0]])
-        ratios = desc.norm(-dirs) / desc.norm(dirs)
-        lam = float(np.max(ratios))
-    else:
-        ratios = desc.norm(-dirs) / desc.norm(dirs)
-        k = int(np.argmax(ratios))
-        span = 2.0 * np.pi / samples
-
-        def rev_obj(th):
-            d = np.array([np.cos(th), np.sin(th)])
-            return float(desc.norm(-d) / desc.norm(d))
-
-        _, lam = golden_section_max(rev_obj, theta[k] - span, theta[k] + span)
-
     if desc.dim == 1:
         vs = np.array([[1.0], [-1.0]])
         ys = vs

@@ -7,6 +7,7 @@ beyond that is delegated to numpy/scipy by the callers.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -15,6 +16,24 @@ from .errors import NoConvergence, SolverDivergence
 
 #: golden ratio section used by the 1-d maximizer
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def elementwise(formula: Callable) -> Callable:
+    """Extend a formula written on floats (its last argument) to arrays.
+
+    A float goes straight through; anything else is mapped element by
+    element through the same formula, so an array entry equals the float
+    result bit for bit.
+    """
+
+    @functools.wraps(formula)
+    def call(*args):
+        if isinstance(args[-1], (float, int)):
+            return formula(*args)
+        mapped = np.vectorize(functools.partial(formula, *args[:-1]), otypes=[float])
+        return mapped(args[-1])
+
+    return call
 
 
 def adaptive_simpson(

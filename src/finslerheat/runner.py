@@ -25,7 +25,7 @@ from ._version import __version__
 from .config import ExperimentConfig
 from .errors import ConfigError, FinslerHeatError
 from .geometry import ScalarField, ricci_lower_bound
-from .heat import Trajectory, bochner_residual, solve_heat_flow
+from .heat import Trajectory, bochner_report, solve_heat_flow
 from .reporting import InequalityReport, json_safe
 
 SCHEMA_VERSION = 1
@@ -208,30 +208,6 @@ def _check_registry(config, traj: Trajectory, K: float, rng):
             )
         return out
 
-    def do_bochner():
-        result = bochner_residual(
-            traj.metric, traj.measure, traj.field_at(0), config.N
-        )
-        slack = result.n_form_slack.values
-        res = result.residual.values
-        scale = max(1.0, float(np.max(np.abs(res))))
-        tol = 10.0 * grid.h**2 * scale
-        from .reporting import compare
-
-        report = compare(
-            "bochner-slack",
-            -slack,
-            np.zeros_like(slack),
-            tol,
-            "10 h^2 * residual scale",
-            grid_meta={
-                "h": grid.h,
-                "max_abs_residual": float(np.max(np.abs(res))),
-                "dim": grid.dim,
-            },
-        )
-        return [report]
-
     return {
         "conservative": lambda: [semigroup.check_conservative(plan)],
         "duality": do_duality,
@@ -252,7 +228,9 @@ def _check_registry(config, traj: Trajectory, K: float, rng):
         "exp_entropy": do_exp_entropy,
         "weak_logsob": do_weak_logsob,
         "harnack": do_harnack,
-        "bochner": do_bochner,
+        "bochner": lambda: [
+            bochner_report(traj.metric, traj.measure, traj.field_at(0), config.N)
+        ],
     }
 
 
@@ -365,9 +343,9 @@ def convergence_table(
         for name, path in manifest.report_paths.items():
             with open(path) as fh:
                 payload = json.load(fh)
-            worst = max(
-                (float(r["worst_residual"]) for r in payload["reports"]), default=0.0
-            )
+            residuals = [float(r["worst_residual"]) for r in payload["reports"]]
+            # np.max keeps a NaN wherever it sits; Python's max drops it
+            worst = float(np.max(residuals)) if residuals else 0.0
             h = manifest.grid_meta["h"]
             dt = manifest.grid_meta["dt"]
             by_check.setdefault(name, []).append((h, dt, worst))

@@ -18,6 +18,7 @@ from finslerheat.config import (
 from finslerheat.errors import ConfigError
 from finslerheat.metrics import RandersNorm
 from finslerheat.runner import (
+    RunManifest,
     convergence_table,
     run,
     run_ladder,
@@ -548,6 +549,27 @@ def test_convergence_table_without_expectation_accepts_slack_margins(tmp_path):
         lines = fh.read().splitlines()
     assert lines[0] == "check,h,dt,worst_residual,fitted_order,passed"
     assert len(lines) == 1 + 2 * len(table["rows"])
+
+
+def test_convergence_table_fails_a_nan_level_residual(tmp_path):
+    # the NaN sits after a finite report, where Python's max would drop it
+    levels = [(0.1, [2.0]), (0.05, [1.0, "nan"])]
+    manifests = []
+    for i, (h, residuals) in enumerate(levels):
+        path = tmp_path / f"check_{i}.json"
+        reports = [{"worst_residual": r} for r in residuals]
+        path.write_text(json.dumps({"reports": reports}))
+        manifests.append(
+            RunManifest(
+                "digest", "0", str(tmp_path), 0, 4.0, 0.0, "analytic",
+                report_paths={"duality": str(path)},
+                grid_meta={"h": h, "dt": h * h},
+            )
+        )
+    table = convergence_table(manifests)
+    (row,) = table["rows"]
+    assert math.isnan(row["levels"][1]["worst_residual"])
+    assert not row["passed"] and not table["passed"]
 
 
 # ------------------------------------------------------------------------ cli

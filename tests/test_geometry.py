@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerheat import (
     Asym1DNorm,
@@ -242,6 +244,61 @@ def test_distance_accepts_axis_tuples():
     assert finsler_distance(metric, (0, 0), (3, 4)) == pytest.approx(
         finsler_distance(metric, 0, flat)
     )
+
+
+def test_distance_euclidean_knight_move_is_straight():
+    # an 8-neighbour graph path would cost h (1 + sqrt 2)
+    metric = euclid_metric(32, dim=2)
+    h = metric.grid.h
+    assert finsler_distance(metric, (0, 0), (1, 2)) == pytest.approx(
+        h * math.sqrt(5.0), rel=1e-15
+    )
+
+
+def _brute_distance(metric, p, q, radius):
+    """min over shifts k in [-radius, radius]^dim of F(x_q - x_p + k L)."""
+    grid = metric.grid
+    xy = grid.coordinates()
+    k = np.arange(-radius, radius + 1)
+    shifts = np.stack(np.meshgrid(*[k] * grid.dim, indexing="ij"), axis=-1)
+    steps = xy[q] - xy[p] + grid.period * shifts.reshape(-1, grid.dim)
+    return float(np.min(metric.descriptor.norm(steps)))
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        RiemannianNorm(np.array([[1.0, 0.9], [0.9, 1.0]])),
+        RandersNorm(np.eye(2), np.array([0.6, 0.0])),
+    ],
+    ids=["riemannian", "randers"],
+)
+def test_distance_equals_brute_force_shift_minimum(desc):
+    metric = MetricField(TorusGrid(2, 16), desc)
+    rng = np.random.default_rng(21)
+    for p, q in rng.integers(0, metric.grid.n_nodes, size=(40, 2)):
+        brute = _brute_distance(metric, int(p), int(q), radius=8)
+        assert finsler_distance(metric, int(p), int(q)) == pytest.approx(
+            brute, rel=1e-12, abs=1e-12
+        )
+    full = finsler_distance(metric, 7)
+    brute = [_brute_distance(metric, 7, q, radius=8) for q in range(metric.grid.n_nodes)]
+    np.testing.assert_allclose(full, brute, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=st.tuples(st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)),
+    nodes=st.lists(st.integers(0, 143), min_size=3, max_size=3),
+)
+def test_distance_is_a_directed_metric_below_every_shift(b, nodes):
+    metric = MetricField(TorusGrid(2, 12, period=1.5), RandersNorm(np.eye(2), np.array(b)))
+    p, q, r = nodes
+    assert finsler_distance(metric, p, p) == 0.0
+    d_pq = finsler_distance(metric, p, q)
+    d_qr = finsler_distance(metric, q, r)
+    assert finsler_distance(metric, p, r) <= d_pq + d_qr + 1e-12
+    assert d_pq <= _brute_distance(metric, p, q, radius=3) + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from finslerheat import (
     solve_heat_flow,
     tau_lambda,
 )
+from finslerheat.harnack import theta, theta_descriptor
 from finslerheat.liyau import (
     _s_kernel,
     _t_kernel,
@@ -401,9 +402,15 @@ def test_envelope_concavity_and_derivative():
 def test_envelope_vectorized_matches_scalar():
     ev = PsiEvaluator(4.0, 0.8, 1.2)
     xs = np.array([-2.0, 0.0, 0.5, 1.0])
-    vec = ev.psi(xs)
-    for x, v in zip(xs, vec):
-        assert ev.psi(float(x)) == v
+    desc = theta_descriptor(4.0, -0.8, 1.2)
+    for fn, args in (
+        (ev.psi, xs),
+        (ev.psi_prime, xs),
+        (lambda xi: theta(desc, xi), desc.xi_lo + xs + 2.0),
+    ):
+        vec = fn(args)
+        for x, v in zip(args, vec):
+            assert fn(float(x)) == v
 
 
 def test_psi_tilde_identity():
