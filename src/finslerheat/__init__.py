@@ -12,7 +12,6 @@ from .errors import (
     AlphaSignChange,
     CflViolation,
     ConfigError,
-    DegenerateField,
     DegenerateVector,
     DomainError,
     FinslerHeatError,

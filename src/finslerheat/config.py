@@ -140,7 +140,7 @@ def _build_descriptor(dim, family, section) -> MinkowskiNorm:
     try:
         if family == "euclidean":
             return EuclideanNorm(dim)
-        if family == "riemannian":
+        if family in ("riemannian", "randers"):
             entries = _floats(section.get("a", "1"))
             if dim == 1:
                 a = np.asarray([[entries[0]]])
@@ -148,15 +148,8 @@ def _build_descriptor(dim, family, section) -> MinkowskiNorm:
                 if len(entries) != 3:
                     raise ConfigError("2-d tensor needs a = a11,a12,a22")
                 a = np.asarray([[entries[0], entries[1]], [entries[1], entries[2]]])
-            return RiemannianNorm(a)
-        if family == "randers":
-            entries = _floats(section.get("a", "1"))
-            if dim == 1:
-                a = np.asarray([[entries[0]]])
-            else:
-                if len(entries) != 3:
-                    raise ConfigError("2-d tensor needs a = a11,a12,a22")
-                a = np.asarray([[entries[0], entries[1]], [entries[1], entries[2]]])
+            if family == "riemannian":
+                return RiemannianNorm(a)
             b = np.asarray(_floats(section.get("b", "0")))
             if b.shape != (dim,):
                 raise ConfigError(f"drift must have {dim} components")

@@ -13,10 +13,6 @@ class DegenerateVector(FinslerHeatError):
     """A vector or covector is too close to zero for the requested operation."""
 
 
-class DegenerateField(FinslerHeatError):
-    """A field contains degenerate nodes where non-degeneracy is required."""
-
-
 class NoConvergence(FinslerHeatError):
     """An iterative method exhausted its budget without meeting tolerance."""
 

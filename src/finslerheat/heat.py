@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy import fft
 
-from .errors import CflViolation, DegenerateField, IndexRange, UnsupportedFamily
+from .errors import CflViolation, IndexRange, UnsupportedFamily
 from .geometry import (
     MeasureField,
     ScalarField,
@@ -42,7 +42,7 @@ from .geometry import (
     _hessian_fields,
     gradient_field,
 )
-from .metrics import EPS_DEGENERATE, MetricField
+from .metrics import MetricField
 from .numerics import cg_measure
 from .reporting import InequalityReport, compare
 
@@ -495,8 +495,9 @@ def bochner_residual(
 
     which is O(h^2) for smooth data. The slack field replaces the Hessian
     norm by (Au)^2 / N and the drift term by its N-dimensional version; it
-    is bounded below by -O(h^2). Requires a non-degenerate gradient at every
-    node.
+    is bounded below by -O(h^2). Critical points of u need no guard: a
+    quadratic metric has g_V = a for every V, which is also the fallback
+    the assembly uses where the gradient vanishes.
     """
     desc = metric.descriptor
     if desc.family not in ("euclidean", "riemannian"):
@@ -512,8 +513,6 @@ def bochner_residual(
     grad = du @ a_inv
     fnorm = np.sqrt(np.einsum("ni,ij,nj->n", grad, a, grad))
     scale = max(1.0, float(np.max(fnorm)))
-    if np.any(fnorm <= 10.0 * EPS_DEGENERATE * desc.length_scale * scale):
-        raise DegenerateField("gradient degenerates at a node")
 
     assembly = weighted_laplacian(metric, measure, VectorField(grid, grad))
     energy = 0.5 * np.einsum("ni,ij,nj->n", du, a_inv, du)

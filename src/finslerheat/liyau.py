@@ -35,7 +35,7 @@ from .errors import (
 from .geometry import ScalarField
 from .heat import Trajectory
 from .metrics import EuclideanNorm
-from .numerics import adaptive_simpson, bisect_root, elementwise
+from .numerics import bisect_root, elementwise
 from .reporting import InequalityReport, compare, discretization_tolerance
 
 #: half-width of the Taylor window on w; cot/coth cancellation is
@@ -44,6 +44,19 @@ SERIES_WINDOW = 1e-4
 
 #: outside this radius coth saturates to 1 in double precision
 _COTH_SATURATION = 350.0
+
+#: 8-point Gauss-Legendre rule on [0, 1], used on every coefficient panel;
+#: exact on the cubic pieces of a table profile
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+
+#: equal panels on (0, horizon] when a closed-form profile is forced
+#: through quadrature
+_GL_PANELS = 16
+
+#: a table's first cubic piece c1 s + c2 s^2 + c3 s^3 counts as a quadratic
+#: start while c1 <= _LINEAR_START * c2 * t1 (t1 the first knot)
+_LINEAR_START = 1e-5
 
 
 @elementwise
@@ -82,19 +95,25 @@ def _s_kernel(w: float) -> float:
     return math.sinh(r) / r
 
 
-def _segmented_simpson(fn, lo: float, hi: float, interior, rel_tol: float = 1e-12) -> float:
-    """Adaptive Simpson summed over segments split at the given interior
-    points. Needed for piecewise-smooth integrands: the Richardson error
-    estimate silently underestimates across derivative kinks."""
-    pts = [lo, *(p for p in interior if lo < p < hi), hi]
-    return sum(adaptive_simpson(fn, a, b, rel_tol=rel_tol) for a, b in zip(pts, pts[1:]))
+def _running_integral(fn, edges: np.ndarray) -> Callable[[float], float]:
+    """t -> integral of ``fn`` over [edges[0], t] by the Gauss-Legendre rule
+    on each panel [edges[j], edges[j + 1]].
 
+    The whole panels are summed once here, so one call costs a single
+    partial panel; ``fn`` maps an array of times to values.
+    """
+    widths = np.diff(edges)
+    whole = widths * (fn(edges[:-1, None] + widths[:, None] * _GL_NODES) @ _GL_WEIGHTS)
+    cumulated = np.concatenate([[0.0], np.cumsum(whole)])
+    last = len(edges) - 2
 
-def _interior_knots(profile: "LiYauProfile", lo: float, hi: float):
-    if profile.variant != "table":
-        return ()
-    kn = profile.table_times
-    return tuple(float(k) for k in kn[(kn > lo) & (kn < hi)])
+    def integral(t: float) -> float:
+        j = min(int(np.searchsorted(edges, t, side="right")) - 1, last)
+        lo = edges[j]
+        partial = fn(lo + (t - lo) * _GL_NODES) @ _GL_WEIGHTS
+        return float(cumulated[j] + (t - lo) * partial)
+
+    return integral
 
 
 def tau_lambda(lam: float, s: float, t: float) -> float:
@@ -237,8 +256,11 @@ class LiYauProfile:
         """Numeric admissibility of a user table over (0, t_hi].
 
         The vanishing-ratio condition is checked on a dyadic ladder toward
-        zero; integrability of a'^2/a by shrinking the quadrature cutoff
-        and demanding the integral stabilizes.
+        zero. Integrability of a'^2/a is read off the first cubic piece
+        c1 s + c2 s^2 + c3 s^3: the quotient behaves like c1/s near 0, so
+        the start must be quadratic, c2 > 0 with c1 below _LINEAR_START
+        times c2 t1. A layer that thin lies far below the first quadrature
+        node of the panel.
         """
         if self.variant != "table":
             return
@@ -253,15 +275,8 @@ class LiYauProfile:
         ratio = a / ap
         if not ratio[-1] <= 0.05 * ratio[0] + 1e-14:
             raise ProfileInadmissible("a/a' does not vanish toward 0")
-
-        def quot(s):
-            return float(self.derivative(s) ** 2 / self.value(s))
-
-        cut = 1e-8 * t_hi
-        knots = _interior_knots(self, cut / 16.0, t_hi)
-        coarse = _segmented_simpson(quot, cut, t_hi, knots, rel_tol=1e-10)
-        fine = _segmented_simpson(quot, cut / 16.0, t_hi, knots, rel_tol=1e-10)
-        if abs(fine - coarse) > max(1e-6 * abs(fine), 1e-8):
+        _, c2, c1, _ = self._interp.c[:, 0]
+        if not (c2 > 0.0 and c1 <= _LINEAR_START * c2 * t_ref):
             raise ProfileInadmissible("a'^2/a fails the integrability check near 0")
 
 
@@ -328,9 +343,10 @@ def alpha_phi(
     """Coefficient pair induced by a profile on (0, horizon].
 
     Presets use closed-form integrals; tables (or force_quadrature) go
-    through adaptive Simpson with a shifted lower endpoint for the
-    singular quotient integral. Both defining identities are verified at
-    20 sample times before the evaluators are handed out.
+    through one Gauss-Legendre running integral whose panels are the knot
+    intervals of a table and equal panels otherwise. Both defining
+    identities are verified at 20 sample times before the evaluators are
+    handed out.
     """
     if horizon <= 0:
         raise DomainError("horizon must be positive")
@@ -343,31 +359,13 @@ def alpha_phi(
 
     if use_quadrature:
         if profile.variant == "table":
-            # the antiderivative of the interpolant is exact piecewise
-            anti = profile._interp.antiderivative()
-
-            def int_a(t: float) -> float:
-                return float(anti(t))
-
+            edges = profile.table_times
         else:
-
-            def int_a(t: float) -> float:
-                return adaptive_simpson(
-                    lambda s: float(profile.value(s)), 0.0, t, rel_tol=1e-12
-                )
-
-        def int_q(t: float) -> float:
-            # the quotient is bounded for admissible profiles but its
-            # integrand has no value at 0; a tiny cutoff plus the rectangle
-            # tail keeps the result exact to rounding for quadratic starts
-            cut = 1e-12 * t
-
-            def quot(s: float) -> float:
-                return float(profile.derivative(s) ** 2 / profile.value(s))
-
-            body = _segmented_simpson(quot, cut, t, _interior_knots(profile, cut, t))
-            return body + quot(cut) * cut
-
+            edges = np.linspace(0.0, horizon, _GL_PANELS + 1)
+        int_a = _running_integral(profile.value, edges)
+        int_q = _running_integral(
+            lambda s: profile.derivative(s) ** 2 / profile.value(s), edges
+        )
     else:
         int_a = profile.integral
         int_q = profile.integral_quotient

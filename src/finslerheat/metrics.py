@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateVector, NoConvergence, UnsupportedFamily
+from .errors import DegenerateVector, UnsupportedFamily
 from .numerics import golden_section_max
 
 #: degeneracy threshold, scaled by the descriptor's length scale
@@ -55,7 +55,14 @@ class MinkowskiNorm:
         raise NotImplementedError
 
     def fundamental_tensor(self, v: np.ndarray) -> np.ndarray:
-        """g_ij(v) = (1/2) d^2(F^2)/dy^i dy^j, shape ``(..., d, d)``."""
+        """g_ij(v) = (1/2) d^2(F^2)/dy^i dy^j, shape ``(..., d, d)``; raises
+        :class:`DegenerateVector` near v = 0."""
+        v = np.asarray(v, float)
+        self._require_nondegenerate(v)
+        return self.fundamental_tensor_unchecked(v)
+
+    def fundamental_tensor_unchecked(self, v: np.ndarray) -> np.ndarray:
+        """:meth:`fundamental_tensor` without the degeneracy check."""
         raise NotImplementedError
 
     def legendre(self, xi: np.ndarray) -> np.ndarray:
@@ -106,9 +113,6 @@ class MinkowskiNorm:
         ginv[mask] = fbinv
         return ginv, mask
 
-    def fundamental_tensor_unchecked(self, v: np.ndarray) -> np.ndarray:
-        return self.fundamental_tensor(v)
-
     def _unit_substitute(self) -> np.ndarray:
         e = np.zeros(self.dim)
         e[0] = 1.0
@@ -143,11 +147,6 @@ class EuclideanNorm(MinkowskiNorm):
 
     def dual_norm(self, xi):
         return np.linalg.norm(np.asarray(xi, float), axis=-1)
-
-    def fundamental_tensor(self, v):
-        v = np.asarray(v, float)
-        self._require_nondegenerate(v)
-        return self.fundamental_tensor_unchecked(v)
 
     def fundamental_tensor_unchecked(self, v):
         v = np.asarray(v, float)
@@ -191,11 +190,6 @@ class RiemannianNorm(MinkowskiNorm):
     def dual_norm(self, xi):
         xi = np.asarray(xi, float)
         return np.sqrt(np.einsum("...i,ij,...j->...", xi, self.a_inv, xi))
-
-    def fundamental_tensor(self, v):
-        v = np.asarray(v, float)
-        self._require_nondegenerate(v)
-        return self.fundamental_tensor_unchecked(v)
 
     def fundamental_tensor_unchecked(self, v):
         v = np.asarray(v, float)
@@ -251,17 +245,17 @@ class RandersNorm(MinkowskiNorm):
         return alpha + y @ self.b
 
     def dual_norm(self, xi):
-        # dual of a Randers norm is again Randers-type in the covector
-        xi = np.asarray(xi, float)
+        return self._dual_parts(np.asarray(xi, float))[0]
+
+    def _dual_parts(self, xi):
+        """(F*(xi), r). The dual of a Randers norm is again Randers-type:
+        F* = (r - m)/lam with lam = 1 - |b|_a^2, q = xi . a^-1 xi,
+        m = xi . a^-1 b and r = sqrt(lam q + m^2)."""
         lam = 1.0 - self.b_norm_sq
         q = np.einsum("...i,ij,...j->...", xi, self.a_inv, xi)
         m = np.einsum("...i,ij,j->...", xi, self.a_inv, self.b)
-        return (np.sqrt(lam * q + m * m) - m) / lam
-
-    def fundamental_tensor(self, v):
-        v = np.asarray(v, float)
-        self._require_nondegenerate(v)
-        return self.fundamental_tensor_unchecked(v)
+        r = np.sqrt(lam * q + m * m)
+        return (r - m) / lam, r
 
     def fundamental_tensor_unchecked(self, v):
         v = np.asarray(v, float)
@@ -284,52 +278,19 @@ class RandersNorm(MinkowskiNorm):
         # d(F^2)/2 = F dF with dF = a y/alpha + b
         return fval[..., None] * (av / alpha[..., None] + self.b)
 
-    def legendre(self, xi, max_iter: int = 50, tol: float = 1e-12):
-        """Damped Newton solve of g_y(y, .) = xi, seeded from the
-        Riemannian part. Residuals are measured in the Euclidean norm
-        relative to |xi|."""
-        xi = np.asarray(xi, dtype=float)
-        single = xi.ndim == 1
-        xi2 = np.atleast_2d(xi)
-        y = np.einsum("ij,...j->...i", self.a_inv, xi2)
-        zero = self.degenerate_mask(xi2)
-        active = ~zero
-        if np.any(active):
-            target = tol * np.maximum(1.0, np.linalg.norm(xi2, axis=-1))
-            res = self._legendre_residual(y, xi2, active)
-            for _ in range(max_iter):
-                live = active & (res > target)
-                if not np.any(live):
-                    break
-                g = self.fundamental_tensor_unchecked(y[live])
-                rhs = self.legendre_inverse(y[live]) - xi2[live]
-                step = np.einsum("...ij,...j->...i", _invert_spd(g), rhs)
-                scale = np.ones(step.shape[0])
-                y_new = y[live] - step
-                res_new = self._rows_residual(y_new, xi2[live])
-                for _ in range(30):
-                    worse = res_new > res[live]
-                    if not np.any(worse):
-                        break
-                    scale[worse] *= 0.5
-                    y_new[worse] = y[live][worse] - scale[worse, None] * step[worse]
-                    res_new[worse] = self._rows_residual(y_new[worse], xi2[live][worse])
-                y[live] = y_new
-                res[live] = res_new
-            else:
-                raise NoConvergence("Randers Legendre Newton exhausted iterations")
-        y[zero] = 0.0
-        return y[0] if single else y.reshape(xi.shape)
+    def legendre(self, xi):
+        """Closed form y = F*(xi) grad F*(xi), the gradient of F*^2/2.
 
-    def _rows_residual(self, y, xi):
-        if y.shape[0] == 0:
-            return np.zeros(0)
-        return np.linalg.norm(self.legendre_inverse(y) - xi, axis=-1)
-
-    def _legendre_residual(self, y, xi, active):
-        res = np.zeros(y.shape[0])
-        res[active] = self._rows_residual(y[active], xi[active])
-        return res
+        With r = sqrt(lam q + m^2) from :meth:`_dual_parts`, grad F*(xi) =
+        ((lam a^-1 xi + m a^-1 b)/r - a^-1 b)/lam, which reduces to
+        a^-1 (xi - F*(xi) b)/r. Degenerate covectors map to 0.
+        """
+        xi = np.asarray(xi, float)
+        fstar, r = self._dual_parts(xi)
+        tilted = np.einsum("ij,...j->...i", self.a_inv, xi - fstar[..., None] * self.b)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            y = (fstar / r)[..., None] * tilted
+        return np.where(self.degenerate_mask(xi)[..., None], 0.0, y)
 
     def riemannian_part(self):
         return self.a.copy()
@@ -364,11 +325,6 @@ class Asym1DNorm(MinkowskiNorm):
         # sup xi(y)/F(y): forward covectors see 1/p_plus, backward 1/p_minus
         xi = np.asarray(xi, float)[..., 0]
         return np.abs(xi) / self._slope(xi)
-
-    def fundamental_tensor(self, v):
-        v = np.asarray(v, float)
-        self._require_nondegenerate(v)
-        return self.fundamental_tensor_unchecked(v)
 
     def fundamental_tensor_unchecked(self, v):
         v = np.asarray(v, float)[..., 0]

@@ -76,14 +76,13 @@ def compare(
     rhs: np.ndarray,
     tolerance: float,
     tolerance_rule: str,
-    locations=None,
     grid_meta: dict | None = None,
 ) -> InequalityReport:
     """Build a report for the pointwise inequality lhs <= rhs + tolerance.
 
-    ``locations`` maps flat indices to a location description (index is
-    used when omitted); scalar comparisons pass size-1 arrays. A NaN or
-    infinite residual is a violation, and the first one is the worst.
+    The worst location is its flat index; scalar comparisons pass size-1
+    arrays. A NaN or infinite residual is a violation, and the first one is
+    the worst.
     """
     lhs = np.atleast_1d(np.asarray(lhs, dtype=float))
     rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
@@ -92,15 +91,11 @@ def compare(
     broken = ~np.isfinite(residual)
     worst = int(np.argmax(broken)) if broken.any() else int(np.argmax(residual))
     violations = int(np.count_nonzero(broken | (residual > tolerance)))
-    if locations is None:
-        where = {"index": worst}
-    else:
-        where = dict(locations(worst))
     return InequalityReport(
         name=name,
         passed=violations == 0,
         worst_residual=float(residual[worst]),
-        worst_location=where,
+        worst_location={"index": worst},
         tolerance=float(tolerance),
         tolerance_rule=tolerance_rule,
         n_checked=int(residual.size),

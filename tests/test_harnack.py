@@ -194,6 +194,19 @@ def test_bounds_increase_with_distance():
     assert lf[0] < lf[1] < lf[2]
 
 
+def test_integral_bound_with_table_coefficients_matches_closed_form():
+    # a sine profile sampled on times graded toward zero, against the
+    # closed-form coefficients of the same profile
+    tau, K, N = 1.2, -0.5, 3.0
+    ts = (np.arange(60) / 59.0) ** 2
+    table = LiYauProfile.from_table(ts, 4.0 * tau * np.sin(tau * ts) ** 2)
+    tabled = alpha_phi(table, K, N, 0.9)
+    exact = alpha_phi(LiYauProfile.sine(tau), K, N, 0.9)
+    for d, t1, t2 in ((0.0, 0.05, 0.5), (0.3, 0.2, 0.8), (0.7, 0.1, 0.9)):
+        ref = harnack_bound_integral(exact, d, t1, t2)
+        assert harnack_bound_integral(tabled, d, t1, t2) == pytest.approx(ref, rel=1e-3)
+
+
 def test_integral_bound_rejects_alpha_crossing():
     coeffs = alpha_phi(LiYauProfile.quadratic(), 3.0, 2.0, 1.0)
     # alpha(t) = 1 - 2t crosses zero at t = 0.5

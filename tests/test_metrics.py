@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerheat import (
     Asym1DNorm,
@@ -187,6 +189,35 @@ def test_legendre_roundtrip_both_directions(desc):
         np.testing.assert_allclose(
             legendre_inverse(desc, y), xi, rtol=1e-10, atol=1e-10
         )
+
+
+PROPERTY_FAMILIES = ALL_FAMILIES + [
+    RandersNorm(np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([0.4, -0.7])),
+    RandersNorm(np.array([[1.5]]), np.array([0.9])),
+]
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    desc=st.sampled_from(PROPERTY_FAMILIES),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    exponent=st.floats(-6.0, 6.0),
+)
+def test_legendre_is_homogeneous_and_exact_at_every_scale(desc, angle, exponent):
+    if desc.dim == 2:
+        unit = np.array([np.cos(angle), np.sin(angle)])
+    else:
+        unit = np.array([1.0 if angle < np.pi else -1.0])
+    c = 10.0**exponent
+    xi = c * unit
+    y = legendre(desc, xi)
+    assert_rel_close(y, c * legendre(desc, unit))
+    assert_rel_close(legendre_inverse(desc, y), xi)
+    assert_rel_close(norm(desc, y), dual_norm(desc, xi))
 
 
 # ---------------------------------------------------------------------------
