@@ -34,7 +34,6 @@ from .geometry import (
     gradient_energy,
     gradient_field,
     integrate,
-    log_gradient_energy,
     ricci_lower_bound,
 )
 from .harnack import (
@@ -42,7 +41,6 @@ from .harnack import (
     ThetaDescriptor,
     harnack_bound_integral,
     harnack_bound_lf,
-    report_only_bounds,
     theta,
     theta_conjugate,
     theta_descriptor,
@@ -78,18 +76,16 @@ from .liyau import (
 from .metrics import (
     Asym1DNorm,
     EuclideanNorm,
-    MetricConstants,
     MetricField,
     MinkowskiNorm,
     RandersNorm,
     RiemannianNorm,
     dual_norm,
-    dual_norm_sampled,
     fundamental_tensor,
     legendre,
     legendre_inverse,
-    metric_constants,
     norm,
+    reversibility,
 )
 from .reporting import InequalityReport, compare, discretization_tolerance
 from .semigroup import (

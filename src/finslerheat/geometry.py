@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import IndexRange, UnsupportedFamily
 from .metrics import EPS_DEGENERATE, MetricField, reversibility
-from .numerics import golden_section_max
 
 
 @dataclass(frozen=True)
@@ -230,17 +229,16 @@ def ricci_lower_bound(
     metric: MetricField,
     measure: MeasureField,
     N: float,
-    angle_samples: int = 64,
 ) -> CurvatureBound:
     """Certified lower curvature bound for the supported flat families.
 
     Constant-coefficient asymmetric norms with constant log-density have
     vanishing drift along straight lines, giving K = 0 exactly for any
-    N in [dim, inf]. Flat quadratic metrics with node-sampled log-density
-    minimize Hess f(v, v) - (df(v))^2 / (N - dim) over nodes and F-unit
-    directions (64 angles per node plus golden-section polish at the
-    minimizing node). With N = dim and genuinely varying f the bound
-    degenerates to -inf.
+    N in [dim, inf]. For a flat quadratic metric a, the minimum of
+    Hess f(v, v) - (df(v))^2 / (N - dim) over a-unit v at a node is the
+    smallest eigenvalue of C M C^T, with M = Hess f - df df / (N - dim) and
+    C = inv(cholesky(a)); K is its minimum over the nodes of the sampled f.
+    With N = dim and genuinely varying f the bound degenerates to -inf.
     """
     desc = metric.descriptor
     grid = metric.grid
@@ -263,35 +261,11 @@ def ricci_lower_bound(
         # nonvanishing drift with no room in the dimension term
         return CurvatureBound(N, -math.inf, "analytic")
 
-    a = desc.riemannian_part()
-    hess = _hessian_fields(grid, f)
-    df = _differential(grid, f)
     inv_gap = 0.0 if math.isinf(N) else 1.0 / (N - n)
-
-    if n == 1:
-        # the two F-unit directions give the same value
-        q = (hess[:, 0, 0] - inv_gap * df[:, 0] ** 2) / a[0, 0]
-        return CurvatureBound(N, float(np.min(q)), "sampled")
-
-    theta = np.linspace(0.0, 2.0 * np.pi, angle_samples, endpoint=False)
-    w = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    alpha = np.sqrt(np.einsum("ti,ij,tj->t", w, a, w))
-    units = w / alpha[:, None]  # F-unit directions
-    quad = np.einsum("nij,ti,tj->nt", hess, units, units)
-    drift = (df @ units.T) ** 2
-    vals = quad - inv_gap * drift
-    k_node, k_theta = np.unravel_index(int(np.argmin(vals)), vals.shape)
-
-    def node_val(th, node):
-        v = np.array([np.cos(th), np.sin(th)])
-        v = v / math.sqrt(v @ a @ v)
-        return -(v @ hess[node] @ v - inv_gap * (df[node] @ v) ** 2)
-
-    span = 2.0 * np.pi / angle_samples
-    _, neg_best = golden_section_max(
-        lambda th: node_val(th, k_node), theta[k_theta] - span, theta[k_theta] + span
-    )
-    return CurvatureBound(N, min(float(vals.min()), -neg_best), "sampled")
+    df = _differential(grid, f)
+    m = _hessian_fields(grid, f) - inv_gap * (df[:, :, None] * df[:, None, :])
+    c = np.linalg.inv(np.linalg.cholesky(desc.riemannian_part()))
+    return CurvatureBound(N, float(np.linalg.eigvalsh(c @ m @ c.T).min()), "sampled")
 
 
 def finsler_distance(
@@ -357,10 +331,3 @@ def gradient_energy(metric: MetricField, u: ScalarField) -> np.ndarray:
     du = _differential(u.grid, u.values)
     return metric.descriptor.dual_norm(du) ** 2
 
-
-def log_gradient_energy(metric: MetricField, u: ScalarField) -> np.ndarray:
-    """F^2(grad log u) per node for strictly positive u."""
-    if np.any(u.values <= 0):
-        raise ValueError("log gradient needs strictly positive values")
-    logu = ScalarField(u.grid, np.log(u.values))
-    return gradient_energy(metric, logu)

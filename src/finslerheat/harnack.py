@@ -247,26 +247,3 @@ def verify_harnack(
     }
     return compare("harnack", lhs, rhs, tolerance, rule, grid_meta=meta)
 
-
-def report_only_bounds(
-    N: float, K: float, t: float, f2, dt_log, u
-) -> dict[str, np.ndarray]:
-    """Two additional gradient-bound forms, evaluated but never verified.
-
-    Both are stated for a negative curvature bound (K < 0 in the signed
-    convention used here) and are excluded from the checked suite; the
-    returned arrays are rhs - lhs margins for reporting only.
-    """
-    if K >= 0:
-        raise DomainError("these forms apply to negative bounds only")
-    kmag = -K
-    f2 = np.asarray(f2, dtype=float)
-    dt_log = np.asarray(dt_log, dtype=float)
-    u = np.asarray(u, dtype=float)
-    root = np.sqrt(
-        np.maximum(N * kmag * (u * f2 + N / (2.0 * t) + N * kmag / 4.0), 0.0)
-    )
-    sqrt_margin = root + N / (2.0 * t) - (f2 - dt_log)
-    growth = math.exp(2.0 * kmag * t)
-    quad_margin = growth * dt_log + (N / (2.0 * t)) * growth * growth - f2
-    return {"sqrt_form": sqrt_margin, "exp_form": quad_margin}

@@ -35,7 +35,7 @@ from .errors import (
 from .geometry import ScalarField
 from .heat import Trajectory
 from .metrics import EuclideanNorm
-from .numerics import bisect_root, elementwise
+from .numerics import bisect_root, elementwise, overflow_is_domain_error
 from .reporting import InequalityReport, compare, discretization_tolerance
 
 #: half-width of the Taylor window on w; cot/coth cancellation is
@@ -763,8 +763,6 @@ def check_log_sob_weak(
             "branch parameter must stay below the domain end",
             grid_meta=meta,
         )
-    prefactor = t * _s_kernel((K * t) ** 2 * (chi - 1.0))
-
     grad_0 = traj.fields[0] * traj.assembly_at(0).carre_du_champ(np.log(u_0))
     ent_moved, grad_0_moved = traj.transport(
         np.column_stack([u_0 * np.log(u_0), grad_0]), 0, dst
@@ -775,10 +773,12 @@ def check_log_sob_weak(
     )
     grad_0_moved = float(np.sum(w * grad_0_moved * sig))
 
-    lhs1 = math.exp(zeta * ent_gap + 0.5 * K * t * chi - K * t)
-    rhs1 = prefactor * (-zeta * grad_t + ev.psi(chi))
-    lhs2 = math.exp(-zeta * ent_gap - 0.5 * K * t * chi + K * t)
-    rhs2 = prefactor * (zeta * grad_0_moved + ev.psi_tilde(chi))
+    with overflow_is_domain_error(f"exp(K t) at K = {K:g}, t = {t:g}"):
+        prefactor = t * _s_kernel((K * t) ** 2 * (chi - 1.0))
+        lhs1 = math.exp(zeta * ent_gap + 0.5 * K * t * chi - K * t)
+        rhs1 = prefactor * (-zeta * grad_t + ev.psi(chi))
+        lhs2 = math.exp(-zeta * ent_gap - 0.5 * K * t * chi + K * t)
+        rhs2 = prefactor * (zeta * grad_0_moved + ev.psi_tilde(chi))
     lhs = np.asarray([lhs1, lhs2])
     rhs = np.asarray([rhs1, rhs2])
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateVector, UnsupportedFamily
-from .numerics import golden_section_max
 
 #: degeneracy threshold, scaled by the descriptor's length scale
 EPS_DEGENERATE = 1e-12
@@ -357,28 +356,6 @@ def dual_norm(desc: MinkowskiNorm, xi) -> np.ndarray:
     return desc.dual_norm(np.asarray(xi, float))
 
 
-def dual_norm_sampled(desc: MinkowskiNorm, xi, samples: int = 4096) -> float:
-    """Generic dual norm by dense direction sampling plus golden-section
-    polish; slow, used to cross-check the closed forms."""
-    xi = np.asarray(xi, dtype=float)
-    if desc.dim == 1:
-        cands = np.array([[1.0], [-1.0]])
-        vals = (cands @ xi) / desc.norm(cands)
-        return float(np.max(vals))
-    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    vals = (dirs @ xi) / desc.norm(dirs)
-    k = int(np.argmax(vals))
-    span = 2.0 * np.pi / samples
-
-    def objective(th):
-        d = np.array([np.cos(th), np.sin(th)])
-        return float((d @ xi) / desc.norm(d))
-
-    _, best = golden_section_max(objective, theta[k] - span, theta[k] + span)
-    return best
-
-
 def fundamental_tensor(desc: MinkowskiNorm, v) -> np.ndarray:
     """Fundamental tensor g_ij(v); raises DegenerateVector near v = 0."""
     return desc.fundamental_tensor(np.asarray(v, float))
@@ -394,23 +371,6 @@ def legendre_inverse(desc: MinkowskiNorm, y) -> np.ndarray:
     return desc.legendre_inverse(np.asarray(y, float))
 
 
-@dataclass(frozen=True)
-class MetricConstants:
-    """Sampled metric constants of a Minkowski norm.
-
-    ``reversibility`` is sup F(-y)/F(y); ``kappa`` and ``kappa_star`` are the
-    extreme ratios g_V(y, y) / F(y)^2 over direction pairs (uniform
-    smoothness from above, uniform convexity from below). They always satisfy
-    1 <= reversibility <= min(sqrt(kappa), sqrt(1/kappa_star)) up to sampling
-    resolution.
-    """
-
-    reversibility: float
-    kappa: float
-    kappa_star: float
-    samples: int
-
-
 def reversibility(desc: MinkowskiNorm) -> float:
     """Exact sup F(-y)/F(y): (1 + |b|_a)/(1 - |b|_a) for Randers, the slope
     ratio for the asymmetric 1-d norm, 1 for quadratic norms."""
@@ -420,63 +380,6 @@ def reversibility(desc: MinkowskiNorm) -> float:
     if desc.family == "asym1d":
         return max(desc.p_plus / desc.p_minus, desc.p_minus / desc.p_plus)
     return 1.0
-
-
-def metric_constants(metric, samples: int = 4096) -> MetricConstants:
-    """Estimate reversibility and uniform smoothness/convexity constants.
-
-    ``metric`` may be a descriptor or a :class:`MetricField`. Quadratic
-    families short-circuit to the exact constants and the reversibility is
-    exact for every family; the Randers ``kappa``/``kappa_star`` use dense
-    direction sampling with golden-section polish.
-    """
-    desc = getattr(metric, "descriptor", metric)
-    if samples < 16:
-        raise ValueError("need at least 16 direction samples")
-    if desc.family in ("euclidean", "riemannian"):
-        return MetricConstants(1.0, 1.0, 1.0, samples)
-    lam = reversibility(desc)
-    if desc.family == "asym1d":
-        return MetricConstants(lam, lam**2, lam**-2, samples)
-    if desc.dim == 1:
-        vs = np.array([[1.0], [-1.0]])
-        ys = vs
-        gv = desc.fundamental_tensor(vs)
-        quad = np.einsum("vij,yi,yj->vy", gv, ys, ys)
-        ratio = quad / desc.norm(ys)[None, :] ** 2
-        return MetricConstants(lam, float(ratio.max()), float(ratio.min()), samples)
-
-    n_pair = min(samples, 256)
-    ang = np.linspace(0.0, 2.0 * np.pi, n_pair, endpoint=False)
-    dirs_p = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    gv = desc.fundamental_tensor(dirs_p)
-    quad = np.einsum("vij,yi,yj->vy", gv, dirs_p, dirs_p)
-    ratio = quad / (desc.norm(dirs_p)[None, :] ** 2)
-
-    def polish(extreme: str) -> float:
-        pick = np.argmax(ratio) if extreme == "max" else np.argmin(ratio)
-        iv, iy = np.unravel_index(pick, ratio.shape)
-        th_v, th_y = ang[iv], ang[iy]
-        sign = 1.0 if extreme == "max" else -1.0
-        span = 2.0 * np.pi / n_pair
-
-        def val(tv, ty):
-            v = np.array([np.cos(tv), np.sin(tv)])
-            y = np.array([np.cos(ty), np.sin(ty)])
-            g = desc.fundamental_tensor(v)
-            return sign * float(y @ g @ y) / float(desc.norm(y)) ** 2
-
-        for _ in range(6):  # alternate 1-d polish until both angles settle
-            th_v, _ = golden_section_max(
-                lambda t: val(t, th_y), th_v - span, th_v + span
-            )
-            th_y, _ = golden_section_max(
-                lambda t: val(th_v, t), th_y - span, th_y + span
-            )
-            span *= 0.25
-        return sign * val(th_v, th_y)
-
-    return MetricConstants(lam, polish("max"), polish("min"), samples)
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,13 @@ beyond that is delegated to numpy/scipy by the callers.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergence, SolverDivergence
+from .errors import DomainError, NoConvergence, SolverDivergence
 
 #: golden ratio section used by the 1-d maximizer
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -34,6 +35,17 @@ def elementwise(formula: Callable) -> Callable:
         return mapped(args[-1])
 
     return call
+
+
+@contextlib.contextmanager
+def overflow_is_domain_error(what: str):
+    """Raise :class:`DomainError` naming ``what`` where the block overflows
+    double precision: an exponential factor that large has no finite value
+    for a check to compare."""
+    try:
+        yield
+    except OverflowError:
+        raise DomainError(f"{what} overflows double precision") from None
 
 
 def adaptive_simpson(

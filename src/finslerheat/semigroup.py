@@ -23,6 +23,7 @@ from .errors import DomainError, IndexRange
 from .geometry import ScalarField, differential_field
 from .heat import Trajectory
 from .metrics import dual_norm
+from .numerics import overflow_is_domain_error
 from .reporting import InequalityReport, compare, discretization_tolerance
 
 
@@ -313,7 +314,8 @@ def gradient_estimate_check(plan: TransportPlan, K: float) -> InequalityReport:
     u_t = traj.fields[plan.end]
     asm_s = traj.assembly_at(plan.start)
     asm_t = traj.assembly_at(plan.end)
-    factor = math.exp(-2.0 * K * plan.elapsed)
+    with overflow_is_domain_error(f"exp(-2K t) at K = {K:g}, t = {plan.elapsed:g}"):
+        factor = math.exp(-2.0 * K * plan.elapsed)
 
     log_s = u_s * _log_carre(asm_s, u_s)
     log_t = u_t * _log_carre(asm_t, u_t)
@@ -342,8 +344,9 @@ def _logsob_coefficients(K: float, delta: float) -> tuple[float, float]:
     -delta as K tends to zero, which is the limit branch used below 1e-10."""
     if abs(K) < 1e-10:
         return -delta, -delta
-    c_forward = (1.0 - math.exp(2.0 * K * delta)) / (2.0 * K)
-    c_reverse = (math.exp(-2.0 * K * delta) - 1.0) / (2.0 * K)
+    with overflow_is_domain_error(f"exp(2|K| t) at K = {K:g}, t = {delta:g}"):
+        c_forward = (1.0 - math.exp(2.0 * K * delta)) / (2.0 * K)
+        c_reverse = (math.exp(-2.0 * K * delta) - 1.0) / (2.0 * K)
     return c_forward, c_reverse
 
 

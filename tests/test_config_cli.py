@@ -626,6 +626,38 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "check, K",
+    [
+        ("local_logsob", 20000),
+        ("local_logsob", -20000),
+        ("weak_logsob", 20000),
+        ("weak_logsob", -20000),
+        ("gradient_estimate", -20000),
+    ],
+)
+def test_cli_exponential_overflow_exits_two(tmp_path, capsys, check, K):
+    # exp(2|K| t) at t = 0.05 leaves double precision: a domain error, not
+    # a failed check or a traceback
+    path = write_ini(
+        tmp_path,
+        GOOD.replace("dt = 1e-3\n    t_final = 5e-3", "dt = 1e-2\n    t_final = 5e-2"),
+        f"""\
+        [checks]
+        names = {check}
+        N = 3
+        K = {K}
+        [output]
+        dir = {tmp_path / "runs"}
+        """,
+    )
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: check {check}: ")
+    assert "overflows double precision" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_solve_exports_fields(tmp_path, capsys):
     path = cli_ini(tmp_path)
     assert main(["solve", path]) == 0

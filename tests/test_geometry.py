@@ -21,7 +21,7 @@ from finslerheat import (
     finsler_distance,
     gradient_field,
     integrate,
-    metric_constants,
+    reversibility,
     ricci_lower_bound,
 )
 from finslerheat.geometry import differential_field
@@ -178,6 +178,63 @@ def test_ricci_2d_weighted_value():
     assert out.K == pytest.approx(-eps * (2 * math.pi) ** 2, abs=30 * grid.h**2)
 
 
+def dense_direction_min(a, hess, df, inv_gap, count=384, zooms=2):
+    """Minimum of Hess f(v, v) - inv_gap df(v)^2 over a-unit v and nodes by
+    direction sweeps: ``count`` angles on [0, pi) at every node, then
+    ``zooms`` sweeps of ``count`` angles across the neighbours of each node's
+    best angle."""
+    span = np.pi
+    centre = np.full(len(hess), span / 2)
+    for _ in range(zooms + 1):
+        theta = centre[:, None] + span * (np.arange(count) / count - 0.5)
+        w = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        v = w / np.sqrt(np.einsum("nti,ij,ntj->nt", w, a, w))[..., None]
+        vals = np.einsum("nti,nij,ntj->nt", v, hess, v)
+        vals -= inv_gap * np.einsum("ni,nti->nt", df, v) ** 2
+        centre = theta[np.arange(len(hess)), np.argmin(vals, axis=1)]
+        span = 4 * span / count
+    return float(vals.min())
+
+
+@pytest.mark.parametrize("N", [3.0, math.inf])
+def test_ricci_riemannian_2d_is_the_dense_direction_minimum(N):
+    grid = TorusGrid(2, 24)
+    a = np.array([[1.0, 0.3], [0.3, 0.7]])
+    metric = MetricField(grid, RiemannianNorm(a))
+    measure = MeasureField.from_log_density(
+        grid,
+        lambda x, y: 0.3 * math.cos(2 * math.pi * x)
+        + 0.2 * math.sin(2 * math.pi * (x + y) + 0.4),
+    )
+    out = ricci_lower_bound(metric, measure, N)
+    f = measure.f
+    hess = np.empty((grid.n_nodes, 2, 2))
+    hess[:, 0, 0] = grid.axis_second_diff(f, 0)
+    hess[:, 1, 1] = grid.axis_second_diff(f, 1)
+    hess[:, 0, 1] = hess[:, 1, 0] = grid.cross_second_diff(f)
+    df = np.stack([grid.axis_diff(f, 0), grid.axis_diff(f, 1)], axis=-1)
+    oracle = dense_direction_min(a, hess, df, 0.0 if math.isinf(N) else 1.0 / (N - 2))
+    assert out.provenance == "sampled"
+    assert out.K <= oracle
+    assert out.K == pytest.approx(oracle, rel=1e-12)
+
+
+def test_ricci_euclidean_1d_is_the_closed_form():
+    grid = TorusGrid(1, 64)
+    N = 3.0
+    measure = MeasureField.from_log_density(
+        grid,
+        lambda x: 0.3 * math.cos(2 * math.pi * x) + 0.2 * math.sin(4 * math.pi * x),
+    )
+    f = measure.f
+    f1 = (np.roll(f, -1) - np.roll(f, 1)) / (2 * grid.h)
+    f2 = (np.roll(f, -1) - 2 * f + np.roll(f, 1)) / grid.h**2
+    closed = float(np.min(f2 - f1**2 / (N - 1)))  # a_00 = 1
+    out = ricci_lower_bound(euclid_metric(64), measure, N)
+    assert out.K == closed
+    assert out.K < ricci_lower_bound(euclid_metric(64), measure, math.inf).K
+
+
 def test_curvature_bound_type_guard():
     with pytest.raises(ValueError):
         CurvatureBound(0.5, 0.0, "analytic")
@@ -205,7 +262,7 @@ def test_distance_asym1d_forward_backward():
 def test_distance_quasi_symmetry_randers():
     grid = TorusGrid(2, 16)
     metric = MetricField(grid, RandersNorm(np.eye(2), np.array([0.5, 0.0])))
-    lam = metric_constants(metric).reversibility
+    lam = reversibility(metric.descriptor)
     assert lam == pytest.approx(3.0, abs=1e-6)
     rng = np.random.default_rng(5)
     for _ in range(10):

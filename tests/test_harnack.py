@@ -21,7 +21,6 @@ from finslerheat import (
     alpha_phi,
     harnack_bound_integral,
     harnack_bound_lf,
-    report_only_bounds,
     solve_heat_flow,
     theta,
     theta_conjugate,
@@ -305,26 +304,3 @@ def test_harnack_tolerance_override():
     assert rep.tolerance == 0.5
     assert rep.tolerance_rule == "caller override"
 
-
-# ---------------------------------------------------------------------------
-# report-only forms
-# ---------------------------------------------------------------------------
-
-
-def test_report_only_bounds_shapes():
-    rng = np.random.default_rng(4)
-    f2 = rng.uniform(0.0, 2.0, 16)
-    dt_log = rng.uniform(-3.0, 3.0, 16)
-    u = rng.uniform(0.5, 2.0, 16)
-    out = report_only_bounds(2.0, -0.7, 0.5, f2, dt_log, u)
-    assert set(out) == {"sqrt_form", "exp_form"}
-    for arr in out.values():
-        assert arr.shape == (16,)
-        assert np.all(np.isfinite(arr))
-
-
-def test_report_only_bounds_needs_negative_bound():
-    with pytest.raises(DomainError):
-        report_only_bounds(2.0, 0.0, 0.5, [1.0], [0.0], [1.0])
-    with pytest.raises(DomainError):
-        report_only_bounds(2.0, 0.3, 0.5, [1.0], [0.0], [1.0])

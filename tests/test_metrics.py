@@ -1,4 +1,4 @@
-"""Norm families: values, duality, Legendre maps, sampled constants."""
+"""Norm families: values, duality, Legendre maps, reversibility."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,11 @@ from finslerheat import (
     RiemannianNorm,
     UnsupportedFamily,
     dual_norm,
-    dual_norm_sampled,
     fundamental_tensor,
     legendre,
     legendre_inverse,
-    metric_constants,
     norm,
+    reversibility,
 )
 
 RANDERS = RandersNorm(np.eye(2), np.array([0.5, 0.0]))
@@ -59,10 +58,19 @@ def test_asym1d_norm_and_dual():
     assert dual_norm(desc, np.array([-1.0])) == pytest.approx(1.0)
 
 
+def dense_directions(desc, count=2**16):
+    """Both unit directions in 1-d, ``count`` equally spaced angles in 2-d."""
+    if desc.dim == 1:
+        return np.array([[1.0], [-1.0]])
+    theta = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+
+
 def test_randers_dual_matches_sampled_sup():
     xi = np.array([1.0, 0.0])
     closed = dual_norm(RANDERS, xi)
-    sampled = dual_norm_sampled(RANDERS, xi, samples=4096)
+    dirs = dense_directions(RANDERS)
+    sampled = float(np.max((dirs @ xi) / norm(RANDERS, dirs)))
     assert closed == pytest.approx(sampled, abs=1e-9)
 
 
@@ -221,39 +229,17 @@ def test_legendre_is_homogeneous_and_exact_at_every_scale(desc, angle, exponent)
 
 
 # ---------------------------------------------------------------------------
-# sampled constants
+# reversibility
 # ---------------------------------------------------------------------------
 
 
-def test_constants_euclidean_trivial():
-    c = metric_constants(EuclideanNorm(2))
-    assert (c.reversibility, c.kappa, c.kappa_star) == (1.0, 1.0, 1.0)
-
-
-def test_constants_randers_closed_form():
-    c = metric_constants(RANDERS, samples=4096)
-    assert c.reversibility == pytest.approx(3.0, abs=1e-6)
-
-
-def test_constants_asym1d():
-    c = metric_constants(Asym1DNorm(2.0, 1.0))
-    assert c.reversibility == pytest.approx(2.0)
-    assert c.kappa == pytest.approx(4.0)
-    assert c.kappa_star == pytest.approx(0.25)
-
-
 @pytest.mark.parametrize("desc", ALL_FAMILIES, ids=lambda d: d.family)
-def test_constants_sandwich(desc):
-    c = metric_constants(desc, samples=1024)
-    assert 0.0 < c.kappa_star <= 1.0 + 1e-9
-    assert c.kappa >= 1.0 - 1e-9
-    bound = min(np.sqrt(c.kappa), np.sqrt(1.0 / c.kappa_star))
-    assert 1.0 - 1e-9 <= c.reversibility <= bound + 1e-6
-
-
-def test_constants_rejects_tiny_sample_count():
-    with pytest.raises(ValueError):
-        metric_constants(RANDERS, samples=8)
+def test_reversibility_is_the_sampled_sup(desc):
+    dirs = dense_directions(desc)
+    sampled = float(np.max(norm(desc, -dirs) / norm(desc, dirs)))
+    exact = reversibility(desc)
+    assert exact >= sampled
+    assert exact == pytest.approx(sampled, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
