@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ConfigError, FinslerHeatError
 from .geometry import MeasureField, ScalarField, TorusGrid
 from .heat import SCHEMES
+from .liyau import LiYauProfile
 from .metrics import (
     Asym1DNorm,
     EuclideanNorm,
@@ -298,6 +299,7 @@ def load_config(path: str) -> ExperimentConfig:
     k_text = str(checks_sec.get("K", "auto")).strip().lower()
     k_val = None if k_text == "auto" else float(k_text)
     profile = str(checks_sec.get("profile", "quadratic")).strip()
+    LiYauProfile.parse(profile)
     seed = int(str(checks_sec.get("seed", "1234")))
     n_fields = int(str(checks_sec.get("n_fields", "20")))
     s_time = float(str(checks_sec.get("s", "0.0")))

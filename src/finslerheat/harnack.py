@@ -17,21 +17,46 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AlphaSignChange, DomainError, Unbounded
+from .errors import AlphaSignChange, DomainError, NoConvergence, Unbounded
 from .geometry import finsler_distance
-from .liyau import LiYauCoefficients, PsiEvaluator, psi_roots
+from .liyau import LiYauCoefficients, _envelope_g, _t_kernel_second, envelope_zeros
 from .metrics import MetricField
-from .numerics import (
-    adaptive_simpson,
-    elementwise,
-    expand_bracket_max,
-    golden_section_max,
-)
+from .numerics import elementwise, gauss_legendre, newton_root
 from .reporting import InequalityReport, compare, discretization_tolerance
 
-#: exponents beyond this overflow double precision; the bound is reported
-#: as infinite, which keeps the trivially-singular limits well defined
-_EXP_CAP = 700.0
+#: time integrals: 8-point Gauss-Legendre per panel, checked against 12 points
+#: to _RULE_AGREEMENT times the integral of |f|. lf integrand gaps stay below
+#: 1e-15; table coefficients gave up to 5.6e-7 across knots, hence the split.
+_RULES = (gauss_legendre(8), gauss_legendre(12))
+_RULE_AGREEMENT = 1e-10
+
+
+def _panel_integral(integrand, t1: float, t2: float, knots=()) -> np.ndarray:
+    """Integral over [t1, t2] on max(1, ceil(log2(t2/t1))) geometric panels
+    split at the ``knots`` inside; ``integrand`` maps increasing times to
+    values, one row each. Raises NoConvergence when the rules disagree."""
+    if not 0.0 < t1 < t2:
+        raise DomainError("need 0 < t1 < t2")
+    count = max(1, math.ceil(math.log2(t2 / t1)))
+    edges = t1 * (t2 / t1) ** (np.arange(count + 1) / count)
+    edges = np.union1d(edges, [k for k in knots if t1 < k < t2])
+    widths = np.diff(edges)
+    sums = []
+    for nodes, weights in _RULES:
+        values = integrand((edges[:-1, None] + widths[:, None] * nodes).ravel())
+        w = (widths[:, None] * weights).ravel()
+        sums.append((w @ values, w @ np.abs(values)))
+    (value, size), (check, _) = sums
+    if not np.all(np.abs(value - check) <= _RULE_AGREEMENT * size):
+        raise NoConvergence(
+            f"8- and 12-point rules disagree on [{t1}, {t2}]: {value} vs {check}"
+        )
+    return value
+
+
+def _exp_bound(exponent: float) -> float:
+    """exp(exponent), or inf beyond 700 where double precision overflows."""
+    return math.inf if exponent > 700.0 else math.exp(exponent)
 
 
 @dataclass(frozen=True)
@@ -56,12 +81,17 @@ class ThetaDescriptor:
 def theta_descriptor(N: float, K: float, t: float) -> ThetaDescriptor:
     if K == 0.0:
         return ThetaDescriptor(N, K, t, -N / (2.0 * t), math.inf)
-    roots = psi_roots(PsiEvaluator(N, K, t))
-    if K > 0:
-        lo = N * K * roots.chi1 / 4.0
-        hi = N * K * roots.chi2 / 4.0
-        return ThetaDescriptor(N, K, t, lo, hi)
-    return ThetaDescriptor(N, K, t, N * K * roots.chi0 / 4.0, math.inf)
+    xi = [N * K * chi / 4.0 for chi in envelope_zeros(K, t)]
+    return ThetaDescriptor(N, K, t, xi[0], math.inf if K < 0 else xi[1])
+
+
+def _inner(N: float, K: float, t: float, xi: float) -> tuple[float, float]:
+    """theta_t(xi)^2 = (N/2) psi(4 xi / (N K)) = N G / (2t) and its
+    xi-derivative, G from :func:`_envelope_g`; at K = 0, xi + N/(2t)."""
+    if K == 0.0:
+        return xi + N / (2.0 * t), 1.0
+    value, slope = _envelope_g(K * t, 4.0 * xi / (N * K))
+    return N / (2.0 * t) * value, 2.0 * slope / (K * t)
 
 
 @elementwise
@@ -74,12 +104,34 @@ def theta(desc: ThetaDescriptor, xi: float) -> float:
     slack = 1e-12 * max(1.0, abs(desc.xi_lo))
     if xi < desc.xi_lo - slack or xi > desc.xi_hi + slack:
         raise DomainError("argument outside the feasible interval")
-    if desc.K == 0.0:
-        inner = desc.N / (2.0 * desc.t) + xi
-    else:
-        ev = PsiEvaluator(desc.N, desc.K, desc.t)
-        inner = (desc.N / 2.0) * ev.psi(4.0 / (desc.N * desc.K) * xi)
-    return -math.sqrt(max(inner, 0.0))
+    return -math.sqrt(max(_inner(desc.N, desc.K, desc.t, xi)[0], 0.0))
+
+
+def _conjugate(desc: ThetaDescriptor, k: float, offset: float) -> tuple[float, float]:
+    """sup of k xi - theta(xi) and its maximiser minus xi_lo.
+
+    theta is convex: the maximiser is the zero of theta' - k, solved by
+    Newton as g = -inner' - 2 k sqrt(inner) = 2 sqrt(inner) (theta' - k),
+    finite at the ends, from xi_lo + offset if inside, else the K = 0
+    maximiser or the midpoint. A g without a sign change on a compact
+    interval collapses the bracket onto the end where the maximum lies.
+    """
+    N, K, t, lo, hi = desc.N, desc.K, desc.t, desc.xi_lo, desc.xi_hi
+
+    def g(xi: float) -> tuple[float, float]:
+        inner, slope = _inner(N, K, t, xi)
+        root = math.sqrt(max(inner, 0.0))
+        if root == 0.0:
+            return -slope, math.nan
+        curve = 8.0 * K * K * t**3 / N * _t_kernel_second(K * t * t * (4.0 * xi / N - K))
+        return -slope - 2.0 * k * root, -curve - k * slope / root
+
+    start = lo + offset
+    if not lo < start < hi:
+        start = lo + 0.25 / max(k * k, 1e-300)
+        start = start if start < hi else 0.5 * (lo + hi)
+    xi = newton_root(g, lo, hi, start)
+    return k * xi + math.sqrt(max(_inner(N, K, t, xi)[0], 0.0)), xi - lo
 
 
 def theta_conjugate(desc: ThetaDescriptor, k: float, force_numeric: bool = False) -> float:
@@ -87,21 +139,14 @@ def theta_conjugate(desc: ThetaDescriptor, k: float, force_numeric: bool = False
 
     Finite for k < 0 when the interval is a half line (K <= 0) and for
     every k on the compact interval (K > 0). The K = 0 case has a closed
-    form; force_numeric routes it through the same bracketing search as
-    the generic case, which the tests use as a cross-check.
+    form; force_numeric routes it through the same Newton solve as the
+    generic case, which the tests use as a cross-check.
     """
     if desc.K <= 0.0 and k >= 0.0:
         raise Unbounded("conjugate is infinite for nonnegative slopes here")
     if desc.K == 0.0 and not force_numeric:
         return -(desc.N / (2.0 * desc.t)) * k - 1.0 / (4.0 * k)
-
-    def objective(xi: float) -> float:
-        return k * xi - theta(desc, xi)
-
-    lo, hi = desc.xi_lo, desc.xi_hi
-    if not math.isfinite(hi):
-        lo, hi = expand_bracket_max(objective, lo, 0.5 * max(1.0, abs(lo)))
-    return golden_section_max(objective, lo, hi, tol=1e-10)[1]
+    return _conjugate(desc, k, math.nan)[0]
 
 
 def harnack_bound_integral(
@@ -110,8 +155,9 @@ def harnack_bound_integral(
     """Integral-form bound from a coefficient pair.
 
     exp of d^2/(4 (t2-t1)^2) times the alpha integral plus the integral of
-    phi/alpha. Valid only while alpha keeps one sign; a crossing on
-    [t1, t2] aborts with AlphaSignChange since the quadratic completion
+    phi/alpha, on the panels of :func:`_panel_integral` split at the
+    coefficients' knots. Valid only while alpha keeps one sign; a crossing
+    on [t1, t2] aborts with AlphaSignChange since the quadratic completion
     behind the formula fails there.
     """
     if not 0.0 < t1 < t2:
@@ -122,42 +168,39 @@ def harnack_bound_integral(
     alpha_vals = np.asarray([coeffs.alpha(float(s)) for s in samples])
     if np.any(alpha_vals <= 0.0):
         raise AlphaSignChange("alpha loses positivity inside the time window")
-    delta = t2 - t1
-    int_alpha = adaptive_simpson(coeffs.alpha, t1, t2, rel_tol=1e-10)
-    int_phi = adaptive_simpson(lambda s: coeffs.phi(s) / coeffs.alpha(s), t1, t2, rel_tol=1e-10)
-    exponent = d * d / (4.0 * delta * delta) * int_alpha + int_phi
-    if exponent > _EXP_CAP:
-        return math.inf
-    return math.exp(exponent)
+
+    def integrand(times: np.ndarray) -> np.ndarray:
+        pairs = [(coeffs.alpha(s), coeffs.phi(s)) for s in times.tolist()]
+        return np.asarray([(alpha, phi / alpha) for alpha, phi in pairs])
+
+    int_alpha, int_phi = _panel_integral(integrand, t1, t2, coeffs.knots)
+    return _exp_bound(d * d / (4.0 * (t2 - t1) ** 2) * int_alpha + int_phi)
 
 
 def harnack_bound_lf(desc: ThetaDescriptor, d: float, t1: float, t2: float) -> float:
-    """Conjugate-form bound; only (N, K) of the descriptor matter, the
-    transform is rebuilt at each quadrature time.
-
-    The d = 0 limit is taken analytically: the conjugate at slope -inf
-    degenerates to minus the lower interval endpoint.
-    """
-    if not 0.0 < t1 < t2:
-        raise DomainError("need 0 < t1 < t2")
+    """Conjugate-form bound: exp of d/delta times the integral over [t1, t2]
+    of theta_s^*(-delta/d), delta = t2 - t1, on the panels of
+    :func:`_panel_integral`; only (N, K) of ``desc`` matter. Each node s gets
+    its interval from the envelope zeros at s and its conjugate from Newton
+    started at the previous node's maximiser. At d = 0 the conjugate at
+    slope -inf degenerates to minus the lower interval endpoint."""
     if d < 0.0:
         raise DomainError("distance must be nonnegative")
-    N, K = desc.N, desc.K
-    delta = t2 - t1
-    if d == 0.0:
-        exponent = adaptive_simpson(
-            lambda s: -theta_descriptor(N, K, s).xi_lo, t1, t2, rel_tol=1e-10
-        )
-    else:
-        k = -delta / d
+    N, K, delta = desc.N, desc.K, t2 - t1
 
-        def integrand(s: float) -> float:
-            return theta_conjugate(theta_descriptor(N, K, s), k)
+    def integrand(times: np.ndarray) -> np.ndarray:
+        values, offset = [], math.nan
+        for s in times.tolist():
+            desc_s = theta_descriptor(N, K, s)
+            if d == 0.0:
+                values.append(-desc_s.xi_lo)
+            else:
+                value, offset = _conjugate(desc_s, -delta / d, offset)
+                values.append(value)
+        return np.asarray(values)
 
-        exponent = (d / delta) * adaptive_simpson(integrand, t1, t2, rel_tol=1e-10)
-    if exponent > _EXP_CAP:
-        return math.inf
-    return math.exp(exponent)
+    exponent = _panel_integral(integrand, t1, t2)
+    return _exp_bound(exponent if d == 0.0 else d / delta * exponent)
 
 
 @dataclass(frozen=True)

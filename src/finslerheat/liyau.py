@@ -27,6 +27,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import (
+    ConfigError,
     DomainError,
     NoConvergence,
     NoRoot,
@@ -35,7 +36,7 @@ from .errors import (
 from .geometry import ScalarField
 from .heat import Trajectory
 from .metrics import EuclideanNorm
-from .numerics import bisect_root, elementwise, overflow_is_domain_error
+from .numerics import elementwise, gauss_legendre, newton_root, overflow_is_domain_error
 from .reporting import InequalityReport, compare, discretization_tolerance
 
 #: half-width of the Taylor window on w; cot/coth cancellation is
@@ -47,8 +48,7 @@ _COTH_SATURATION = 350.0
 
 #: 8-point Gauss-Legendre rule on [0, 1], used on every coefficient panel;
 #: exact on the cubic pieces of a table profile
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+_GL_NODES, _GL_WEIGHTS = gauss_legendre(8)
 
 #: equal panels on (0, horizon] when a closed-form profile is forced
 #: through quadrature
@@ -82,6 +82,14 @@ def _t_kernel_prime(w: float) -> float:
     if r > _COTH_SATURATION:
         return -0.5 / r
     return -1.0 / (2.0 * r * math.tanh(r)) + 0.5 / math.sinh(r) ** 2
+
+
+def _t_kernel_second(w: float) -> float:
+    """T'' by differentiating the Riccati identity 2 w T' = T - T^2 - w; it
+    loses about eps/|w| relative outside the Taylor window (Newton slopes only)."""
+    if abs(w) <= SERIES_WINDOW:
+        return -2.0 / 45.0 - 4.0 * w / 315.0 - 4.0 * w**2 / 1575.0
+    return -(_t_kernel_prime(w) * (1.0 + 2.0 * _t_kernel(w)) + 1.0) / (2.0 * w)
 
 
 def _s_kernel(w: float) -> float:
@@ -176,6 +184,21 @@ class LiYauProfile:
         if K == 0:
             raise ProfileInadmissible("the lixu profile needs K != 0")
         return cls("lixu", tau=abs(K))
+
+    @classmethod
+    def parse(cls, text: str) -> "LiYauProfile":
+        """Preset from its config spelling: quadratic | sine:<c> | sinh:<c> | lixu."""
+        name, colon, arg = text.partition(":")
+        if not colon and name in ("quadratic", "lixu"):
+            return cls.quadratic() if name == "quadratic" else cls.lixu(-1.0)
+        if colon and name in ("sine", "sinh"):
+            try:
+                return (cls.sine if name == "sine" else cls.sinh_profile)(float(arg))
+            except ValueError:
+                raise ConfigError(f"profile {text!r} needs a number after the colon") from None
+        raise ConfigError(
+            f"unknown profile {text!r}; known: quadratic | sine:<c> | sinh:<c> | lixu"
+        )
 
     @classmethod
     def from_table(cls, times, values) -> "LiYauProfile":
@@ -282,7 +305,8 @@ class LiYauProfile:
 
 @dataclass(frozen=True)
 class LiYauCoefficients:
-    """Evaluator pair (alpha, phi) with its construction provenance."""
+    """Evaluator pair (alpha, phi) with its construction provenance; alpha
+    and phi are smooth between the ``knots`` (quadrature panel edges)."""
 
     alpha: Callable[[float], float]
     phi: Callable[[float], float]
@@ -290,6 +314,7 @@ class LiYauCoefficients:
     K: float
     N: float
     horizon: float
+    knots: tuple[float, ...] = ()
 
 
 def _verify_coefficient_odes(profile, coeffs, K, N, horizon):
@@ -388,6 +413,7 @@ def alpha_phi(
         K=K,
         N=N,
         horizon=horizon,
+        knots=tuple(edges.tolist()) if use_quadrature else (),
     )
     _verify_coefficient_odes(profile, coeffs, K, N, horizon)
     return coeffs
@@ -451,43 +477,78 @@ class PsiRoots:
     chi2: float | None = None
 
 
-def psi_roots(evaluator: PsiEvaluator) -> PsiRoots:
-    """Bracket and bisect the envelope zeros.
+def _coth_excess(r: float) -> float:
+    """q(r) = r coth r - r = 2r / expm1(2r), to full relative accuracy."""
+    return 2.0 * r / math.expm1(min(2.0 * r, 700.0)) if r > 0.0 else 1.0
 
-    Negative bound: a single zero to the right of 1. Positive bound:
-    one negative zero and one in (0, 1], provided t >= 2/K; earlier times
-    have no zero and that is reported as NoRoot.
+
+def _envelope_g(kappa: float, x: float) -> tuple[float, float]:
+    """t psi(x) = G = T(w) + w / (2 kappa) - kappa / 2, w = kappa^2 (x - 1),
+    kappa = K t, and dG/dx. For kappa > 0 and w < -1 the value is written as
+    q(r) - (r - kappa)^2 / (2 kappa), r = kappa sqrt(1 - x), whose terms keep
+    their relative accuracy where the two zeros close in on x = 0 (their gap
+    shrinks like e^-kappa); three O(kappa) terms do not."""
+    w = kappa * kappa * (x - 1.0)
+    if w >= -1.0 or kappa < 0.0:
+        return (
+            _t_kernel(w) + w / (2.0 * kappa) - kappa / 2.0,
+            kappa * kappa * _t_kernel_prime(w) + kappa / 2.0,
+        )
+    root = math.sqrt(1.0 - x)
+    r = kappa * root
+    gap = -kappa * x / (1.0 + root)
+    q = _coth_excess(r)
+    return (
+        q - gap * gap / (2.0 * kappa),
+        -kappa / (2.0 * root) * (q * ((1.0 - q) / r - 2.0) - gap / kappa),
+    )
+
+
+def envelope_zeros(K: float, t: float) -> tuple[float, ...]:
+    """Zeros of the envelope at (K, t) by safeguarded Newton on the concave G
+    of :func:`_envelope_g`, each started where G < 0 so that it does not
+    overshoot. K < 0: (chi0,) in (1, x_max), right of which the tangent at
+    x = 1 lands. K > 0: (chi1, chi2), chi1 < 0 < chi2 <= 1, if t >= 2/K
+    (else NoRoot). With r = kappa sqrt(1 - x) they solve r - kappa =
+    +-sqrt(2 kappa q(r)) for the decreasing q(r) = r coth r - r <= 1, so
+    sqrt(2 kappa q(kappa)) starts left of chi1, sqrt(2 kappa) + 1 bounds it,
+    and -sqrt(2 kappa q(r)) iterated from r = 0 stays right of chi2.
     """
-    ev = evaluator
-    if ev.K < 0:
-        x_hi = ev.x_max
-        hi = None
-        for j in range(1, 60):
-            cand = x_hi - (x_hi - 1.0) * 0.5**j
-            if ev.psi(cand) < 0.0:
-                hi = cand
-                break
-        if hi is None:
-            raise NoRoot("no sign change left of the domain end")
-        chi0 = bisect_root(ev.psi, 1.0, hi, tol=1e-12)
-        return PsiRoots(mode="negative", chi0=chi0)
+    kappa = K * t
+    if t <= 0.0 or kappa * kappa == 0.0:
+        raise DomainError("envelope zeros need t > 0 and (K t)^2 > 0 in double precision")
 
-    if ev.t < 2.0 / ev.K:
+    def zero(lo: float, hi: float, start: float, sign: float) -> float:
+        def g(x: float) -> tuple[float, float]:
+            value, slope = _envelope_g(kappa, x)
+            return sign * value, sign * slope
+
+        return newton_root(g, lo, hi, start)
+
+    if K < 0:
+        tangent = (1.0 - kappa / 2.0) / (1.0 / 3.0 - 0.5 / kappa)
+        start = 1.0 + min(tangent, 0.5 * math.pi**2) / kappa**2
+        return (zero(1.0, 1.0 + (math.pi / kappa) ** 2, start, -1.0),)
+    if t < 2.0 / K:
         raise NoRoot("positive-curvature roots need t >= 2/K")
-    at_one = ev.psi(1.0)
-    if at_one == 0.0:
-        chi2 = 1.0
-    else:
-        chi2 = bisect_root(ev.psi, 0.0, 1.0, tol=1e-12)
-    lo = -1.0
-    for _ in range(200):
-        if ev.psi(lo) < 0.0:
-            break
-        lo *= 2.0
-    else:
-        raise NoRoot("left zero bracket not found")
-    chi1 = bisect_root(ev.psi, lo, 0.0, tol=1e-12)
-    return PsiRoots(mode="positive", chi1=chi1, chi2=chi2)
+
+    def at_gap(u: float) -> float:  # x where r - kappa = u
+        return -u * (2.0 * kappa + u) / kappa**2
+
+    right = -kappa
+    for _ in range(3):
+        right = -math.sqrt(2.0 * kappa * _coth_excess(kappa + right))
+    left = math.sqrt(2.0 * kappa * _coth_excess(kappa))
+    far = at_gap(math.sqrt(2.0 * kappa) + 1.0)
+    return zero(far, 0.0, at_gap(left), 1.0), zero(0.0, 1.0, at_gap(right), -1.0)
+
+
+def psi_roots(evaluator: PsiEvaluator) -> PsiRoots:
+    """:func:`envelope_zeros` of an evaluator, tagged by curvature sign."""
+    zeros = envelope_zeros(evaluator.K, evaluator.t)
+    if evaluator.K < 0:
+        return PsiRoots(mode="negative", chi0=zeros[0])
+    return PsiRoots(mode="positive", chi1=zeros[0], chi2=zeros[1])
 
 
 def linearize_psi(evaluator: PsiEvaluator, x_bar: float):

@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, SolverDivergence
-
-#: golden ratio section used by the 1-d maximizer
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 def elementwise(formula: Callable) -> Callable:
@@ -41,143 +39,49 @@ def elementwise(formula: Callable) -> Callable:
 def overflow_is_domain_error(what: str):
     """Raise :class:`DomainError` naming ``what`` where the block overflows
     double precision: an exponential factor that large has no finite value
-    for a check to compare."""
+    for a check to compare. numpy overflows in the block raise too."""
     try:
-        yield
-    except OverflowError:
+        with np.errstate(over="raise"):
+            yield
+    except (OverflowError, FloatingPointError):
         raise DomainError(f"{what} overflows double precision") from None
 
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
-    max_depth: int = 48,
+def gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``points``-point Gauss-Legendre rule on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
+
+
+def newton_root(
+    f_and_slope: Callable[[float], tuple[float, float]], lo: float, hi: float, x: float
 ) -> float:
-    """Adaptive Simpson quadrature of ``f`` on ``[a, b]``.
+    """Root of ``f`` on ``[lo, hi]`` by Newton safeguarded with bisection.
 
-    The tolerance is relative to the accumulated integral (with an absolute
-    floor of ``rel_tol`` so integrals near zero terminate). Raises
-    :class:`NoConvergence` when the recursion depth is exhausted before the
-    local error estimate falls under tolerance.
+    ``f_and_slope(x)`` gives ``(f(x), f'(x))``, ``f < 0`` left of the root
+    and ``f > 0`` right of it; ``x`` starts inside. A step that leaves the
+    bracket or does not halve the step before last is replaced by bisection
+    (by doubling the distance from the first ``lo`` while ``hi`` is
+    infinite), so a bracket without a sign change collapses onto one end.
+    Stops at a step below 1e-14 relative; raises :class:`NoConvergence`
+    after 200 evaluations.
     """
-    if a == b:
-        return 0.0
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    scale = abs(b - a) * max(abs(f(a)), abs(f(b)), 1e-300)
-
-    def recurse(x0, x2, f0, f1, f2, whole, depth):
-        xm = 0.5 * (x0 + x2)
-        xl = 0.5 * (x0 + xm)
-        xr = 0.5 * (xm + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = simpson(x0, xm, f0, fl, f1)
-        right = simpson(xm, x2, f1, fr, f2)
-        err = left + right - whole
-        tol = rel_tol * max(abs(whole), scale * 1e-3, 1e-300)
-        if abs(err) <= 15.0 * tol or depth >= max_depth:
-            if depth >= max_depth and abs(err) > 1e6 * tol:
-                raise NoConvergence(
-                    f"adaptive Simpson stalled on [{x0}, {x2}], err={err:.3e}"
-                )
-            return left + right + err / 15.0
-        return recurse(x0, xm, f0, fl, f1, left, depth + 1) + recurse(
-            xm, x2, f1, fr, f2, right, depth + 1
-        )
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, 0)
-
-
-def golden_section_max(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Maximize a unimodal ``f`` on ``[a, b]`` by golden-section search.
-
-    Returns ``(x_star, f(x_star))``. ``tol`` is an absolute tolerance on the
-    bracket width, relative to ``max(1, |a|, |b|)``.
-    """
-    lo, hi = (a, b) if a <= b else (b, a)
-    width_tol = tol * max(1.0, abs(lo), abs(hi))
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > width_tol:
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
-def expand_bracket_max(
-    f: Callable[[float], float],
-    start: float,
-    step: float,
-    max_expand: int = 200,
-) -> tuple[float, float]:
-    """Find ``[start, hi]`` containing the maximum of a concave ``f``.
-
-    Marches right with geometrically growing steps until the function value
-    drops below an earlier one, which brackets the maximizer for concave
-    objectives. Raises :class:`NoConvergence` if no decrease is seen.
-    """
-    xs = [start, start + step]
-    vals = [f(xs[0]), f(xs[1])]
-    for _ in range(max_expand):
-        if vals[-1] < vals[-2]:
-            return xs[0], xs[-1]
-        step *= 2.0
-        xs.append(xs[-1] + step)
-        vals.append(f(xs[-1]))
-    raise NoConvergence("could not bracket maximum; objective keeps increasing")
-
-
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 400,
-) -> float:
-    """Bisection for a sign change of ``f`` on ``[lo, hi]``.
-
-    ``tol`` is relative to ``max(1, |x|)``. The endpoints must straddle a
-    sign change, otherwise ``ValueError`` is raised.
-    """
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise ValueError(f"no sign change on bracket [{lo}, {hi}]")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if np.sign(fmid) == np.sign(flo):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-        if hi - lo <= tol * max(1.0, abs(mid)):
-            return 0.5 * (lo + hi)
-    return 0.5 * (lo + hi)
+    start = lo
+    step_before = step = math.inf
+    for _ in range(200):
+        fx, slope = f_and_slope(x)
+        lo, hi = (x, hi) if fx < 0.0 else (lo, x)
+        newton = fx / slope if slope != 0.0 else math.nan
+        if abs(newton) <= 1e-14 * abs(x):
+            return x - newton
+        nxt = x - newton
+        if not (lo < nxt < hi and abs(newton) <= 0.5 * abs(step_before)):
+            nxt = 0.5 * (lo + hi) if math.isfinite(hi) else x + (x - start)
+        step_before, step = step, x - nxt
+        if abs(step) <= 1e-14 * abs(nxt) or not lo < nxt < hi:
+            return nxt
+        x = nxt
+    raise NoConvergence(f"Newton iteration stalled on [{lo}, {hi}]")
 
 
 #: working-set size, in array elements, of one lockstep CG sweep: m fields

@@ -102,19 +102,6 @@ def _finite_n(config) -> float:
     return config.N
 
 
-def _profile(config) -> liyau.LiYauProfile:
-    name = config.profile
-    if name == "quadratic":
-        return liyau.LiYauProfile.quadratic()
-    if name.startswith("sine:"):
-        return liyau.LiYauProfile.sine(float(name.split(":", 1)[1]))
-    if name.startswith("sinh:"):
-        return liyau.LiYauProfile.sinh_profile(float(name.split(":", 1)[1]))
-    if name == "lixu":
-        return liyau.LiYauProfile.lixu(-1.0)
-    raise ConfigError(f"unknown profile {name!r}")
-
-
 def _check_registry(config, traj: Trajectory, K: float, rng):
     """Map check names to thunks returning lists of reports.
 
@@ -146,7 +133,7 @@ def _check_registry(config, traj: Trajectory, K: float, rng):
         return ScalarField(grid, vals)
 
     def coeffs():
-        profile = _profile(config)
+        profile = liyau.LiYauProfile.parse(config.profile)
         return liyau.alpha_phi(profile, K, _finite_n(config), t_end)
 
     # each check draws all its fields, in the order of the generator

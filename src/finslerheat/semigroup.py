@@ -408,8 +408,9 @@ def lipschitz_decay(trajectory: Trajectory, K: float) -> InequalityReport:
         lip.append(float(np.max(dual_norm(desc, du.values))))
         gamma = trajectory.assembly_at(k).carre_du_champ(u.values)
         energy.append(float(np.sqrt(max(np.max(gamma), 0.0))))
-    times = np.asarray(trajectory.times)
-    decay = np.exp(-K * (times - times[0]))
+    elapsed = np.asarray(trajectory.times) - trajectory.times[0]
+    with overflow_is_domain_error(f"exp(-K t) at K = {K:g}, t = {elapsed[-1]:g}"):
+        decay = np.exp(-K * elapsed)
     lhs = np.concatenate([np.asarray(lip), np.asarray(energy)])
     rhs = np.concatenate([decay * lip[0], decay * energy[0]])
     scale = max(1.0, float(np.max(rhs)))

@@ -452,10 +452,6 @@ def test_overclaimed_curvature_is_recorded_not_raised(tmp_path):
     "checks_block, message",
     [
         (
-            "[checks]\nnames = liyau_linear\nN = 8\nprofile = banana\n",
-            "check liyau_linear: unknown profile",
-        ),
-        (
             "[checks]\nnames = liyau_linear\n",
             "check liyau_linear: this check needs a finite N",
         ),
@@ -634,6 +630,7 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
         ("weak_logsob", 20000),
         ("weak_logsob", -20000),
         ("gradient_estimate", -20000),
+        ("lipschitz", -20000),
     ],
 )
 def test_cli_exponential_overflow_exits_two(tmp_path, capsys, check, K):
@@ -656,6 +653,38 @@ def test_cli_exponential_overflow_exits_two(tmp_path, capsys, check, K):
     assert err.startswith(f"error: check {check}: ")
     assert "overflows double precision" in err
     assert err.count("\n") == 1
+
+
+def test_load_config_rejects_unknown_profile(tmp_path):
+    with pytest.raises(ConfigError, match="unknown profile 'banana'"):
+        checked_config(tmp_path, "[checks]\nnames = liyau_linear\nN = 8\nprofile = banana\n")
+
+
+@pytest.mark.parametrize("profile", ["quadratic", "sine:1.5", "sinh:0.8", "lixu"])
+def test_load_config_accepts_every_documented_profile(tmp_path, profile):
+    block = f"[checks]\nnames = liyau_linear\nN = 8\nprofile = {profile}\n"
+    config = checked_config(tmp_path, block)
+    assert config.profile == profile
+
+
+@pytest.mark.parametrize("profile", ["sine", "sine:", "sine:wide", "cosine:1"])
+def test_cli_bad_profile_exits_two_before_the_solve(tmp_path, capsys, profile):
+    path = write_ini(
+        tmp_path,
+        GOOD,
+        f"""\
+        [checks]
+        names = liyau_linear
+        N = 8
+        profile = {profile}
+        [output]
+        dir = {tmp_path / "runs"}
+        """,
+    )
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "profile" in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_solve_exports_fields(tmp_path, capsys):

@@ -1,19 +1,27 @@
 """Envelope transform, conjugate bounds, and sample-pair verification."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq, minimize_scalar
 
 from finslerheat import (
     AlphaSignChange,
     CallableFlow,
     DomainError,
     EuclideanNorm,
+    LiYauCoefficients,
     LiYauProfile,
     MeasureField,
     MetricField,
+    NoConvergence,
     NoRoot,
+    PsiEvaluator,
     ScalarField,
     ThetaDescriptor,
     TorusGrid,
@@ -222,6 +230,121 @@ def test_bound_guards_and_overflow():
     with pytest.raises(DomainError):
         harnack_bound_lf(theta_descriptor(2.0, 0.0, 0.1), 0.1, 0.0, 0.5)
     assert harnack_bound_integral(coeffs, 1e3, 0.1, 0.11) == math.inf
+
+
+def test_integral_bound_rejects_rules_that_disagree():
+    # alpha jumps inside the window and no knot says so: the 8- and 12-point
+    # rules see different step positions and disagree
+    flat = flat_coeffs(2.0)
+    jump = LiYauCoefficients(
+        alpha=lambda t: 1.0 if t < 0.3 else 2.0,
+        phi=flat.phi,
+        provenance="closed_form",
+        K=0.0,
+        N=2.0,
+        horizon=1.0,
+    )
+    with pytest.raises(NoConvergence):
+        harnack_bound_integral(jump, 0.5, 0.2, 0.4)
+    knotted = dataclasses.replace(jump, knots=(0.3,))
+    ref = math.exp(0.25 / 0.16 * 0.3 + math.log(1.5) + 0.5 * math.log(4.0 / 3.0))
+    assert harnack_bound_integral(knotted, 0.5, 0.2, 0.4) == pytest.approx(ref, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the conjugate-form bound against an independent oracle: envelope zeros by
+# brentq on PsiEvaluator.psi, the conjugate by a bounded scalar maximiser,
+# the time integral by adaptive quadrature
+# ---------------------------------------------------------------------------
+
+
+def oracle_interval(N, K, s):
+    if K == 0.0:
+        return -N / (2.0 * s), math.inf
+    ev = PsiEvaluator(N, K, s)
+
+    def xi_at_zero(a, b):
+        return N * K * brentq(ev.psi, a, b, xtol=1e-300) / 4.0
+
+    if K < 0:
+        ends = (ev.x_max - (ev.x_max - 1.0) * 0.5**j for j in range(1, 60))
+        return xi_at_zero(1.0, next(x for x in ends if ev.psi(x) < 0.0)), math.inf
+    far = next(-(2.0**j) for j in range(60) if ev.psi(-(2.0**j)) < 0.0)
+    return xi_at_zero(far, 0.0), xi_at_zero(0.0, 1.0)
+
+
+def oracle_conjugate(N, K, s, k):
+    lo, hi = oracle_interval(N, K, s)
+
+    def theta_ref(xi):
+        if K == 0.0:
+            inner = xi + N / (2.0 * s)
+        else:
+            inner = (N / 2.0) * PsiEvaluator(N, K, s).psi(4.0 * xi / (N * K))
+        return -math.sqrt(max(inner, 0.0))
+
+    if not math.isfinite(hi):
+        hi = lo + 100.0 * (1.0 + abs(K) * s) ** 2 / k**2
+    res = minimize_scalar(
+        lambda xi: theta_ref(xi) - k * xi,
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-12 * max(1.0, abs(lo)), "maxiter": 2000},
+    )
+    assert res.success and res.x < hi - 1e-6 * (hi - lo)
+    return -res.fun
+
+
+def oracle_bound_lf(N, K, d, t1, t2):
+    delta = t2 - t1
+    if d == 0.0:
+        integral = quad(lambda s: -oracle_interval(N, K, s)[0], t1, t2, epsabs=0.0, epsrel=1e-12)
+        return math.exp(integral[0])
+    integral = quad(
+        lambda s: oracle_conjugate(N, K, s, -delta / d), t1, t2, epsabs=0.0, epsrel=1e-12
+    )
+    return math.exp(d / delta * integral[0])
+
+
+@pytest.mark.parametrize(
+    "N, K, d, t1, t2",
+    [
+        (3.0, -0.5, 0.16, 0.002, 0.012),
+        (2.0, -2.0, 0.0, 0.1, 0.6),
+        (3.0, -2.0, 0.7, 0.01, 1.5),
+        (2.0, 0.0, 0.3, 0.2, 0.5),
+        (3.0, 0.0, 0.0, 0.02, 0.5),
+        (3.0, 1.0, 0.4, 2.5, 4.0),
+        (3.0, 1.0, 0.0, 2.0, 3.5),
+    ],
+)
+def test_lf_bound_matches_independent_oracle(N, K, d, t1, t2):
+    got = harnack_bound_lf(theta_descriptor(N, K, t1), d, t1, t2)
+    assert got == pytest.approx(oracle_bound_lf(N, K, d, t1, t2), rel=1e-9)
+
+
+@st.composite
+def descriptor_slope_point(draw):
+    if draw(st.booleans()):
+        K = draw(st.floats(0.2, 3.0))
+        desc = theta_descriptor(3.0, K, draw(st.floats(2.0, 6.0)) / K)
+        k = draw(st.floats(-20.0, 20.0))
+        xi = desc.xi_lo + draw(st.floats(0.0, 1.0)) * (desc.xi_hi - desc.xi_lo)
+    else:
+        K = draw(st.one_of(st.just(0.0), st.floats(-3.0, -1e-6)))
+        desc = theta_descriptor(draw(st.floats(1.0, 8.0)), K, draw(st.floats(0.01, 2.0)))
+        k = -draw(st.floats(0.01, 20.0))
+        xi = desc.xi_lo + draw(st.floats(0.0, 50.0))
+    return desc, k, xi
+
+
+@settings(max_examples=200, deadline=None)
+@given(descriptor_slope_point())
+def test_conjugate_fenchel_young_property(case):
+    desc, k, xi = case
+    pair = k * xi - theta(desc, xi)
+    star = theta_conjugate(desc, k)
+    assert pair <= star + 1e-10 * max(1.0, abs(k * xi), abs(pair), abs(star))
 
 
 # ---------------------------------------------------------------------------

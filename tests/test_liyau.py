@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from finslerheat import (
     DomainError,
@@ -39,7 +40,6 @@ from finslerheat.liyau import (
     _t_kernel_prime,
     _verify_coefficient_odes,
 )
-from finslerheat.numerics import adaptive_simpson
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def test_profile_constructor_guards():
 )
 def test_closed_form_integral_matches_quadrature(profile):
     for t in (0.4, 1.1):
-        ref = adaptive_simpson(lambda s: float(profile.value(s)), 0.0, t, rel_tol=1e-12)
+        ref = quad(lambda s: float(profile.value(s)), 0.0, t, epsrel=1e-12)[0]
         assert profile.integral(t) == pytest.approx(ref, rel=1e-10)
 
 
@@ -446,6 +446,18 @@ def test_roots_positive_bound_needs_late_time():
     # at exactly t = 2/K the envelope vanishes at 1
     roots = psi_roots(PsiEvaluator(3.0, 2.0, 1.0))
     assert roots.chi2 == 1.0
+
+
+@pytest.mark.parametrize("kappa", [2.5, 12.0, 40.0, 150.0])
+def test_positive_roots_stay_accurate_where_they_merge(kappa):
+    # with r = kappa sqrt(1 - x) the zeros solve (r - kappa)^2 = 2 kappa q(r),
+    # q(r) = r coth r - r = 2r / expm1(2r); their gap shrinks like e^-kappa
+    roots = psi_roots(PsiEvaluator(3.0, 1.0, kappa))
+    for chi in (roots.chi1, roots.chi2):
+        gap = -kappa * chi / (1.0 + math.sqrt(1.0 - chi))
+        r = kappa + gap
+        assert gap * gap == pytest.approx(2.0 * kappa * 2.0 * r / math.expm1(2.0 * r), rel=1e-12)
+    assert roots.chi1 < 0.0 < roots.chi2
 
 
 def test_linearize_rejects_out_of_domain_tangent():
