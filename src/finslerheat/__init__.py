@@ -80,11 +80,6 @@ from .metrics import (
     MinkowskiNorm,
     RandersNorm,
     RiemannianNorm,
-    dual_norm,
-    fundamental_tensor,
-    legendre,
-    legendre_inverse,
-    norm,
     reversibility,
 )
 from .reporting import InequalityReport, compare, discretization_tolerance

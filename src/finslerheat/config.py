@@ -13,8 +13,8 @@ Sections and keys:
 * ``[measure]``: f (log-density expression, default 0)
 * ``[initial]``: u (expression)
 * ``[time]``: dt, t_final, scheme
-* ``[checks]``: names (comma list), N, K (number or auto), profile, seed,
-  n_fields, s, phi, harnack_pairs, harnack_mode
+* ``[checks]``: names (comma list of ``runner.CHECKS`` keys), N, K (number
+  or auto), profile, seed, n_fields, s, phi, harnack_pairs, harnack_mode
 * ``[output]``: dir
 * ``[ladder]``: levels as ``nodes,dt`` pairs joined by ``;``
 """
@@ -41,27 +41,7 @@ from .metrics import (
     RandersNorm,
     RiemannianNorm,
 )
-
-KNOWN_CHECKS = (
-    "conservative",
-    "duality",
-    "semigroup_law",
-    "positivity",
-    "contraction",
-    "order_bounds",
-    "cauchy_schwarz",
-    "variance",
-    "laplacian_commutation",
-    "gradient_estimate",
-    "local_logsob",
-    "lipschitz",
-    "liyau_linear",
-    "liyau_envelope",
-    "exp_entropy",
-    "weak_logsob",
-    "harnack",
-    "bochner",
-)
+from .runner import CHECKS
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _TERM_RE = re.compile(
@@ -287,8 +267,8 @@ def load_config(path: str) -> ExperimentConfig:
         n.strip() for n in names_raw.split(",") if n.strip()
     ) if names_raw else ()
     for name in checks:
-        if name not in KNOWN_CHECKS:
-            raise ConfigError(f"unknown check {name!r}; known: {KNOWN_CHECKS}")
+        if name not in CHECKS:
+            raise ConfigError(f"unknown check {name!r}; known: {tuple(CHECKS)}")
     n_text = str(checks_sec.get("N", "inf")).strip().lower()
     if n_text in ("inf", "infinity", "auto"):
         n_eff = math.inf

@@ -167,22 +167,18 @@ class MeasureField:
     def busemann_hausdorff(cls, metric: MetricField) -> "MeasureField":
         """Constant measure whose density matches the norm's unit-ball volume.
 
-        For quadratic families this is sqrt(det a); for Randers the unit ball
-        is an ellipsoid and the density is sqrt(det a) (1 - |b|_a^2)^{(n+1)/2}.
+        For Randers norms the unit ball is an ellipsoid and the density is
+        sqrt(det a) (1 - |b|_a^2)^{(n+1)/2}, which is sqrt(det a) at b = 0.
         """
         desc = metric.descriptor
         n = desc.dim
-        if desc.family in ("euclidean", "riemannian"):
-            density = math.sqrt(np.linalg.det(desc.riemannian_part()))
-        elif desc.family == "randers":
+        if desc.family == "asym1d":
+            # unit ball is (-1/p_minus, 1/p_plus); match its length to 2
+            density = 2.0 * desc.p_plus * desc.p_minus / (desc.p_plus + desc.p_minus)
+        else:
             density = math.sqrt(np.linalg.det(desc.a)) * (1.0 - desc.b_norm_sq) ** (
                 (n + 1) / 2.0
             )
-        elif desc.family == "asym1d":
-            # unit ball is (-1/p_minus, 1/p_plus); match its length to 2
-            density = 2.0 * desc.p_plus * desc.p_minus / (desc.p_plus + desc.p_minus)
-        else:  # pragma: no cover
-            raise UnsupportedFamily(desc.family)
         f0 = -math.log(density)
         return cls(metric.grid, np.full(metric.grid.n_nodes, f0))
 

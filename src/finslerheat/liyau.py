@@ -278,28 +278,18 @@ class LiYauProfile:
     def check_admissible(self, t_hi: float) -> None:
         """Numeric admissibility of a user table over (0, t_hi].
 
-        The vanishing-ratio condition is checked on a dyadic ladder toward
-        zero. Integrability of a'^2/a is read off the first cubic piece
+        Integrability of a'^2/a is read off the first cubic piece
         c1 s + c2 s^2 + c3 s^3: the quotient behaves like c1/s near 0, so
         the start must be quadratic, c2 > 0 with c1 below _LINEAR_START
         times c2 t1. A layer that thin lies far below the first quadrature
-        node of the panel.
+        node of the panel. Such a start also makes a/a' vanish toward 0.
         """
         if self.variant != "table":
             return
         if t_hi > self.horizon():
             raise ProfileInadmissible("requested horizon beyond the table range")
-        t_ref = float(self.table_times[1])
-        ladder = t_ref * 0.5 ** np.arange(0, 11)
-        a = self.value(ladder)
-        ap = self.derivative(ladder)
-        if np.any(ap <= 0) or np.any(a <= 0):
-            raise ProfileInadmissible("profile or slope not positive near 0")
-        ratio = a / ap
-        if not ratio[-1] <= 0.05 * ratio[0] + 1e-14:
-            raise ProfileInadmissible("a/a' does not vanish toward 0")
         _, c2, c1, _ = self._interp.c[:, 0]
-        if not (c2 > 0.0 and c1 <= _LINEAR_START * c2 * t_ref):
+        if not (c2 > 0.0 and c1 <= _LINEAR_START * c2 * float(self.table_times[1])):
             raise ProfileInadmissible("a'^2/a fails the integrability check near 0")
 
 
@@ -441,6 +431,8 @@ class PsiEvaluator:
             raise DomainError("zero curvature bound has no envelope; use the limit forms")
         if self.t <= 0 or self.N <= 0:
             raise DomainError("need t > 0 and N > 0")
+        if (self.K * self.t) ** 2 == 0.0:
+            raise DomainError("the envelope needs (K t)^2 > 0 in double precision")
 
     @property
     def x_max(self) -> float:

@@ -2,13 +2,14 @@
 
 Supported families
 ------------------
-``EuclideanNorm``
-    F(y) = |y|.
-``RiemannianNorm``
-    F(y) = sqrt(y . a y) for a constant symmetric positive definite ``a``.
 ``RandersNorm``
     F(y) = sqrt(y . a y) + b . y with the a-dual norm of the covector ``b``
-    strictly below one. Genuinely asymmetric: F(-y) != F(y).
+    strictly below one. Genuinely asymmetric: F(-y) != F(y) unless b = 0.
+``RiemannianNorm``
+    F(y) = sqrt(y . a y) for a constant symmetric positive definite ``a``:
+    the Randers norm with b = 0.
+``EuclideanNorm``
+    F(y) = |y|: the Randers norm with a = I and b = 0.
 ``Asym1DNorm``
     One-dimensional piecewise linear norm with slopes ``p_plus`` on y > 0
     and ``p_minus`` on y < 0.
@@ -133,78 +134,6 @@ def _invert_spd(g: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EuclideanNorm(MinkowskiNorm):
-    dim: int = 1
-    family: str = field(default="euclidean", init=False)
-
-    def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise UnsupportedFamily(f"dimension {self.dim} not supported")
-
-    def norm(self, y):
-        return np.linalg.norm(np.asarray(y, float), axis=-1)
-
-    def dual_norm(self, xi):
-        return np.linalg.norm(np.asarray(xi, float), axis=-1)
-
-    def fundamental_tensor_unchecked(self, v):
-        v = np.asarray(v, float)
-        eye = np.eye(self.dim)
-        return np.broadcast_to(eye, v.shape[:-1] + (self.dim, self.dim)).copy()
-
-    def legendre(self, xi):
-        return np.asarray(xi, dtype=float).copy()
-
-    def legendre_inverse(self, y):
-        return np.asarray(y, dtype=float).copy()
-
-    def riemannian_part(self):
-        return np.eye(self.dim)
-
-
-@dataclass(frozen=True)
-class RiemannianNorm(MinkowskiNorm):
-    """Constant symmetric positive definite ``a`` on a flat torus."""
-
-    a: np.ndarray
-    family: str = field(default="riemannian", init=False)
-
-    def __post_init__(self):
-        a = _sym2(np.atleast_2d(np.asarray(self.a, dtype=float)))
-        if a.shape[0] not in (1, 2) or a.shape[0] != a.shape[1]:
-            raise UnsupportedFamily(f"bad tensor shape {a.shape}")
-        if np.any(np.linalg.eigvalsh(a) <= 0):
-            raise UnsupportedFamily("tensor must be positive definite")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "a_inv", np.linalg.inv(a))
-
-    @property
-    def dim(self):
-        return self.a.shape[0]
-
-    def norm(self, y):
-        y = np.asarray(y, float)
-        return np.sqrt(np.einsum("...i,ij,...j->...", y, self.a, y))
-
-    def dual_norm(self, xi):
-        xi = np.asarray(xi, float)
-        return np.sqrt(np.einsum("...i,ij,...j->...", xi, self.a_inv, xi))
-
-    def fundamental_tensor_unchecked(self, v):
-        v = np.asarray(v, float)
-        return np.broadcast_to(self.a, v.shape[:-1] + self.a.shape).copy()
-
-    def legendre(self, xi):
-        return np.einsum("ij,...j->...i", self.a_inv, np.asarray(xi, float))
-
-    def legendre_inverse(self, y):
-        return np.einsum("ij,...j->...i", self.a, np.asarray(y, float))
-
-    def riemannian_part(self):
-        return self.a.copy()
-
-
-@dataclass(frozen=True)
 class RandersNorm(MinkowskiNorm):
     """F(y) = sqrt(y . a y) + b . y with |b|_a < 1.
 
@@ -217,10 +146,11 @@ class RandersNorm(MinkowskiNorm):
     family: str = field(default="randers", init=False)
 
     def __post_init__(self):
-        a = _sym2(np.atleast_2d(np.asarray(self.a, dtype=float)))
+        a = np.atleast_2d(np.asarray(self.a, dtype=float))
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if a.shape[0] not in (1, 2) or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
             raise UnsupportedFamily(f"bad shapes a={a.shape}, b={b.shape}")
+        a = _sym2(a)
         if np.any(np.linalg.eigvalsh(a) <= 0):
             raise UnsupportedFamily("tensor must be positive definite")
         a_inv = np.linalg.inv(a)
@@ -295,6 +225,28 @@ class RandersNorm(MinkowskiNorm):
         return self.a.copy()
 
 
+def RiemannianNorm(a) -> RandersNorm:
+    """F(y) = sqrt(y . a y) for a constant symmetric positive definite ``a``:
+    the Randers norm with b = 0, labelled ``riemannian``."""
+    return _quadratic(np.atleast_2d(np.asarray(a, dtype=float)), "riemannian")
+
+
+def EuclideanNorm(dim: int = 1) -> RandersNorm:
+    """F(y) = |y| in dimension 1 or 2: the Randers norm with a = I and
+    b = 0, labelled ``euclidean``."""
+    if dim not in (1, 2):
+        raise UnsupportedFamily(f"dimension {dim} not supported")
+    return _quadratic(np.eye(dim), "euclidean")
+
+
+def _quadratic(a: np.ndarray, family: str) -> RandersNorm:
+    """The Randers norm with tensor ``a`` and b = 0, under a quadratic
+    family label (checks that need g_V = a test the label)."""
+    desc = RandersNorm(a, np.zeros(a.shape[0]))
+    object.__setattr__(desc, "family", family)
+    return desc
+
+
 @dataclass(frozen=True)
 class Asym1DNorm(MinkowskiNorm):
     """One-dimensional norm with distinct forward/backward slopes.
@@ -341,45 +293,13 @@ class Asym1DNorm(MinkowskiNorm):
         return np.array([[0.25 * (self.p_plus + self.p_minus) ** 2]])
 
 
-# ---------------------------------------------------------------------------
-# module-level operations (thin wrappers over descriptor methods)
-# ---------------------------------------------------------------------------
-
-
-def norm(desc: MinkowskiNorm, y) -> np.ndarray:
-    """Evaluate F(y)."""
-    return desc.norm(np.asarray(y, float))
-
-
-def dual_norm(desc: MinkowskiNorm, xi) -> np.ndarray:
-    """Evaluate F*(xi) = sup_{F(y)=1} xi(y)."""
-    return desc.dual_norm(np.asarray(xi, float))
-
-
-def fundamental_tensor(desc: MinkowskiNorm, v) -> np.ndarray:
-    """Fundamental tensor g_ij(v); raises DegenerateVector near v = 0."""
-    return desc.fundamental_tensor(np.asarray(v, float))
-
-
-def legendre(desc: MinkowskiNorm, xi) -> np.ndarray:
-    """Covector-to-vector Legendre map; maps 0 to 0."""
-    return desc.legendre(np.asarray(xi, float))
-
-
-def legendre_inverse(desc: MinkowskiNorm, y) -> np.ndarray:
-    """Vector-to-covector Legendre map y -> g_y(y, .)."""
-    return desc.legendre_inverse(np.asarray(y, float))
-
-
 def reversibility(desc: MinkowskiNorm) -> float:
-    """Exact sup F(-y)/F(y): (1 + |b|_a)/(1 - |b|_a) for Randers, the slope
-    ratio for the asymmetric 1-d norm, 1 for quadratic norms."""
-    if desc.family == "randers":
-        beta = math.sqrt(desc.b_norm_sq)
-        return (1.0 + beta) / (1.0 - beta)
+    """Exact sup F(-y)/F(y): the slope ratio for the asymmetric 1-d norm,
+    else (1 + |b|_a)/(1 - |b|_a), which is 1 for quadratic norms."""
     if desc.family == "asym1d":
         return max(desc.p_plus / desc.p_minus, desc.p_minus / desc.p_plus)
-    return 1.0
+    beta = math.sqrt(desc.b_norm_sq)
+    return (1.0 + beta) / (1.0 - beta)
 
 
 @dataclass(frozen=True)

@@ -16,17 +16,20 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import harnack as harnack_mod
 from . import liyau, semigroup
 from ._version import __version__
-from .config import ExperimentConfig
 from .errors import ConfigError, FinslerHeatError
 from .geometry import ScalarField, ricci_lower_bound
 from .heat import Trajectory, bochner_report, solve_heat_flow
 from .reporting import InequalityReport, json_safe
+
+if TYPE_CHECKING:  # config validates check names against CHECKS
+    from .config import ExperimentConfig
 
 SCHEMA_VERSION = 1
 
@@ -96,32 +99,33 @@ def _resolve_curvature(config, metric, measure):
     return bound.K, bound.provenance
 
 
-def _finite_n(config) -> float:
-    if math.isinf(config.N):
-        raise ConfigError("this check needs a finite N in [checks]")
-    return config.N
+class CheckContext:
+    """What a check reads: the config, the recorded run, the resolved K and
+    the one generator every random field is drawn from. Checks execute in
+    config order, so the stream of random fields is reproducible."""
 
+    def __init__(self, config: ExperimentConfig, traj: Trajectory, K: float, rng):
+        self.config = config
+        self.traj = traj
+        self.K = K
+        self.rng = rng
+        self.grid = traj.grid
+        self.plan = semigroup.TransportPlan(traj, 0, traj.n_times - 1)
+        self.phi = config.build_phi(self.grid)
+        self.t_end = traj.times[-1]
 
-def _check_registry(config, traj: Trajectory, K: float, rng):
-    """Map check names to thunks returning lists of reports.
+    def rand_field(self) -> ScalarField:
+        return ScalarField(self.grid, self.rng.standard_normal(self.grid.n_nodes))
 
-    The thunks close over one shared generator; execution order is the
-    config order, so the stream of random fields is reproducible.
-    """
-    grid = traj.grid
-    plan = semigroup.TransportPlan(traj, 0, traj.n_times - 1)
-    phi = config.build_phi(grid)
-    t_end = traj.times[-1]
+    def rand_positive(self) -> ScalarField:
+        return ScalarField(
+            self.grid, np.exp(0.3 * self.rng.standard_normal(self.grid.n_nodes))
+        )
 
-    def rand_field():
-        return ScalarField(grid, rng.standard_normal(grid.n_nodes))
-
-    def rand_positive():
-        return ScalarField(grid, np.exp(0.3 * rng.standard_normal(grid.n_nodes)))
-
-    def smooth_field():
+    def smooth_field(self) -> ScalarField:
         # band-limited: the variance identity gap is O(dt) only when the
         # field is resolved, white noise would put dt * lambda_max past 1
+        grid, rng = self.grid, self.rng
         pts = grid.coordinates()
         vals = np.zeros(grid.n_nodes)
         for _ in range(4):
@@ -132,93 +136,104 @@ def _check_registry(config, traj: Trajectory, K: float, rng):
             )
         return ScalarField(grid, vals)
 
-    def coeffs():
-        profile = liyau.LiYauProfile.parse(config.profile)
-        return liyau.alpha_phi(profile, K, _finite_n(config), t_end)
+    def draws(self, make, count: int | None = None) -> list:
+        """Each check draws all its fields, in the order of the generator
+        stream, and then transports them as one block."""
+        return [make() for _ in range(count or self.config.n_fields)]
 
-    # each check draws all its fields, in the order of the generator
-    # stream, and then transports them as one block
-    def draws(make, count=config.n_fields):
-        return [make() for _ in range(count)]
+    def random_pairs(self) -> tuple:
+        pairs = self.draws(lambda: (self.rand_field(), self.rand_field()))
+        return tuple(zip(*pairs))
 
-    def do_duality():
-        pairs = draws(lambda: (rand_field(), rand_field()))
-        return semigroup.check_duality(plan, *zip(*pairs))
+    def finite_n(self) -> float:
+        if math.isinf(self.config.N):
+            raise ConfigError("this check needs a finite N in [checks]")
+        return self.config.N
 
-    def do_positivity():
-        return semigroup.check_positivity(plan, draws(rand_positive))
+    def coeffs(self):
+        profile = liyau.LiYauProfile.parse(self.config.profile)
+        return liyau.alpha_phi(profile, self.K, self.finite_n(), self.t_end)
 
-    def do_contraction():
-        return semigroup.check_contraction(plan, draws(rand_field), (1, 2, math.inf))
 
-    def do_order_bounds():
-        gs = draws(rand_positive)
-        lows = [float(np.min(g.values)) for g in gs]
-        highs = [float(np.max(g.values)) for g in gs]
-        return semigroup.check_order_and_bounds(plan, gs, lows, highs)
+def _order_bounds(ctx: CheckContext):
+    gs = ctx.draws(ctx.rand_positive)
+    lows = [float(np.min(g.values)) for g in gs]
+    highs = [float(np.max(g.values)) for g in gs]
+    return semigroup.check_order_and_bounds(ctx.plan, gs, lows, highs)
 
-    def do_cauchy_schwarz():
-        pairs = draws(lambda: (rand_field(), rand_field()))
-        return semigroup.check_cauchy_schwarz(plan, *zip(*pairs))
 
-    def do_variance():
-        # C calibrated against the band limit of smooth_field: worst
-        # observed constant over seeded draws is about 175, so 600 keeps
-        # margin while staying well below any structural failure
-        return semigroup.variance_identity(plan, draws(smooth_field, 3), c_dt=600.0)
+def _semigroup_law(ctx: CheckContext):
+    plan = ctx.plan
+    if plan.end - plan.start < 2:
+        raise ConfigError("semigroup_law needs at least two recorded steps")
+    mid = (plan.start + plan.end) // 2
+    return [semigroup.check_semigroup_law(plan, mid, ctx.rand_field())]
 
-    def do_semigroup_law():
-        if plan.end - plan.start < 2:
-            raise ConfigError("semigroup_law needs at least two recorded steps")
-        mid = (plan.start + plan.end) // 2
-        return [semigroup.check_semigroup_law(plan, mid, rand_field())]
 
-    def do_exp_entropy():
-        if abs(K) > 1e-12:
-            raise ConfigError("exp_entropy applies to certified zero bounds only")
-        return [liyau.check_exp_uu(traj, config.s_time, t_end, phi, _finite_n(config))]
+def _exp_entropy(ctx: CheckContext):
+    if abs(ctx.K) > 1e-12:
+        raise ConfigError("exp_entropy applies to certified zero bounds only")
+    return [
+        liyau.check_exp_uu(ctx.traj, ctx.config.s_time, ctx.t_end, ctx.phi, ctx.finite_n())
+    ]
 
-    def do_weak_logsob():
-        return [liyau.check_log_sob_weak(traj, t_end, phi, K, _finite_n(config))]
 
-    def do_harnack():
-        if not config.harnack_pairs:
-            raise ConfigError("harnack check configured without harnack_pairs")
-        cf = coeffs() if config.harnack_mode == "integral" else None
-        out = []
-        for x1, t1, x2, t2 in config.harnack_pairs:
-            out.append(
-                harnack_mod.verify_harnack(
-                    traj, x1, t1, x2, t2, config.harnack_mode,
-                    N=config.N, K=K, coeffs=cf,
-                )
-            )
-        return out
+def _harnack(ctx: CheckContext):
+    config = ctx.config
+    if not config.harnack_pairs:
+        raise ConfigError("harnack check configured without harnack_pairs")
+    cf = ctx.coeffs() if config.harnack_mode == "integral" else None
+    return [
+        harnack_mod.verify_harnack(
+            ctx.traj, x1, t1, x2, t2, config.harnack_mode, N=config.N, K=ctx.K, coeffs=cf
+        )
+        for x1, t1, x2, t2 in config.harnack_pairs
+    ]
 
-    return {
-        "conservative": lambda: [semigroup.check_conservative(plan)],
-        "duality": do_duality,
-        "semigroup_law": do_semigroup_law,
-        "positivity": do_positivity,
-        "contraction": do_contraction,
-        "order_bounds": do_order_bounds,
-        "cauchy_schwarz": do_cauchy_schwarz,
-        "variance": do_variance,
-        "laplacian_commutation": lambda: [semigroup.laplacian_commutation(plan)],
-        "gradient_estimate": lambda: [semigroup.gradient_estimate_check(plan, K)],
-        "local_logsob": lambda: [semigroup.local_logsob_check(plan, K)],
-        "lipschitz": lambda: [semigroup.lipschitz_decay(traj, K)],
-        "liyau_linear": lambda: [liyau.residual_linear(traj, t_end, coeffs())],
-        "liyau_envelope": lambda: [
-            liyau.residual_psi(traj, t_end, _finite_n(config), K)
-        ],
-        "exp_entropy": do_exp_entropy,
-        "weak_logsob": do_weak_logsob,
-        "harnack": do_harnack,
-        "bochner": lambda: [
-            bochner_report(traj.metric, traj.measure, traj.field_at(0), config.N)
-        ],
-    }
+
+#: every check by its config name: a function of the run's context that
+#: returns the check's reports. ``load_config`` validates names against it.
+CHECKS: dict[str, Callable[[CheckContext], list[InequalityReport]]] = {
+    "conservative": lambda ctx: [semigroup.check_conservative(ctx.plan)],
+    "duality": lambda ctx: semigroup.check_duality(ctx.plan, *ctx.random_pairs()),
+    "semigroup_law": _semigroup_law,
+    "positivity": lambda ctx: semigroup.check_positivity(
+        ctx.plan, ctx.draws(ctx.rand_positive)
+    ),
+    "contraction": lambda ctx: semigroup.check_contraction(
+        ctx.plan, ctx.draws(ctx.rand_field), (1, 2, math.inf)
+    ),
+    "order_bounds": _order_bounds,
+    "cauchy_schwarz": lambda ctx: semigroup.check_cauchy_schwarz(
+        ctx.plan, *ctx.random_pairs()
+    ),
+    # C calibrated against the band limit of smooth_field: worst observed
+    # constant over seeded draws is about 175, so 600 keeps margin while
+    # staying well below any structural failure
+    "variance": lambda ctx: semigroup.variance_identity(
+        ctx.plan, ctx.draws(ctx.smooth_field, 3), c_dt=600.0
+    ),
+    "laplacian_commutation": lambda ctx: [semigroup.laplacian_commutation(ctx.plan)],
+    "gradient_estimate": lambda ctx: [semigroup.gradient_estimate_check(ctx.plan, ctx.K)],
+    "local_logsob": lambda ctx: [semigroup.local_logsob_check(ctx.plan, ctx.K)],
+    "lipschitz": lambda ctx: [semigroup.lipschitz_decay(ctx.traj, ctx.K)],
+    "liyau_linear": lambda ctx: [
+        liyau.residual_linear(ctx.traj, ctx.t_end, ctx.coeffs())
+    ],
+    "liyau_envelope": lambda ctx: [
+        liyau.residual_psi(ctx.traj, ctx.t_end, ctx.finite_n(), ctx.K)
+    ],
+    "exp_entropy": _exp_entropy,
+    "weak_logsob": lambda ctx: [
+        liyau.check_log_sob_weak(ctx.traj, ctx.t_end, ctx.phi, ctx.K, ctx.finite_n())
+    ],
+    "harnack": _harnack,
+    "bochner": lambda ctx: [
+        bochner_report(
+            ctx.traj.metric, ctx.traj.measure, ctx.traj.field_at(0), ctx.config.N
+        )
+    ],
+}
 
 
 def _write_check(out_dir: str, name: str, reports: list[InequalityReport]) -> tuple[str, bool]:
@@ -279,12 +294,11 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
             for a in traj.assemblies
         ],
     )
-    rng = np.random.default_rng(config.seed)
-    registry = _check_registry(config, traj, K, rng)
+    ctx = CheckContext(config, traj, K, np.random.default_rng(config.seed))
     for name in config.checks:
         t0 = time.perf_counter()
         try:
-            reports = registry[name]()
+            reports = CHECKS[name](ctx)
         except FinslerHeatError as exc:
             raise type(exc)(f"check {name}: {exc}") from exc
         clock[name] = time.perf_counter() - t0
@@ -320,12 +334,13 @@ def convergence_table(
     """Worst residual per check across a refinement ladder.
 
     Fits log(residual) against log(h) when every level has a positive
-    residual. A check passes if its fitted order falls in the expected
-    window when one is given, and otherwise if the residual never grows
-    under refinement.
+    residual. A check passes if every level's report passed its own
+    tolerance, every residual is finite, and, when an expected window is
+    given, the fitted order falls in it.
     """
     expected_orders = expected_orders or {}
     by_check: dict[str, list[tuple[float, float, float]]] = {}
+    levels_passed: dict[str, bool] = {}
     for manifest in manifests:
         for name, path in manifest.report_paths.items():
             with open(path) as fh:
@@ -336,6 +351,7 @@ def convergence_table(
             h = manifest.grid_meta["h"]
             dt = manifest.grid_meta["dt"]
             by_check.setdefault(name, []).append((h, dt, worst))
+            levels_passed[name] = levels_passed.get(name, True) and payload["passed"]
     rows = []
     all_pass = True
     for name in sorted(by_check):
@@ -345,13 +361,10 @@ def convergence_table(
         order = None
         if len(triples) >= 2 and np.all(residuals > 0):
             order = float(np.polyfit(np.log(hs), np.log(residuals), 1)[0])
+        passed = levels_passed[name] and bool(np.all(np.isfinite(residuals)))
         if name in expected_orders:
             lo, hi = expected_orders[name]
-            passed = order is not None and lo <= order <= hi
-        else:
-            passed = bool(np.all(np.diff(residuals) <= 0.0)) or bool(
-                np.all(residuals <= 1e-14)
-            )
+            passed = passed and order is not None and lo <= order <= hi
         all_pass = all_pass and passed
         rows.append(
             {

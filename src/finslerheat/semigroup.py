@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DomainError, IndexRange
 from .geometry import ScalarField, differential_field
 from .heat import Trajectory
-from .metrics import dual_norm
 from .numerics import overflow_is_domain_error
 from .reporting import InequalityReport, compare, discretization_tolerance
 
@@ -405,7 +404,7 @@ def lipschitz_decay(trajectory: Trajectory, K: float) -> InequalityReport:
     for k in range(trajectory.n_times):
         u = trajectory.field_at(k)
         du = differential_field(u)
-        lip.append(float(np.max(dual_norm(desc, du.values))))
+        lip.append(float(np.max(desc.dual_norm(du.values))))
         gamma = trajectory.assembly_at(k).carre_du_champ(u.values)
         energy.append(float(np.sqrt(max(np.max(gamma), 0.0))))
     elapsed = np.asarray(trajectory.times) - trajectory.times[0]

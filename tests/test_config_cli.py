@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerheat.cli import main
 from finslerheat.config import (
@@ -554,7 +557,7 @@ def test_convergence_table_fails_a_nan_level_residual(tmp_path):
     for i, (h, residuals) in enumerate(levels):
         path = tmp_path / f"check_{i}.json"
         reports = [{"worst_residual": r} for r in residuals]
-        path.write_text(json.dumps({"reports": reports}))
+        path.write_text(json.dumps({"passed": True, "reports": reports}))
         manifests.append(
             RunManifest(
                 "digest", "0", str(tmp_path), 0, 4.0, 0.0, "analytic",
@@ -566,6 +569,36 @@ def test_convergence_table_fails_a_nan_level_residual(tmp_path):
     (row,) = table["rows"]
     assert math.isnan(row["levels"][1]["worst_residual"])
     assert not row["passed"] and not table["passed"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    residuals=st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_convergence_row_whose_levels_all_pass_never_fails(residuals):
+    # round-off that grows, signed slacks and residuals at any scale: the
+    # row follows its levels' verdicts when no order window is given
+    with tempfile.TemporaryDirectory() as tmp:
+        manifests = []
+        for i, r in enumerate(residuals):
+            path = os.path.join(tmp, f"check_{i}.json")
+            with open(path, "w") as fh:
+                json.dump({"passed": True, "reports": [{"worst_residual": r}]}, fh)
+            h = 0.5 ** (i + 3)
+            manifests.append(
+                RunManifest(
+                    "digest", "0", tmp, 0, 4.0, 0.0, "analytic",
+                    report_paths={"duality": path},
+                    grid_meta={"h": h, "dt": h * h},
+                )
+            )
+        table = convergence_table(manifests)
+    (row,) = table["rows"]
+    assert row["passed"] and table["passed"]
 
 
 # ------------------------------------------------------------------------ cli
@@ -667,6 +700,31 @@ def test_load_config_accepts_every_documented_profile(tmp_path, profile):
     assert config.profile == profile
 
 
+def test_readme_config_example_loads(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        example = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    config = load_config(write_ini(tmp_path, example))
+    assert config.harnack_pairs == ((3, 0.01, 20, 0.03), (5, 0.02, 9, 0.04))
+    assert isinstance(config.descriptor, RandersNorm)
+    assert config.descriptor.b == pytest.approx([0.3])
+
+
+@pytest.mark.parametrize(
+    "dim, metric, family",
+    [
+        (2, "family = riemannian\na = 1.0,0.2,0.8\n", "riemannian"),
+        (2, "family = randers\na = 1.0,0.2,0.8\nb = 0.3,0.1\n", "randers"),
+        (1, "family = asym1d\np_plus = 2\np_minus = 1\n", "asym1d"),
+    ],
+)
+def test_load_config_accepts_every_documented_metric(tmp_path, dim, metric, family):
+    text = f"[grid]\ndim = {dim}\n[metric]\n{metric}[time]\ndt = 1e-3\nt_final = 1e-2\n"
+    config = load_config(write_ini(tmp_path, text))
+    assert config.descriptor.family == family
+    assert config.descriptor.dim == dim
+
+
 @pytest.mark.parametrize("profile", ["sine", "sine:", "sine:wide", "cosine:1"])
 def test_cli_bad_profile_exits_two_before_the_solve(tmp_path, capsys, profile):
     path = write_ini(
@@ -738,6 +796,14 @@ def test_cli_psi_prints_csv(capsys):
     assert len(lines) == 6
     first = [float(v) for v in lines[1].split(",")]
     assert first[0] == pytest.approx(-2.0)
+
+
+def test_cli_psi_underflowing_curvature_times_time_exits_two(capsys):
+    # (K t)^2 = 1e-600 is 0 in double precision: a domain error, one line
+    assert main(["psi", "--N", "3", "--K=-1e-300", "--t", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(K t)^2" in err
+    assert err.count("\n") == 1
 
 
 def test_cli_psi_writes_file(tmp_path, capsys):

@@ -131,6 +131,13 @@ def test_tau_lambda_domain_guards():
         tau_lambda(math.pi**2, 0.5, 1.0)
 
 
+def test_psi_evaluator_rejects_underflowing_curvature_times_time():
+    # (K t)^2 = 1e-600 is 0 in double precision, so x_max = 1 + pi^2/(K t)^2
+    # has no value
+    with pytest.raises(DomainError, match=r"\(K t\)\^2"):
+        PsiEvaluator(3.0, -1e-300, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # profiles
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from finslerheat import (
     check_order_and_bounds,
     check_positivity,
     check_semigroup_law,
-    dual_norm,
     gradient_estimate_check,
     laplacian_commutation,
     lipschitz_decay,
@@ -443,10 +442,9 @@ def test_lipschitz_decay_flat(euclid_traj):
     rep = lipschitz_decay(euclid_traj, 0.0)
     assert rep.passed
     desc = euclid_traj.metric.descriptor
-    first = np.max(dual_norm(desc, differential_field(euclid_traj.field_at(0)).values))
+    first = np.max(desc.dual_norm(differential_field(euclid_traj.field_at(0)).values))
     last = np.max(
-        dual_norm(
-            desc,
+        desc.dual_norm(
             differential_field(euclid_traj.field_at(euclid_traj.n_times - 1)).values,
         )
     )
