@@ -60,15 +60,14 @@ from .liyau import (
     LiYauCoefficients,
     LiYauProfile,
     PsiEvaluator,
-    PsiRoots,
     alpha_phi,
     check_exp_uu,
     check_log_sob_weak,
     entropy_H,
     entropy_production,
+    envelope_zeros,
     kernel_equality_residual,
     linearize_psi,
-    psi_roots,
     residual_linear,
     residual_psi,
     tau_lambda,

@@ -183,6 +183,11 @@ class MeasureField:
         return cls(metric.grid, np.full(metric.grid.n_nodes, f0))
 
 
+#: a curvature bound |K| below this counts as zero: the flat (K = 0) forms
+#: of the envelope, entropy and log-Sobolev checks apply to it
+ZERO_CURVATURE = 1e-10
+
+
 @dataclass(frozen=True)
 class CurvatureBound:
     """Lower bound K with Ric_N(v) >= K F(v)^2 for all directions."""

@@ -237,7 +237,6 @@ def verify_harnack(
     N: float | None = None,
     K: float | None = None,
     coeffs: LiYauCoefficients | None = None,
-    tolerance: float | None = None,
 ) -> InequalityReport:
     """Check one sample pair against the selected bound.
 
@@ -266,16 +265,13 @@ def verify_harnack(
     lhs = np.asarray([u1])
     rhs = np.asarray([bound * u2])
     scale = max(abs(u1), abs(bound * u2) if math.isfinite(bound) else abs(u1), 1e-300)
-    if tolerance is None:
-        dt = getattr(flow, "dt", None)
-        if dt is not None:
-            tolerance = discretization_tolerance(grid.h, dt, scale)
-            rule = "max(10h^2, 10dt) * sample scale"
-        else:
-            tolerance = 1e-8 * scale
-            rule = "1e-8 * sample scale (exact kernel)"
+    dt = getattr(flow, "dt", None)
+    if dt is not None:
+        tolerance = discretization_tolerance(grid.h, dt, scale)
+        rule = "max(10h^2, 10dt) * sample scale"
     else:
-        rule = "caller override"
+        tolerance = 1e-8 * scale
+        rule = "1e-8 * sample scale (exact kernel)"
     meta = {
         "mode": mode,
         "x1": int(f1),

@@ -48,10 +48,6 @@ from .reporting import InequalityReport, compare
 
 SCHEMES = ("implicit_euler", "crank_nicolson", "explicit")
 
-#: default relative residual for the measure-CG step solves; the contract
-#: ceiling is 1e-10, the tighter default keeps adjoint duality near 1e-12
-CG_RTOL = 1e-13
-
 
 @dataclass
 class DiffusionAssembly:
@@ -75,7 +71,6 @@ class DiffusionAssembly:
     #: the constant-coefficient model behind the step preconditioner
     shape: tuple[int, ...]
     stencil: tuple[tuple[tuple[int, ...], float], ...]
-    cg_rtol: float = CG_RTOL
 
     def _w(self, rows: np.ndarray) -> np.ndarray:
         """W applied to one field (n,) or to each row of a stack (m, n)."""
@@ -123,10 +118,7 @@ class DiffusionAssembly:
         def op(x):
             return diag * x - scale * self._w(x)
 
-        return cg_measure(
-            op, rhs, self.sigma, self._preconditioner(dt_eff), x0=rows,
-            rel_tol=self.cg_rtol,
-        ).T
+        return cg_measure(op, rhs, self.sigma, self._preconditioner(dt_eff), x0=rows).T
 
     def _preconditioner(self, dt_eff: float):
         """Approximate inverse of the step operator I + dt_eff * Sigma^-1 L.
@@ -205,13 +197,11 @@ def weighted_laplacian(
     time: float = 0.0,
     dt: float = 0.0,
     scheme: str = "implicit_euler",
-    fallback: np.ndarray | None = None,
 ) -> DiffusionAssembly:
     """Assemble the diffusion operator with tensor g^{ij}(direction).
 
     Degenerate direction nodes fall back to the inverse of the family's
-    Riemannian part (or a caller-supplied symmetric positive definite
-    tensor); their count is recorded on the assembly.
+    Riemannian part; their count is recorded on the assembly.
     """
     grid = metric.grid
     if measure.grid != grid or direction.grid != grid:
@@ -219,7 +209,7 @@ def weighted_laplacian(
     if scheme not in SCHEMES:
         raise UnsupportedFamily(f"unknown scheme {scheme}")
     desc = metric.descriptor
-    ginv, mask = desc.inverse_tensor_field(direction.values, fallback)
+    ginv, mask = desc.inverse_tensor_field(direction.values)
     rho = measure.density
     h_pow = grid.h ** (grid.dim - 2)
 
@@ -299,7 +289,6 @@ def heat_step(
     dt: float,
     scheme: str = "implicit_euler",
     time: float = 0.0,
-    fallback: np.ndarray | None = None,
 ) -> tuple[ScalarField, DiffusionAssembly]:
     """Advance the nonlinear flow by one frozen-coefficient step."""
     if dt <= 0:
@@ -311,7 +300,6 @@ def heat_step(
         time=time,
         dt=dt,
         scheme=scheme,
-        fallback=fallback,
     )
     if scheme == "explicit":
         _check_cfl(metric.grid, dt, assembly.kappa_max)
@@ -337,7 +325,6 @@ class Trajectory:
     scheme: str
     dt: float
     violations: list[dict] = field(default_factory=list)
-    fallback: np.ndarray | None = None
 
     @property
     def grid(self):
@@ -369,7 +356,6 @@ class Trajectory:
             time=self.times[index],
             dt=self.dt,
             scheme=self.scheme,
-            fallback=self.fallback,
         )
         self.assemblies.append(extra)
         return extra
@@ -429,7 +415,6 @@ def solve_heat_flow(
     t_final: float,
     dt: float,
     scheme: str = "implicit_euler",
-    fallback: np.ndarray | None = None,
 ) -> Trajectory:
     """Run the nonlinear flow from 0 to ``t_final`` recording every step.
 
@@ -444,17 +429,13 @@ def solve_heat_flow(
     times = [0.0]
     fields = [u0.values.copy()]
     assemblies: list[DiffusionAssembly] = []
-    traj = Trajectory(
-        metric, measure, times, fields, assemblies, scheme, dt_eff, fallback=fallback
-    )
+    traj = Trajectory(metric, measure, times, fields, assemblies, scheme, dt_eff)
     lo0, hi0 = float(np.min(u0.values)), float(np.max(u0.values))
     drift_tol = 1e-9 * max(1.0, abs(lo0), abs(hi0))
     u = u0
     for k in range(n_steps):
         t = k * dt_eff
-        u, assembly = heat_step(
-            metric, measure, u, dt_eff, scheme, time=t, fallback=fallback
-        )
+        u, assembly = heat_step(metric, measure, u, dt_eff, scheme, time=t)
         assemblies.append(assembly)
         times.append((k + 1) * dt_eff)
         fields.append(u.values)

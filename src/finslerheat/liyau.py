@@ -33,7 +33,7 @@ from .errors import (
     NoRoot,
     ProfileInadmissible,
 )
-from .geometry import ScalarField
+from .geometry import ZERO_CURVATURE, ScalarField
 from .heat import Trajectory
 from .metrics import EuclideanNorm
 from .numerics import elementwise, gauss_legendre, newton_root, overflow_is_domain_error
@@ -59,7 +59,6 @@ _GL_PANELS = 16
 _LINEAR_START = 1e-5
 
 
-@elementwise
 def _t_kernel(w: float) -> float:
     """sqrt(w) cot(sqrt(w)) continued through w <= 0 as r coth(r)."""
     if abs(w) <= SERIES_WINDOW:
@@ -71,7 +70,6 @@ def _t_kernel(w: float) -> float:
     return r / math.tanh(r)
 
 
-@elementwise
 def _t_kernel_prime(w: float) -> float:
     if abs(w) <= SERIES_WINDOW:
         return -1.0 / 3.0 - 2.0 * w / 45.0 - 2.0 * w**2 / 315.0 - 4.0 * w**3 / 4725.0
@@ -459,16 +457,6 @@ class PsiEvaluator:
         return self.psi(x) - self.K * x + 2.0 * self.K
 
 
-@dataclass(frozen=True)
-class PsiRoots:
-    """Certified zeros of the envelope, tagged by curvature sign."""
-
-    mode: str  # "negative" or "positive"
-    chi0: float | None = None
-    chi1: float | None = None
-    chi2: float | None = None
-
-
 def _coth_excess(r: float) -> float:
     """q(r) = r coth r - r = 2r / expm1(2r), to full relative accuracy."""
     return 2.0 * r / math.expm1(min(2.0 * r, 700.0)) if r > 0.0 else 1.0
@@ -533,14 +521,6 @@ def envelope_zeros(K: float, t: float) -> tuple[float, ...]:
     left = math.sqrt(2.0 * kappa * _coth_excess(kappa))
     far = at_gap(math.sqrt(2.0 * kappa) + 1.0)
     return zero(far, 0.0, at_gap(left), 1.0), zero(0.0, 1.0, at_gap(right), -1.0)
-
-
-def psi_roots(evaluator: PsiEvaluator) -> PsiRoots:
-    """:func:`envelope_zeros` of an evaluator, tagged by curvature sign."""
-    zeros = envelope_zeros(evaluator.K, evaluator.t)
-    if evaluator.K < 0:
-        return PsiRoots(mode="negative", chi0=zeros[0])
-    return PsiRoots(mode="positive", chi1=zeros[0], chi2=zeros[1])
 
 
 def linearize_psi(evaluator: PsiEvaluator, x_bar: float):
@@ -621,7 +601,7 @@ def residual_psi(traj: Trajectory, t: float, N: float, K: float) -> InequalityRe
     index = traj.index_of(t)
     _, f2, dt_log = _log_state(traj, index)
     meta = _traj_meta(traj, {"t": t, "N": N, "K": K})
-    if abs(K) < 1e-10:
+    if abs(K) < ZERO_CURVATURE:
         lhs = f2 - dt_log
         rhs = np.full_like(lhs, N / (2.0 * t))
         scale = max(1.0, float(np.max(np.abs(lhs))), N / (2.0 * t))
@@ -790,7 +770,7 @@ def check_log_sob_weak(
     oscillator prefactor written through the signed kernel, which is
     continuous across chi = 1.
     """
-    if abs(K) < 1e-10:
+    if abs(K) < ZERO_CURVATURE:
         raise DomainError("zero bound: use the exponential entropy-gap triple")
     dst = traj.index_of(t)
     if dst == 0:

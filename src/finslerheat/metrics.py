@@ -82,11 +82,10 @@ class MinkowskiNorm:
         a = self.riemannian_part()
         return float(np.sqrt(np.trace(a) / a.shape[0]))
 
-    def degenerate_mask(self, y: np.ndarray, scale: float | None = None) -> np.ndarray:
+    def degenerate_mask(self, y: np.ndarray) -> np.ndarray:
         """True where ``y`` is numerically indistinguishable from zero."""
         mag = np.linalg.norm(np.atleast_2d(y), axis=-1)
-        threshold = EPS_DEGENERATE * self.length_scale * (scale if scale else 1.0)
-        return (mag <= threshold).reshape(np.shape(y)[:-1])
+        return (mag <= EPS_DEGENERATE * self.length_scale).reshape(np.shape(y)[:-1])
 
     def _require_nondegenerate(self, y: np.ndarray) -> None:
         if np.any(self.degenerate_mask(y)):
@@ -94,23 +93,16 @@ class MinkowskiNorm:
                 f"{self.family}: vector magnitude below {EPS_DEGENERATE} x scale"
             )
 
-    def inverse_tensor_field(
-        self, v: np.ndarray, fallback: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse fundamental tensor per row of ``v`` with degenerate fallback.
-
-        Returns ``(ginv, mask)`` where ``mask`` flags rows that received the
-        fallback tensor (the inverse of :meth:`riemannian_part` unless a
-        custom symmetric positive definite ``fallback`` is supplied).
-        """
+    def inverse_tensor_field(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse fundamental tensor per row of ``v``; ``mask`` flags the
+        degenerate rows, which get the inverse of :meth:`riemannian_part`.
+        Returns ``(ginv, mask)``."""
         v = np.asarray(v, dtype=float)
         mask = self.degenerate_mask(v)
         safe = np.where(mask[..., None], self._unit_substitute(), v)
         g = self.fundamental_tensor_unchecked(safe)
         ginv = _invert_spd(g)
-        fb = self.riemannian_part() if fallback is None else np.asarray(fallback, float)
-        fbinv = _invert_spd(fb[None, ...])[0]
-        ginv[mask] = fbinv
+        ginv[mask] = _invert_spd(self.riemannian_part()[None, ...])[0]
         return ginv, mask
 
     def _unit_substitute(self) -> np.ndarray:

@@ -98,9 +98,10 @@ def cg_measure(
     rhs: np.ndarray,
     sigma: np.ndarray,
     precond: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray | None = None,
+    x0: np.ndarray,
+    # the contract ceiling is 1e-10; the tighter default keeps adjoint
+    # duality near 1e-12
     rel_tol: float = 1e-13,
-    max_iter: int | None = None,
 ) -> np.ndarray:
     """Preconditioned conjugate gradient for an operator self-adjoint (and
     positive definite) in the measure inner product
@@ -115,15 +116,14 @@ def cg_measure(
     when its (unpreconditioned) measure-norm residual is below ``rel_tol``
     (floored at 64 eps) times that of its right-hand side, or after 20
     iterations without a new best residual (the round-off floor). Raises
-    :class:`SolverDivergence` if one is still iterating after ``max_iter``
-    iterations (default ``10 * n``).
+    :class:`SolverDivergence` if one is still iterating after ``10 * n``
+    iterations.
     """
     b = np.ascontiguousarray(np.atleast_2d(rhs), dtype=float)
     m, n = b.shape
-    x = np.array(b if x0 is None else np.atleast_2d(x0), dtype=float, order="C")
+    x = np.array(np.atleast_2d(x0), dtype=float, order="C")
     tol2 = max(rel_tol, 64.0 * np.finfo(float).eps) ** 2
-    if max_iter is None:
-        max_iter = 10 * n
+    max_iter = 10 * n
     width = max(1, CG_BLOCK_ELEMENTS // n)
     for lo in range(0, m, width):
         chunk = slice(lo, lo + width)

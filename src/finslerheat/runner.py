@@ -24,7 +24,7 @@ from . import harnack as harnack_mod
 from . import liyau, semigroup
 from ._version import __version__
 from .errors import ConfigError, FinslerHeatError
-from .geometry import ScalarField, ricci_lower_bound
+from .geometry import ZERO_CURVATURE, ScalarField, ricci_lower_bound
 from .heat import Trajectory, bochner_report, solve_heat_flow
 from .reporting import InequalityReport, json_safe
 
@@ -58,21 +58,7 @@ class RunManifest:
         return len(self.failed_checks)
 
     def to_dict(self) -> dict:
-        return json_safe({
-            "schema_version": SCHEMA_VERSION,
-            "config_digest": self.config_digest,
-            "tool_version": self.tool_version,
-            "out_dir": self.out_dir,
-            "seed": self.seed,
-            "n_effective": self.n_effective,
-            "k_resolved": self.k_resolved,
-            "k_provenance": self.k_provenance,
-            "report_paths": self.report_paths,
-            "failed_checks": self.failed_checks,
-            "wall_clock": self.wall_clock,
-            "grid_meta": self.grid_meta,
-            "solver_steps": self.solver_steps,
-        })
+        return json_safe({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(self)})
 
     def write(self) -> str:
         path = os.path.join(self.out_dir, "manifest.json")
@@ -171,7 +157,7 @@ def _semigroup_law(ctx: CheckContext):
 
 
 def _exp_entropy(ctx: CheckContext):
-    if abs(ctx.K) > 1e-12:
+    if abs(ctx.K) >= ZERO_CURVATURE:
         raise ConfigError("exp_entropy applies to certified zero bounds only")
     return [
         liyau.check_exp_uu(ctx.traj, ctx.config.s_time, ctx.t_end, ctx.phi, ctx.finite_n())

@@ -20,10 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, IndexRange
-from .geometry import ScalarField, differential_field
+from .geometry import ZERO_CURVATURE, ScalarField, differential_field
 from .heat import Trajectory
 from .numerics import overflow_is_domain_error
 from .reporting import InequalityReport, compare, discretization_tolerance
+
+#: tolerance of the round-off checks: conservation, duality, semigroup law
+ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,20 +119,20 @@ def _log_carre(assembly, u: np.ndarray) -> np.ndarray:
     return assembly.carre_du_champ(np.log(u))
 
 
-def check_conservative(plan: TransportPlan, tol: float = 1e-12) -> InequalityReport:
+def check_conservative(plan: TransportPlan) -> InequalityReport:
     """Transported constants stay constant; exact by the stored row sums."""
     out = plan.run(np.ones(plan.trajectory.grid.n_nodes))
     return compare(
         "conservative",
         np.abs(out - 1.0),
         np.zeros_like(out),
-        tol,
-        "absolute 1e-12 (structural identity)",
+        ROUNDOFF,
+        f"absolute {ROUNDOFF:g} (structural identity)",
         grid_meta=plan.grid_meta(),
     )
 
 
-def check_duality(plan: TransportPlan, g, psi, tol: float = 1e-12):
+def check_duality(plan: TransportPlan, g, psi):
     """<psi, P g>_m equals <adjoint-P psi, g>_m up to solver tolerance.
 
     ``g`` and ``psi`` are fields or equal-length lists of fields; for lists
@@ -146,13 +149,11 @@ def check_duality(plan: TransportPlan, g, psi, tol: float = 1e-12):
         a = float(np.sum(pj * fwd * sig))
         b = float(np.sum(adj * gj * sig))
         scale = max(1.0, abs(a), abs(b))
-        cases.append(("duality", np.array([abs(a - b)]), np.array([0.0]), tol * scale))
-    return _reports(plan, single, "1e-12 * pairing scale", cases)
+        cases.append(("duality", np.array([abs(a - b)]), np.array([0.0]), ROUNDOFF * scale))
+    return _reports(plan, single, f"{ROUNDOFF:g} * pairing scale", cases)
 
 
-def check_semigroup_law(
-    plan: TransportPlan, mid: int, g: ScalarField, tol: float = 1e-12
-) -> InequalityReport:
+def check_semigroup_law(plan: TransportPlan, mid: int, g: ScalarField) -> InequalityReport:
     """Composition through an intermediate index equals direct transport.
 
     Same operator product in the same order, so the gap is exactly zero in
@@ -173,8 +174,8 @@ def check_semigroup_law(
         "semigroup-law",
         np.abs(two - direct),
         np.zeros_like(direct),
-        tol,
-        "absolute 1e-12 (bitwise identity expected)",
+        ROUNDOFF,
+        f"absolute {ROUNDOFF:g} (bitwise identity expected)",
         grid_meta=plan.grid_meta(),
     )
 
@@ -340,8 +341,8 @@ def gradient_estimate_check(plan: TransportPlan, K: float) -> InequalityReport:
 
 def _logsob_coefficients(K: float, delta: float) -> tuple[float, float]:
     """Coefficients of the two local log-Sobolev directions; both tend to
-    -delta as K tends to zero, which is the limit branch used below 1e-10."""
-    if abs(K) < 1e-10:
+    -delta as K tends to zero, which is the limit branch used for a zero bound."""
+    if abs(K) < ZERO_CURVATURE:
         return -delta, -delta
     with overflow_is_domain_error(f"exp(2|K| t) at K = {K:g}, t = {delta:g}"):
         c_forward = (1.0 - math.exp(2.0 * K * delta)) / (2.0 * K)

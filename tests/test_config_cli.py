@@ -688,6 +688,31 @@ def test_cli_exponential_overflow_exits_two(tmp_path, capsys, check, K):
     assert err.count("\n") == 1
 
 
+def test_cli_tiny_curvature_counts_as_zero_for_both_entropy_checks(tmp_path, capsys):
+    # |K| below the zero-curvature threshold: the exponential entropy check
+    # runs and the weak log-Sobolev pair refers to it, never both refusing
+    path = write_ini(
+        tmp_path,
+        GOOD.replace("sin(1)", "sin(1, 0.3)").replace(
+            "dt = 1e-3\n    t_final = 5e-3", "dt = 2e-3\n    t_final = 2e-2"
+        ),
+        f"""\
+        [checks]
+        names = exp_entropy, weak_logsob
+        N = 3
+        K = 5e-11
+        s = 0.01
+        [output]
+        dir = {tmp_path / "runs"}
+        """,
+    )
+    assert main(["check", path, "--only", "exp_entropy"]) == 0
+    capsys.readouterr()
+    assert main(["check", path, "--only", "weak_logsob"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: check weak_logsob: zero bound: use the exponential entropy-gap triple\n"
+
+
 def test_load_config_rejects_unknown_profile(tmp_path):
     with pytest.raises(ConfigError, match="unknown profile 'banana'"):
         checked_config(tmp_path, "[checks]\nnames = liyau_linear\nN = 8\nprofile = banana\n")

@@ -420,10 +420,3 @@ def test_harnack_argument_errors():
     with pytest.raises(DomainError):
         verify_harnack(flow, 0, 0.05, 1, 0.1, "sharp", N=1.0, K=0.0)
 
-
-def test_harnack_tolerance_override():
-    flow = circle_kernel_flow()
-    rep = verify_harnack(flow, 0, 0.05, 3, 0.1, "lf", N=1.0, K=0.0, tolerance=0.5)
-    assert rep.tolerance == 0.5
-    assert rep.tolerance_rule == "caller override"
-

@@ -147,6 +147,23 @@ def test_assembly_weighted_drift_term():
     assert gap <= 100 * grid.h**2 * (2 * math.pi) ** 2
 
 
+def test_degenerate_nodes_get_the_inverse_riemannian_part():
+    grid = TorusGrid(2, 12)
+    desc = RandersNorm(np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([0.3, 0.1]))
+    metric = MetricField(grid, desc)
+    x, y = grid.coordinates().T
+    v = np.column_stack([1.5 + np.cos(2 * math.pi * x), np.sin(2 * math.pi * y)])
+    zeros = [5, 40, 131]
+    v[zeros] = 0.0
+    assert np.count_nonzero(np.all(v == 0.0, axis=1)) == 3
+    ginv, mask = desc.inverse_tensor_field(v)
+    assert np.array_equal(np.flatnonzero(mask), zeros)
+    expected = np.linalg.inv(desc.riemannian_part())
+    np.testing.assert_allclose(ginv[mask], np.stack([expected] * 3), rtol=1e-14)
+    asm = weighted_laplacian(metric, MeasureField.lebesgue(grid), VectorField(grid, v))
+    assert asm.degenerate_nodes == 3
+
+
 def test_carre_du_champ_matches_quadratic_form():
     # Gamma(u) from the assembly against its defining combination
     grid, metric, measure = euclid_setup(32)
@@ -428,18 +445,6 @@ def test_trajectory_export_roundtrip(tmp_path):
     assert meta["times"] == [0.0, pytest.approx(0.01)]
     first = (tmp_path / "field_0.000000.csv").read_text().strip().splitlines()
     assert len(first) == grid.n_nodes + 1  # header plus one row per node
-
-
-def test_flow_fallback_independent_without_degenerate_nodes():
-    grid, metric, measure = euclid_setup(64)
-    x = grid.coordinates()[:, 0]
-    u0 = ScalarField(grid, 1.0 + 0.5 * np.sin(2 * math.pi * x + 0.3))
-    t1 = solve_heat_flow(metric, measure, u0, 0.02, 1e-3)
-    t2 = solve_heat_flow(metric, measure, u0, 0.02, 1e-3, fallback=np.array([[9.0]]))
-    if all(a.degenerate_nodes == 0 for a in t1.assemblies):
-        np.testing.assert_array_equal(t1.fields[-1], t2.fields[-1])
-    else:
-        assert np.max(np.abs(t1.fields[-1] - t2.fields[-1])) <= 1e-8
 
 
 def test_time_derivative_commutes_with_gradient_energy():

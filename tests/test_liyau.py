@@ -24,9 +24,9 @@ from finslerheat import (
     check_log_sob_weak,
     entropy_H,
     entropy_production,
+    envelope_zeros,
     kernel_equality_residual,
     linearize_psi,
-    psi_roots,
     residual_linear,
     residual_psi,
     ricci_lower_bound,
@@ -430,41 +430,38 @@ def test_psi_tilde_identity():
 
 def test_roots_negative_bound():
     ev = PsiEvaluator(3.0, -1.0, 1.0)
-    roots = psi_roots(ev)
-    assert roots.mode == "negative"
-    assert roots.chi0 == pytest.approx(2.7070529755500545, abs=1e-9)
-    assert abs(ev.psi(roots.chi0)) <= 1e-9
-    assert roots.chi1 is None and roots.chi2 is None
+    (chi0,) = envelope_zeros(-1.0, 1.0)
+    assert chi0 == pytest.approx(2.7070529755500545, abs=1e-9)
+    assert abs(ev.psi(chi0)) <= 1e-9
 
 
 def test_roots_positive_bound():
     ev = PsiEvaluator(3.0, 1.0, 2.5)
-    roots = psi_roots(ev)
-    assert roots.mode == "positive"
-    assert roots.chi1 == pytest.approx(-0.27030673424496854, abs=1e-9)
-    assert roots.chi2 == pytest.approx(0.4953150978813028, abs=1e-9)
-    assert abs(ev.psi(roots.chi1)) <= 1e-9
-    assert abs(ev.psi(roots.chi2)) <= 1e-9
+    chi1, chi2 = envelope_zeros(1.0, 2.5)
+    assert chi1 == pytest.approx(-0.27030673424496854, abs=1e-9)
+    assert chi2 == pytest.approx(0.4953150978813028, abs=1e-9)
+    assert abs(ev.psi(chi1)) <= 1e-9
+    assert abs(ev.psi(chi2)) <= 1e-9
 
 
 def test_roots_positive_bound_needs_late_time():
     with pytest.raises(NoRoot):
-        psi_roots(PsiEvaluator(3.0, 1.0, 1.9))
+        envelope_zeros(1.0, 1.9)
     # at exactly t = 2/K the envelope vanishes at 1
-    roots = psi_roots(PsiEvaluator(3.0, 2.0, 1.0))
-    assert roots.chi2 == 1.0
+    _, chi2 = envelope_zeros(2.0, 1.0)
+    assert chi2 == 1.0
 
 
 @pytest.mark.parametrize("kappa", [2.5, 12.0, 40.0, 150.0])
 def test_positive_roots_stay_accurate_where_they_merge(kappa):
     # with r = kappa sqrt(1 - x) the zeros solve (r - kappa)^2 = 2 kappa q(r),
     # q(r) = r coth r - r = 2r / expm1(2r); their gap shrinks like e^-kappa
-    roots = psi_roots(PsiEvaluator(3.0, 1.0, kappa))
-    for chi in (roots.chi1, roots.chi2):
+    chi1, chi2 = envelope_zeros(1.0, kappa)
+    for chi in (chi1, chi2):
         gap = -kappa * chi / (1.0 + math.sqrt(1.0 - chi))
         r = kappa + gap
         assert gap * gap == pytest.approx(2.0 * kappa * 2.0 * r / math.expm1(2.0 * r), rel=1e-12)
-    assert roots.chi1 < 0.0 < roots.chi2
+    assert chi1 < 0.0 < chi2
 
 
 def test_linearize_rejects_out_of_domain_tangent():
