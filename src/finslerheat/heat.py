@@ -15,9 +15,11 @@ antidiagonal edge matching the sign of g12. Strongly anisotropic tensors can
 make axis weights negative, which is allowed: minimum-principle violations
 are logged, never clamped.
 
-Every implicit step, in the solver and in transport alike, is one measure-CG
-solve preconditioned by the FFT inverse of the same step with every edge
-weight replaced by its direction's mean (see DiffusionAssembly.advance).
+Every implicit step, in the solver and in transport alike, is one
+preconditioned measure-CG solve (see DiffusionAssembly.advance). In 1-d the
+preconditioner is the exact inverse of the step, from a banded Cholesky
+factor built once per assembly; in 2-d it is the FFT inverse of the same step
+with every edge weight replaced by its direction's mean.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy import fft
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 
 from .errors import CflViolation, IndexRange, UnsupportedFamily
 from .geometry import (
@@ -68,9 +72,11 @@ class DiffusionAssembly:
     kappa_max: float
     degenerate_nodes: int
     #: grid shape and (offset, mean edge weight) of each stencil direction,
-    #: the constant-coefficient model behind the step preconditioner
+    #: the constant-coefficient model behind the 2-d step preconditioner
     shape: tuple[int, ...]
     stencil: tuple[tuple[tuple[int, ...], float], ...]
+    #: (dt_eff, exact step inverse) of a 1-d assembly, built on first use
+    _exact: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _w(self, rows: np.ndarray) -> np.ndarray:
         """W applied to one field (n,) or to each row of a stack (m, n)."""
@@ -121,6 +127,52 @@ class DiffusionAssembly:
         return cg_measure(op, rhs, self.sigma, self._preconditioner(dt_eff), x0=rows).T
 
     def _preconditioner(self, dt_eff: float):
+        """Preconditioner of the step operator I + dt_eff * Sigma^-1 L: its
+        exact inverse in 1-d, kept on the assembly after the first call, and
+        the FFT model of :meth:`_fft_inverse` in 2-d. Either is self-adjoint
+        and positive definite in the sigma inner product."""
+        if len(self.shape) > 1:
+            return self._fft_inverse(dt_eff)
+        if self._exact is None or self._exact[0] != dt_eff:
+            self._exact = (dt_eff, self._exact_inverse(dt_eff))
+        return self._exact[1]
+
+    def _exact_inverse(self, dt_eff: float):
+        """Exact inverse r -> A^-1 Sigma r of the 1-d step, A = Sigma + dt_eff L.
+
+        A is tridiagonal plus the two periodic corners c = A[0, n-1]. With
+        gamma = -A[0, 0], u = (gamma, 0, ..., 0, c) and v = (1, 0, ..., 0,
+        c / gamma), B = A - u v^T has no corners and B - A is positive
+        semi-definite, so B has a banded Cholesky factor; Sherman-Morrison
+        gives A^-1 y = x - z (v.x) / (1 + v.z) with x = B^-1 y, z = B^-1 u.
+        The factor and z are about 3n floats. LAPACK's dpbtrs solves each
+        right-hand side alone, so a row's result does not depend on its stack.
+        """
+        n = self.shape[0]
+        full = self.sigma + dt_eff * self.degree
+        corner = -dt_eff * self.weights.diagonal(1 - n)[0]
+        gamma = -full[0]
+        band = np.zeros((2, n))
+        band[0, 1:] = -dt_eff * self.weights.diagonal(1)
+        band[1] = full
+        band[1, 0] -= gamma
+        band[1, -1] -= corner * corner / gamma
+        chol = cholesky_banded(band)
+        u = np.zeros((n, 1))
+        u[0], u[-1] = gamma, corner
+        z = dpbtrs(chol, u)[0][:, 0]
+        ratio = corner / gamma
+        z /= 1.0 + z[0] + ratio * z[-1]
+        sigma = self.sigma
+
+        def precond(r):
+            x = dpbtrs(chol, (sigma * r).T, overwrite_b=1)[0].T
+            x -= (x[:, :1] + ratio * x[:, -1:]) * z
+            return x
+
+        return precond
+
+    def _fft_inverse(self, dt_eff: float):
         """Approximate inverse of the step operator I + dt_eff * Sigma^-1 L.
 
         With every edge weight replaced by the mean of its stencil direction,
@@ -181,7 +233,6 @@ def _face_average(grid, node_values: np.ndarray, axis_offsets) -> np.ndarray:
 
 
 def _edge_indices(grid, axis_offsets) -> tuple[np.ndarray, np.ndarray]:
-    n = grid.nodes_per_axis
     idx = np.arange(grid.n_nodes).reshape(grid.shape)
     rolled = idx
     for ax, off in enumerate(axis_offsets):

@@ -86,10 +86,11 @@ def newton_root(
 
 #: working-set size, in array elements, of one lockstep CG sweep: m fields
 #: on n nodes are solved in chunks of max(1, C // n). Small grids share the
-#: per-iteration overhead of the sparse product and the FFT round trip
-#: (1-d, n = 128, one implicit step of a random field: 0.025-0.035 ms per
-#: field in chunks of 32, 0.44-0.61 ms alone); at 64^2 a field runs alone,
-#: 4.1-5.7 ms per step. 2-core Xeon, one thread, numpy 2.4, scipy 1.17.
+#: per-call overhead of the sparse product and the preconditioner (1-d
+#: Randers, n = 128, dt = 5e-4, one implicit step of a random field with the
+#: banded Cholesky preconditioner: 0.007-0.011 ms per field in chunks of 32,
+#: 0.07-0.12 ms alone); at 64^2 a field runs alone, 4.1-5.7 ms per step.
+#: 2-core Xeon, one thread, numpy 2.4, scipy 1.17.
 CG_BLOCK_ELEMENTS = 4096
 
 

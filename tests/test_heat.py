@@ -337,6 +337,80 @@ def test_step_solve_is_preconditioned(monkeypatch):
     assert np.sum(residual**2 * sig) <= 1e-24 * np.sum(g**2 * sig)
 
 
+def randers_1d_assembly(nodes, dt, scheme="implicit_euler", weighted=True):
+    """1-d Randers (b = 0.3) step at the criterion-7 initial field, with the
+    weight f = 0.2 cos 2 pi x or the Lebesgue measure."""
+    grid = TorusGrid(1, nodes)
+    metric = MetricField(grid, RandersNorm(np.eye(1), np.array([0.3])))
+    x = grid.coordinates()[:, 0]
+    measure = (
+        MeasureField(grid, 0.2 * np.cos(2 * math.pi * x))
+        if weighted
+        else MeasureField.lebesgue(grid)
+    )
+    u = ScalarField(grid, 1.0 + 0.5 * np.sin(2 * math.pi * x + 0.3))
+    return weighted_laplacian(metric, measure, gradient_field(metric, u), dt=dt, scheme=scheme)
+
+
+@pytest.mark.parametrize("width", [1, 3, 200])
+@pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+@pytest.mark.parametrize("family", ["randers", "weighted_euclidean"])
+def test_advance_block_columns_match_single_fields_1d(family, scheme, width):
+    # the 1-d step is preconditioned by its banded Cholesky factor; a
+    # 200-column block spans two CG chunks of 32 nodes
+    assert numerics.CG_BLOCK_ELEMENTS // 32 < 200
+    if family == "randers":
+        asm = randers_1d_assembly(32, 1e-3, scheme, weighted=False)
+    else:
+        grid, metric, _ = euclid_setup(32)
+        x = grid.coordinates()[:, 0]
+        measure = MeasureField(grid, 0.2 * np.cos(2 * math.pi * x))
+        direction = gradient_field(metric, shifted_sine(grid))
+        asm = weighted_laplacian(metric, measure, direction, dt=1e-3, scheme=scheme)
+    block = np.random.default_rng(width).standard_normal((32, width))
+    out = asm.advance(block)
+    assert out.shape == block.shape
+    for j in range(width):
+        assert np.array_equal(out[:, j], asm.advance(block[:, j]))
+
+
+@pytest.mark.parametrize("nodes", [8, 9, 128, 512])
+def test_step_preconditioner_is_the_exact_step_inverse_in_1d(nodes):
+    # n = 8 is the smallest grid, where the periodic corners weigh most
+    dt = 5e-4
+    asm = randers_1d_assembly(nodes, dt)
+    eye = np.eye(nodes)
+    step = eye - dt * asm.apply(eye)  # column i: I + dt Sigma^-1 L on node i
+    precond = asm._preconditioner(dt)
+    np.testing.assert_allclose(precond(step.T), eye, rtol=0, atol=1e-12)
+    mat = precond(eye).T
+    gram = asm.sigma[:, None] * mat
+    np.testing.assert_allclose(gram, gram.T, rtol=0, atol=1e-12 * np.max(np.abs(gram)))
+    assert np.min(np.linalg.eigvalsh(0.5 * (gram + gram.T))) > 0.0
+
+
+def test_1d_step_solve_needs_at_most_three_operator_applications(monkeypatch):
+    # one implicit step of a random field on the criterion-7 setup (1-d
+    # Randers, n = 128, dt = 5e-4); the FFT model took about 22 here
+    asm = randers_1d_assembly(128, 5e-4, weighted=False)
+    calls = []
+
+    def counting(apply_op, rhs, sigma, *args, **kwargs):
+        def op(x):
+            calls.append(1)
+            return apply_op(x)
+
+        return numerics.cg_measure(op, rhs, sigma, *args, **kwargs)
+
+    monkeypatch.setattr(heat, "cg_measure", counting)
+    g = np.random.default_rng(0).standard_normal(128)
+    out = asm.advance(g)
+    assert len(calls) <= 3
+    residual = g - out + asm.dt * asm.apply(out)
+    sig = asm.sigma
+    assert np.sum(residual**2 * sig) <= 1e-24 * np.sum(g**2 * sig)
+
+
 def test_heat_step_conserves_mass():
     grid, metric, _ = euclid_setup(64)
     measure = MeasureField.from_log_density(grid, lambda x: 0.3 * math.cos(2 * math.pi * x))
