@@ -31,7 +31,6 @@ from .geometry import (
     TorusGrid,
     VectorField,
     finsler_distance,
-    gradient_energy,
     gradient_field,
     integrate,
     ricci_lower_bound,
@@ -52,7 +51,6 @@ from .heat import (
     Trajectory,
     bochner_residual,
     heat_step,
-    nonlinear_laplacian,
     solve_heat_flow,
     weighted_laplacian,
 )
@@ -63,14 +61,11 @@ from .liyau import (
     alpha_phi,
     check_exp_uu,
     check_log_sob_weak,
-    entropy_H,
-    entropy_production,
     envelope_zeros,
     kernel_equality_residual,
     linearize_psi,
     residual_linear,
     residual_psi,
-    tau_lambda,
 )
 from .metrics import (
     Asym1DNorm,
@@ -95,7 +90,6 @@ from .semigroup import (
     laplacian_commutation,
     lipschitz_decay,
     local_logsob_check,
-    plan_for_times,
     transport,
     variance_identity,
 )

@@ -130,7 +130,7 @@ def _cmd_harnack_bounds(args) -> int:
             coeffs, args.d, args.t1, args.t2
         )
         payload["integral_profile"] = profile.variant
-    print(json.dumps(payload, indent=2, sort_keys=True, default=float))
+    print(json.dumps(json_safe(payload), indent=2, sort_keys=True, default=float, allow_nan=False))
     return 0
 
 

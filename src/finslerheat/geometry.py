@@ -151,10 +151,6 @@ class MeasureField:
     def sigma(self) -> np.ndarray:
         return self.density * self.grid.h**self.grid.dim
 
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.sigma))
-
     @classmethod
     def lebesgue(cls, grid: TorusGrid) -> "MeasureField":
         return cls(grid, np.zeros(grid.n_nodes))
@@ -162,25 +158,6 @@ class MeasureField:
     @classmethod
     def from_log_density(cls, grid: TorusGrid, fn) -> "MeasureField":
         return cls(grid, ScalarField.from_function(grid, fn).values)
-
-    @classmethod
-    def busemann_hausdorff(cls, metric: MetricField) -> "MeasureField":
-        """Constant measure whose density matches the norm's unit-ball volume.
-
-        For Randers norms the unit ball is an ellipsoid and the density is
-        sqrt(det a) (1 - |b|_a^2)^{(n+1)/2}, which is sqrt(det a) at b = 0.
-        """
-        desc = metric.descriptor
-        n = desc.dim
-        if desc.family == "asym1d":
-            # unit ball is (-1/p_minus, 1/p_plus); match its length to 2
-            density = 2.0 * desc.p_plus * desc.p_minus / (desc.p_plus + desc.p_minus)
-        else:
-            density = math.sqrt(np.linalg.det(desc.a)) * (1.0 - desc.b_norm_sq) ** (
-                (n + 1) / 2.0
-            )
-        f0 = -math.log(density)
-        return cls(metric.grid, np.full(metric.grid.n_nodes, f0))
 
 
 #: a curvature bound |K| below this counts as zero: the flat (K = 0) forms
@@ -321,14 +298,4 @@ def gradient_field(metric: MetricField, u: ScalarField) -> VectorField:
     grad = desc.legendre(du)
     grad[mask] = 0.0
     return VectorField(u.grid, grad)
-
-
-def gradient_energy(metric: MetricField, u: ScalarField) -> np.ndarray:
-    """F^2 of the metric gradient per node, computed through the dual norm.
-
-    F*(du) equals F(grad u) by the Legendre identities, so no transform is
-    needed; degenerate nodes contribute zero automatically.
-    """
-    du = _differential(u.grid, u.values)
-    return metric.descriptor.dual_norm(du) ** 2
 

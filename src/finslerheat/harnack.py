@@ -25,21 +25,20 @@ from .numerics import elementwise, gauss_legendre, newton_root
 from .reporting import InequalityReport, compare, discretization_tolerance
 
 #: time integrals: 8-point Gauss-Legendre per panel, checked against 12 points
-#: to _RULE_AGREEMENT times the integral of |f|. lf integrand gaps stay below
-#: 1e-15; table coefficients gave up to 5.6e-7 across knots, hence the split.
+#: to _RULE_AGREEMENT times the integral of |f|; lf integrand gaps stay
+#: below 1e-15.
 _RULES = (gauss_legendre(8), gauss_legendre(12))
 _RULE_AGREEMENT = 1e-10
 
 
-def _panel_integral(integrand, t1: float, t2: float, knots=()) -> np.ndarray:
-    """Integral over [t1, t2] on max(1, ceil(log2(t2/t1))) geometric panels
-    split at the ``knots`` inside; ``integrand`` maps increasing times to
-    values, one row each. Raises NoConvergence when the rules disagree."""
+def _panel_integral(integrand, t1: float, t2: float) -> np.ndarray:
+    """Integral over [t1, t2] on max(1, ceil(log2(t2/t1))) geometric panels;
+    ``integrand`` maps increasing times to values, one row each. Raises
+    NoConvergence when the rules disagree."""
     if not 0.0 < t1 < t2:
         raise DomainError("need 0 < t1 < t2")
     count = max(1, math.ceil(math.log2(t2 / t1)))
     edges = t1 * (t2 / t1) ** (np.arange(count + 1) / count)
-    edges = np.union1d(edges, [k for k in knots if t1 < k < t2])
     widths = np.diff(edges)
     sums = []
     for nodes, weights in _RULES:
@@ -155,10 +154,9 @@ def harnack_bound_integral(
     """Integral-form bound from a coefficient pair.
 
     exp of d^2/(4 (t2-t1)^2) times the alpha integral plus the integral of
-    phi/alpha, on the panels of :func:`_panel_integral` split at the
-    coefficients' knots. Valid only while alpha keeps one sign; a crossing
-    on [t1, t2] aborts with AlphaSignChange since the quadratic completion
-    behind the formula fails there.
+    phi/alpha, on the panels of :func:`_panel_integral`. Valid only while
+    alpha keeps one sign; a crossing on [t1, t2] aborts with AlphaSignChange
+    since the quadratic completion behind the formula fails there.
     """
     if not 0.0 < t1 < t2:
         raise DomainError("need 0 < t1 < t2")
@@ -173,7 +171,7 @@ def harnack_bound_integral(
         pairs = [(coeffs.alpha(s), coeffs.phi(s)) for s in times.tolist()]
         return np.asarray([(alpha, phi / alpha) for alpha, phi in pairs])
 
-    int_alpha, int_phi = _panel_integral(integrand, t1, t2, coeffs.knots)
+    int_alpha, int_phi = _panel_integral(integrand, t1, t2)
     return _exp_bound(d * d / (4.0 * (t2 - t1) ** 2) * int_alpha + int_phi)
 
 

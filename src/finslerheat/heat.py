@@ -319,14 +319,6 @@ def weighted_laplacian(
     )
 
 
-def nonlinear_laplacian(
-    metric: MetricField, measure: MeasureField, u: ScalarField
-) -> ScalarField:
-    """Nonlinear operator: freeze V = grad u, apply the frozen assembly to u."""
-    assembly = weighted_laplacian(metric, measure, gradient_field(metric, u))
-    return ScalarField(u.grid, assembly.apply(u.values))
-
-
 def _check_cfl(grid, dt: float, kappa_max: float):
     limit = grid.h**2 / (2.0 * grid.dim * kappa_max)
     if dt > limit:

@@ -2,8 +2,8 @@
 
 Everything here feeds one inequality family: pointwise bounds of the form
 F^2(grad log u) - alpha(t) dtlog u <= phi(t) for positive solutions, their
-sharp concave envelope Psi, and the entropy functionals used by the weak
-log-Sobolev checks.
+sharp concave envelope Psi, and the entropy-gap and weak log-Sobolev checks
+built on them.
 
 Numerical conventions shared by the module:
 
@@ -20,11 +20,10 @@ Numerical conventions shared by the module:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     ConfigError,
@@ -46,17 +45,12 @@ SERIES_WINDOW = 1e-4
 #: outside this radius coth saturates to 1 in double precision
 _COTH_SATURATION = 350.0
 
-#: 8-point Gauss-Legendre rule on [0, 1], used on every coefficient panel;
-#: exact on the cubic pieces of a table profile
+#: 8-point Gauss-Legendre rule on [0, 1], used on every coefficient panel
 _GL_NODES, _GL_WEIGHTS = gauss_legendre(8)
 
 #: equal panels on (0, horizon] when a closed-form profile is forced
 #: through quadrature
 _GL_PANELS = 16
-
-#: a table's first cubic piece c1 s + c2 s^2 + c3 s^3 counts as a quadratic
-#: start while c1 <= _LINEAR_START * c2 * t1 (t1 the first knot)
-_LINEAR_START = 1e-5
 
 
 def _t_kernel(w: float) -> float:
@@ -122,26 +116,6 @@ def _running_integral(fn, edges: np.ndarray) -> Callable[[float], float]:
     return integral
 
 
-def tau_lambda(lam: float, s: float, t: float) -> float:
-    """Normalized oscillator quotient: sin/linear/sinh by the sign of lam."""
-    if t <= 0 or not 0.0 <= s <= t:
-        raise DomainError("need 0 <= s <= t with t > 0")
-    if lam >= math.pi**2 / t**2:
-        raise DomainError("lam at or beyond the first Dirichlet eigenvalue")
-    if abs(lam) * t * t <= 1e-8:
-        return (s / t) * (1.0 + lam * (t * t - s * s) / 6.0)
-    if lam > 0:
-        root = math.sqrt(lam)
-        return math.sin(s * root) / math.sin(t * root)
-    root = math.sqrt(-lam)
-    if t * root > _COTH_SATURATION:
-        # sinh quotient via exponentials to dodge overflow
-        return math.exp((s - t) * root) * (1.0 - math.exp(-2.0 * s * root)) / (
-            1.0 - math.exp(-2.0 * t * root)
-        )
-    return math.sinh(s * root) / math.sinh(t * root)
-
-
 # ---------------------------------------------------------------------------
 # profiles and their induced coefficients
 
@@ -150,16 +124,14 @@ def tau_lambda(lam: float, s: float, t: float) -> float:
 class LiYauProfile:
     """Time profile a(t) generating a coefficient pair (alpha, phi).
 
-    Only the shape matters: rescaling a by a positive constant leaves both
-    coefficients unchanged, so the preset normalizations are cosmetic.
+    ``variant`` is one of the presets quadratic, sine, sinh and lixu (sinh
+    at tau = |K|). Only the shape matters: rescaling a by a positive
+    constant leaves both coefficients unchanged, so the preset
+    normalizations are cosmetic.
     """
 
     variant: str
     tau: float = 0.0
-    table_times: np.ndarray | None = None
-    table_values: np.ndarray | None = None
-    _interp: object = field(default=None, repr=False, compare=False)
-    _interp_prime: object = field(default=None, repr=False, compare=False)
 
     @classmethod
     def quadratic(cls) -> "LiYauProfile":
@@ -198,39 +170,10 @@ class LiYauProfile:
             f"unknown profile {text!r}; known: quadratic | sine:<c> | sinh:<c> | lixu"
         )
 
-    @classmethod
-    def from_table(cls, times, values) -> "LiYauProfile":
-        """Monotone-cubic interpolant of sampled profile values.
-
-        The profile IS the interpolant; admissibility is checked on it,
-        not on whatever produced the samples. Uniformly sampled smooth
-        profiles often fail the integrability check because the edge
-        derivative estimate is O(h^2) away from zero, which turns the
-        leading behavior linear; grade the sample times toward zero
-        (e.g. quadratically) to avoid that.
-        """
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape or times.size < 4:
-            raise ProfileInadmissible("table needs matching 1-d arrays, >= 4 samples")
-        if np.any(np.diff(times) <= 0):
-            raise ProfileInadmissible("table times must increase strictly")
-        if times[0] != 0.0 or values[0] != 0.0:
-            raise ProfileInadmissible("table must start at a(0) = 0")
-        if np.any(values[1:] <= 0):
-            raise ProfileInadmissible("table values must be positive after 0")
-        prof = cls("table", table_times=times, table_values=values)
-        interp = PchipInterpolator(times, values)
-        object.__setattr__(prof, "_interp", interp)
-        object.__setattr__(prof, "_interp_prime", interp.derivative())
-        return prof
-
     def horizon(self) -> float:
         """Largest time the profile stays positive (open upper end)."""
         if self.variant == "sine":
             return math.pi / self.tau
-        if self.variant == "table":
-            return float(self.table_times[-1])
         return math.inf
 
     def value(self, t):
@@ -239,9 +182,7 @@ class LiYauProfile:
             return t * t
         if self.variant == "sine":
             return 4.0 * self.tau * np.sin(self.tau * t) ** 2
-        if self.variant in ("sinh", "lixu"):
-            return 4.0 * self.tau * np.sinh(self.tau * t) ** 2
-        return self._interp(t)
+        return 4.0 * self.tau * np.sinh(self.tau * t) ** 2
 
     def derivative(self, t):
         t = np.asarray(t, dtype=float)
@@ -249,19 +190,15 @@ class LiYauProfile:
             return 2.0 * t
         if self.variant == "sine":
             return 4.0 * self.tau**2 * np.sin(2.0 * self.tau * t)
-        if self.variant in ("sinh", "lixu"):
-            return 4.0 * self.tau**2 * np.sinh(2.0 * self.tau * t)
-        return self._interp_prime(t)
+        return 4.0 * self.tau**2 * np.sinh(2.0 * self.tau * t)
 
     def integral(self, t: float) -> float:
-        """Closed-form running integral of a for the presets."""
+        """Closed-form running integral of a."""
         if self.variant == "quadratic":
             return t**3 / 3.0
         if self.variant == "sine":
             return 2.0 * self.tau * t - math.sin(2.0 * self.tau * t)
-        if self.variant in ("sinh", "lixu"):
-            return math.sinh(2.0 * self.tau * t) - 2.0 * self.tau * t
-        raise ProfileInadmissible("tables have no closed-form integral")
+        return math.sinh(2.0 * self.tau * t) - 2.0 * self.tau * t
 
     def integral_quotient(self, t: float) -> float:
         """Closed-form running integral of a'(s)^2 / a(s)."""
@@ -269,32 +206,13 @@ class LiYauProfile:
             return 4.0 * t
         if self.variant == "sine":
             return 8.0 * self.tau**3 * t + 4.0 * self.tau**2 * math.sin(2.0 * self.tau * t)
-        if self.variant in ("sinh", "lixu"):
-            return 8.0 * self.tau**3 * t + 4.0 * self.tau**2 * math.sinh(2.0 * self.tau * t)
-        raise ProfileInadmissible("tables have no closed-form integral")
-
-    def check_admissible(self, t_hi: float) -> None:
-        """Numeric admissibility of a user table over (0, t_hi].
-
-        Integrability of a'^2/a is read off the first cubic piece
-        c1 s + c2 s^2 + c3 s^3: the quotient behaves like c1/s near 0, so
-        the start must be quadratic, c2 > 0 with c1 below _LINEAR_START
-        times c2 t1. A layer that thin lies far below the first quadrature
-        node of the panel. Such a start also makes a/a' vanish toward 0.
-        """
-        if self.variant != "table":
-            return
-        if t_hi > self.horizon():
-            raise ProfileInadmissible("requested horizon beyond the table range")
-        _, c2, c1, _ = self._interp.c[:, 0]
-        if not (c2 > 0.0 and c1 <= _LINEAR_START * c2 * float(self.table_times[1])):
-            raise ProfileInadmissible("a'^2/a fails the integrability check near 0")
+        return 8.0 * self.tau**3 * t + 4.0 * self.tau**2 * math.sinh(2.0 * self.tau * t)
 
 
 @dataclass(frozen=True)
 class LiYauCoefficients:
-    """Evaluator pair (alpha, phi) with its construction provenance; alpha
-    and phi are smooth between the ``knots`` (quadrature panel edges)."""
+    """Evaluator pair (alpha, phi) with its construction provenance,
+    "closed_form" or "quadrature"."""
 
     alpha: Callable[[float], float]
     phi: Callable[[float], float]
@@ -302,7 +220,6 @@ class LiYauCoefficients:
     K: float
     N: float
     horizon: float
-    knots: tuple[float, ...] = ()
 
 
 def _verify_coefficient_odes(profile, coeffs, K, N, horizon):
@@ -316,17 +233,10 @@ def _verify_coefficient_odes(profile, coeffs, K, N, horizon):
     """
     times = np.linspace(0.05 * horizon, 0.95 * horizon, 20)
     sing = profile.horizon()
-    knots = profile.table_times if profile.variant == "table" else None
     for t in times:
         t = float(t)
         gap = min(t, sing - t) if math.isfinite(sing) else t
         delta = min(1e-4 * gap, 0.5 * (horizon - t) + 1e-300)
-        if knots is not None:
-            # interpolants are only piecewise smooth; difference inside
-            # one knot interval, centered where it is widest
-            j = int(np.clip(np.searchsorted(knots, t), 1, len(knots) - 1))
-            t = 0.5 * (knots[j - 1] + knots[j])
-            delta = min(delta, 0.25 * (knots[j] - knots[j - 1]))
         a = float(profile.value(t))
         ap = float(profile.derivative(t))
         loga_p = ap / a
@@ -355,9 +265,9 @@ def alpha_phi(
 ) -> LiYauCoefficients:
     """Coefficient pair induced by a profile on (0, horizon].
 
-    Presets use closed-form integrals; tables (or force_quadrature) go
-    through one Gauss-Legendre running integral whose panels are the knot
-    intervals of a table and equal panels otherwise. Both defining
+    The running integrals of a and a'^2/a are closed forms;
+    force_quadrature takes them instead by the Gauss-Legendre rule on
+    _GL_PANELS equal panels, a cross-check of the closed forms. Both defining
     identities are verified at 20 sample times before the evaluators are
     handed out.
     """
@@ -367,14 +277,9 @@ def alpha_phi(
         raise ProfileInadmissible("profile degenerates before the requested horizon")
     if N <= 0:
         raise DomainError("dimension parameter must be positive")
-    profile.check_admissible(horizon)
-    use_quadrature = force_quadrature or profile.variant == "table"
 
-    if use_quadrature:
-        if profile.variant == "table":
-            edges = profile.table_times
-        else:
-            edges = np.linspace(0.0, horizon, _GL_PANELS + 1)
+    if force_quadrature:
+        edges = np.linspace(0.0, horizon, _GL_PANELS + 1)
         int_a = _running_integral(profile.value, edges)
         int_q = _running_integral(
             lambda s: profile.derivative(s) ** 2 / profile.value(s), edges
@@ -397,11 +302,10 @@ def alpha_phi(
     coeffs = LiYauCoefficients(
         alpha=alpha,
         phi=phi,
-        provenance="quadrature" if use_quadrature else "closed_form",
+        provenance="quadrature" if force_quadrature else "closed_form",
         K=K,
         N=N,
         horizon=horizon,
-        knots=tuple(edges.tolist()) if use_quadrature else (),
     )
     _verify_coefficient_odes(profile, coeffs, K, N, horizon)
     return coeffs
@@ -660,39 +564,7 @@ def kernel_equality_residual(dim: int, t: float, points: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# entropy functionals
-
-
-def _entropy_state(traj: Trajectory, s: float, t: float, phi: ScalarField):
-    if not 0.0 <= s <= t:
-        raise DomainError("need 0 <= s <= t")
-    if np.min(phi.values) < 0.0:
-        raise DomainError("test field must be nonnegative")
-    src = traj.index_of(t - s)
-    dst = traj.index_of(t)
-    u = traj.fields[src]
-    if np.min(u) < 1e-8 * np.max(u):
-        raise DomainError("entropy checks need min u >= 1e-8 max u")
-    return src, dst, u
-
-
-def entropy_H(traj: Trajectory, s: float, t: float, phi: ScalarField) -> float:
-    """Transported-entropy functional; the source time is t - s.
-
-    Non-increasing in the source time; its source-time derivative is minus
-    entropy_production at the same arguments.
-    """
-    src, dst, u = _entropy_state(traj, s, t, phi)
-    moved = traj.transport(u * np.log(u), src, dst)
-    return float(np.sum(phi.values * moved * traj.measure.sigma))
-
-
-def entropy_production(traj: Trajectory, s: float, t: float, phi: ScalarField) -> float:
-    """Dissipation integrand of entropy_H, from the recorded assemblies."""
-    src, dst, u = _entropy_state(traj, s, t, phi)
-    gamma_log = traj.assembly_at(src).carre_du_champ(np.log(u))
-    moved = traj.transport(u * gamma_log, src, dst)
-    return float(np.sum(phi.values * moved * traj.measure.sigma))
+# entropy-gap and log-Sobolev checks
 
 
 def _u_lap_log(traj: Trajectory, index: int) -> np.ndarray:

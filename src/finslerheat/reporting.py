@@ -9,7 +9,6 @@ bytes; a NaN or an infinity is written as the string "nan", "inf" or "-inf".
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -65,9 +64,6 @@ class InequalityReport:
             "grid_meta": self.grid_meta,
         }
         return json_safe(out)
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True, allow_nan=False)
 
 
 def compare(

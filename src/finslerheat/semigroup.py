@@ -74,14 +74,6 @@ class TransportPlan:
         }
 
 
-def plan_for_times(
-    trajectory: Trajectory, s: float, t: float, direction: str = "forward"
-) -> TransportPlan:
-    return TransportPlan(
-        trajectory, trajectory.index_of(s), trajectory.index_of(t), direction
-    )
-
-
 def transport(plan: TransportPlan, g: ScalarField) -> ScalarField:
     """Apply the recorded step operators of the plan to g."""
     if g.grid != plan.trajectory.grid:

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import textwrap
 
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finslerheat
 from finslerheat.cli import main
 from finslerheat.config import (
     ExperimentConfig,
@@ -863,6 +866,32 @@ def test_cli_harnack_bounds_mode_filter(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert "lf_bound" in payload and "integral_bound" not in payload
+
+
+def test_cli_harnack_bounds_overflow_is_strict_json(capsys):
+    rc = main(
+        ["harnack-bounds", "--N", "2", "--K", "0",
+         "--d", "1000", "--t1", "0.1", "--t2", "0.11"]
+    )
+    assert rc == 0
+
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["integral_bound"] == "inf"
+    assert payload["lf_bound"] == "inf"
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # scipy.interpolate (with scipy.optimize) is the largest import cost
+    # scipy has; nothing the command line reaches needs it
+    probe = "import sys, finslerheat.cli; print('scipy.interpolate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(finslerheat.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cli_version(capsys):

@@ -1,6 +1,5 @@
 """Envelope transform, conjugate bounds, and sample-pair verification."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -201,19 +200,6 @@ def test_bounds_increase_with_distance():
     assert lf[0] < lf[1] < lf[2]
 
 
-def test_integral_bound_with_table_coefficients_matches_closed_form():
-    # a sine profile sampled on times graded toward zero, against the
-    # closed-form coefficients of the same profile
-    tau, K, N = 1.2, -0.5, 3.0
-    ts = (np.arange(60) / 59.0) ** 2
-    table = LiYauProfile.from_table(ts, 4.0 * tau * np.sin(tau * ts) ** 2)
-    tabled = alpha_phi(table, K, N, 0.9)
-    exact = alpha_phi(LiYauProfile.sine(tau), K, N, 0.9)
-    for d, t1, t2 in ((0.0, 0.05, 0.5), (0.3, 0.2, 0.8), (0.7, 0.1, 0.9)):
-        ref = harnack_bound_integral(exact, d, t1, t2)
-        assert harnack_bound_integral(tabled, d, t1, t2) == pytest.approx(ref, rel=1e-3)
-
-
 def test_integral_bound_rejects_alpha_crossing():
     coeffs = alpha_phi(LiYauProfile.quadratic(), 3.0, 2.0, 1.0)
     # alpha(t) = 1 - 2t crosses zero at t = 0.5
@@ -233,8 +219,8 @@ def test_bound_guards_and_overflow():
 
 
 def test_integral_bound_rejects_rules_that_disagree():
-    # alpha jumps inside the window and no knot says so: the 8- and 12-point
-    # rules see different step positions and disagree
+    # alpha jumps inside a panel: the 8- and 12-point rules see different
+    # step positions and disagree
     flat = flat_coeffs(2.0)
     jump = LiYauCoefficients(
         alpha=lambda t: 1.0 if t < 0.3 else 2.0,
@@ -246,9 +232,6 @@ def test_integral_bound_rejects_rules_that_disagree():
     )
     with pytest.raises(NoConvergence):
         harnack_bound_integral(jump, 0.5, 0.2, 0.4)
-    knotted = dataclasses.replace(jump, knots=(0.3,))
-    ref = math.exp(0.25 / 0.16 * 0.3 + math.log(1.5) + 0.5 * math.log(4.0 / 3.0))
-    assert harnack_bound_integral(knotted, 0.5, 0.2, 0.4) == pytest.approx(ref, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from finslerheat import (
     alpha_phi,
     check_exp_uu,
     check_log_sob_weak,
-    entropy_H,
-    entropy_production,
     envelope_zeros,
     kernel_equality_residual,
     linearize_psi,
@@ -31,7 +29,6 @@ from finslerheat import (
     residual_psi,
     ricci_lower_bound,
     solve_heat_flow,
-    tau_lambda,
 )
 from finslerheat.harnack import theta, theta_descriptor
 from finslerheat.liyau import (
@@ -87,48 +84,6 @@ def test_s_kernel_values():
     assert _s_kernel(math.pi**2) == pytest.approx(0.0, abs=1e-15)
     assert _s_kernel(-1.0) == pytest.approx(math.sinh(1.0), rel=1e-14)
     assert _s_kernel(0.25) == pytest.approx(math.sin(0.5) / 0.5, rel=1e-14)
-
-
-# ---------------------------------------------------------------------------
-# oscillator quotient
-# ---------------------------------------------------------------------------
-
-
-def test_tau_lambda_branches():
-    assert tau_lambda(4.0, 0.3, 1.0) == pytest.approx(
-        math.sin(0.6) / math.sin(2.0), rel=1e-14
-    )
-    assert tau_lambda(-4.0, 0.3, 1.0) == pytest.approx(
-        math.sinh(0.6) / math.sinh(2.0), rel=1e-14
-    )
-    assert tau_lambda(0.0, 0.3, 1.0) == pytest.approx(0.3, rel=1e-14)
-    assert tau_lambda(-7.0, 1.0, 1.0) == 1.0
-    assert tau_lambda(5.0, 0.0, 1.0) == 0.0
-
-
-def test_tau_lambda_series_matches_exact_at_window_edge():
-    lam, s, t = 1e-8, 0.4, 1.0  # series branch fires at |lam| t^2 <= 1e-8
-    root = math.sqrt(lam)
-    exact = math.sin(s * root) / math.sin(t * root)
-    assert tau_lambda(lam, s, t) == pytest.approx(exact, rel=1e-12)
-
-
-def test_tau_lambda_deep_negative_avoids_overflow():
-    # sinh(500)/sinh(1000) through exponentials; the correction factors are
-    # exactly 1 in double precision at this depth
-    out = tau_lambda(-1e6, 0.5, 1.0)
-    assert out == pytest.approx(math.exp(-500.0), rel=1e-13)
-
-
-def test_tau_lambda_domain_guards():
-    with pytest.raises(DomainError):
-        tau_lambda(1.0, 0.1, 0.0)
-    with pytest.raises(DomainError):
-        tau_lambda(1.0, -0.1, 1.0)
-    with pytest.raises(DomainError):
-        tau_lambda(1.0, 1.5, 1.0)
-    with pytest.raises(DomainError):
-        tau_lambda(math.pi**2, 0.5, 1.0)
 
 
 def test_psi_evaluator_rejects_underflowing_curvature_times_time():
@@ -191,71 +146,6 @@ def test_closed_form_integral_matches_quadrature(profile):
     for t in (0.4, 1.1):
         ref = quad(lambda s: float(profile.value(s)), 0.0, t, epsrel=1e-12)[0]
         assert profile.integral(t) == pytest.approx(ref, rel=1e-10)
-
-
-def test_from_table_guards():
-    with pytest.raises(ProfileInadmissible):
-        LiYauProfile.from_table([0.0, 0.1, 0.2], [0.0, 1.0, 2.0])
-    with pytest.raises(ProfileInadmissible):
-        LiYauProfile.from_table([0.0, 0.2, 0.1, 0.3], [0.0, 1.0, 2.0, 3.0])
-    with pytest.raises(ProfileInadmissible):
-        LiYauProfile.from_table([0.1, 0.2, 0.3, 0.4], [0.0, 1.0, 2.0, 3.0])
-    with pytest.raises(ProfileInadmissible):
-        LiYauProfile.from_table([0.0, 0.1, 0.2, 0.3], [0.5, 1.0, 2.0, 3.0])
-    with pytest.raises(ProfileInadmissible):
-        LiYauProfile.from_table([0.0, 0.1, 0.2, 0.3], [0.0, 1.0, -2.0, 3.0])
-    with pytest.raises(ProfileInadmissible):
-        LiYauProfile.from_table([0.0, 0.1, 0.2, 0.3], [0.0, 0.0, 1.0, 2.0])
-
-
-def test_table_of_quadratic_samples_is_admissible():
-    ts = np.linspace(0.0, 1.0, 40)
-    prof = LiYauProfile.from_table(ts, ts**2)
-    assert prof.horizon() == pytest.approx(1.0)
-    prof.check_admissible(0.9)
-    assert float(prof.value(0.35)) == pytest.approx(0.35**2, abs=1e-4)
-
-
-def test_uniform_smooth_table_is_honestly_rejected():
-    # uniform sampling leaves an O(h^2) edge derivative, so the interpolant
-    # starts linearly and a'^2/a is no longer integrable at 0
-    tau = 1.2
-    ts = np.linspace(0.0, 1.0, 60)
-    vals = 4.0 * tau * np.sin(tau * ts) ** 2
-    prof = LiYauProfile.from_table(ts, vals)
-    with pytest.raises(ProfileInadmissible):
-        prof.check_admissible(0.9)
-
-
-def test_linear_table_is_rejected():
-    ts = np.linspace(0.0, 1.0, 30)
-    prof = LiYauProfile.from_table(ts, 2.0 * ts)
-    with pytest.raises(ProfileInadmissible):
-        prof.check_admissible(0.9)
-
-
-def test_graded_table_recovers_closed_form_coefficients():
-    tau = 1.2
-    t_hi = 1.0
-    ts = t_hi * (np.arange(60) / 59.0) ** 2
-    vals = 4.0 * tau * np.sin(tau * ts) ** 2
-    prof = LiYauProfile.from_table(ts, vals)
-    K, N = -0.5, 3.0
-    table = alpha_phi(prof, K, N, 0.9)
-    exact = alpha_phi(LiYauProfile.sine(tau), K, N, 0.9)
-    assert table.provenance == "quadrature"
-    for t in (0.2, 0.5, 0.85):
-        assert table.alpha(t) == pytest.approx(exact.alpha(t), abs=2e-4)
-        assert table.phi(t) == pytest.approx(exact.phi(t), abs=2e-3)
-
-
-def test_table_coefficients_ignore_profile_scale():
-    ts = np.linspace(0.0, 1.0, 40)
-    one = alpha_phi(LiYauProfile.from_table(ts, ts**2), -0.4, 2.0, 0.8)
-    five = alpha_phi(LiYauProfile.from_table(ts, 5.0 * ts**2), -0.4, 2.0, 0.8)
-    for t in (0.1, 0.5, 0.8):
-        assert one.alpha(t) == pytest.approx(five.alpha(t), rel=1e-12)
-        assert one.phi(t) == pytest.approx(five.phi(t), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -607,57 +497,12 @@ def test_residual_needs_positive_solution():
 
 
 # ---------------------------------------------------------------------------
-# entropy functionals
+# entropy-gap and log-Sobolev checks
 # ---------------------------------------------------------------------------
 
 
 def ones_field(traj):
     return ScalarField(traj.grid, np.ones(traj.grid.n_nodes))
-
-
-def test_entropy_monotone_in_source_time(flat_traj):
-    phi = ones_field(flat_traj)
-    t = 0.03
-    hs = [entropy_H(flat_traj, s, t, phi) for s in (0.0, 0.01, 0.02)]
-    # source times 0.03 > 0.02 > 0.01, so the values must increase
-    assert hs[0] < hs[1] < hs[2]
-
-
-def test_entropy_production_is_minus_derivative():
-    # the identity holds up to the O(dt) bias of the implicit scheme, so a
-    # finer step is needed before a centered difference resolves it
-    traj = flat_trajectory(t_final=0.03, dt=2e-4)
-    phi = ones_field(traj)
-    t, s, dt = 0.03, 0.015, traj.dt
-    plus = entropy_H(traj, s - dt, t, phi)
-    minus = entropy_H(traj, s + dt, t, phi)
-    fd = (plus - minus) / (2.0 * dt)
-    prod = entropy_production(traj, s, t, phi)
-    assert prod > 0.0
-    assert fd == pytest.approx(-prod, rel=2e-2)
-
-
-def test_entropy_guards(flat_traj):
-    phi = ones_field(flat_traj)
-    with pytest.raises(DomainError):
-        entropy_H(flat_traj, -0.01, 0.03, phi)
-    with pytest.raises(DomainError):
-        entropy_H(flat_traj, 0.04, 0.03, phi)
-    bad = ScalarField(flat_traj.grid, -np.ones(flat_traj.grid.n_nodes))
-    with pytest.raises(DomainError):
-        entropy_H(flat_traj, 0.01, 0.03, bad)
-
-
-def test_entropy_rejects_vanishing_solutions():
-    grid = TorusGrid(1, 32)
-    metric = MetricField(grid, EuclideanNorm(1))
-    measure = MeasureField.lebesgue(grid)
-    x = grid.coordinates()[:, 0]
-    u0 = ScalarField(grid, 1e-10 + 1.0 + np.sin(2 * math.pi * x))
-    traj = solve_heat_flow(metric, measure, u0, 0.002, 1e-3)
-    # s = t puts the source at the initial field, whose minimum is 1e-10
-    with pytest.raises(DomainError):
-        entropy_H(traj, 0.002, 0.002, ScalarField(grid, np.ones(grid.n_nodes)))
 
 
 def test_exp_entropy_gap_triple(flat_traj):

@@ -59,12 +59,17 @@ def _strict_load(text):
     return json.loads(text, parse_constant=reject)
 
 
+def _dumps(rep):
+    """A report serialized the way the runner writes it."""
+    return json.dumps(rep.to_dict(), indent=2, sort_keys=True, allow_nan=False)
+
+
 def test_non_finite_reports_are_strict_json(tmp_path):
     rep = compare(
         "c", np.full(3, np.nan), np.full(3, np.nan), np.inf, "rule",
         grid_meta={"N": float("inf"), "K": -np.inf},
     )
-    payload = _strict_load(rep.to_json())
+    payload = _strict_load(_dumps(rep))
     assert payload["worst_residual"] == "nan"
     assert payload["tolerance"] == "inf"
     assert payload["lhs_range"] == ["nan", "nan"]
@@ -90,4 +95,4 @@ def test_finite_report_bytes_are_unchanged():
         "rhs_range": [0.0, 0.0],
         "grid_meta": {"h": 0.1},
     }
-    assert rep.to_json() == json.dumps(fields, indent=2, sort_keys=True)
+    assert _dumps(rep) == json.dumps(fields, indent=2, sort_keys=True)

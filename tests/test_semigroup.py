@@ -26,7 +26,6 @@ from finslerheat import (
     laplacian_commutation,
     lipschitz_decay,
     local_logsob_check,
-    plan_for_times,
     ricci_lower_bound,
     solve_heat_flow,
     transport,
@@ -92,15 +91,6 @@ def test_plan_rejects_bad_indices(euclid_traj):
 def test_plan_rejects_unknown_direction(euclid_traj):
     with pytest.raises(ValueError):
         TransportPlan(euclid_traj, 0, 5, "backward")
-
-
-def test_plan_for_times_maps_to_indices(euclid_traj):
-    plan = plan_for_times(euclid_traj, 0.0, 0.02)
-    assert plan.start == 0
-    assert plan.end == 20
-    assert plan.elapsed == pytest.approx(0.02, abs=1e-12)
-    with pytest.raises(IndexRange):
-        plan_for_times(euclid_traj, 0.0, 0.3)
 
 
 def test_transport_rejects_foreign_grid(euclid_traj):
