@@ -31,14 +31,25 @@ _RULES = (gauss_legendre(8), gauss_legendre(12))
 _RULE_AGREEMENT = 1e-10
 
 
-def _panel_integral(integrand, t1: float, t2: float) -> np.ndarray:
-    """Integral over [t1, t2] on max(1, ceil(log2(t2/t1))) geometric panels;
+def _geometric_edges(near: float, far: float) -> np.ndarray:
+    """Edges of max(1, ceil(log2(far/near))) panels from ``near`` to
+    ``far`` in geometric progression: no panel is wider than its near edge."""
+    count = max(1, math.ceil(math.log2(far / near)))
+    return near * (far / near) ** (np.arange(count + 1) / count)
+
+
+def _panel_integral(integrand, t1: float, t2: float, zero: float = math.inf) -> np.ndarray:
+    """Integral over [t1, t2] on panels graded geometrically toward t = 0
+    and, above zero / 2, toward ``zero``, where the integrand may blow up;
     ``integrand`` maps increasing times to values, one row each. Raises
     NoConvergence when the rules disagree."""
     if not 0.0 < t1 < t2:
         raise DomainError("need 0 < t1 < t2")
-    count = max(1, math.ceil(math.log2(t2 / t1)))
-    edges = t1 * (t2 / t1) ** (np.arange(count + 1) / count)
+    split = min(max(t1, 0.5 * zero), t2)
+    edges = _geometric_edges(t1, split) if split > t1 else np.array([t1])
+    if split < t2:
+        upper = zero - _geometric_edges(zero - t2, zero - split)[::-1]
+        edges = np.concatenate([edges[:-1], [split], upper[1:-1], [t2]])
     widths = np.diff(edges)
     sums = []
     for nodes, weights in _RULES:
@@ -171,7 +182,7 @@ def harnack_bound_integral(
         pairs = [(coeffs.alpha(s), coeffs.phi(s)) for s in times.tolist()]
         return np.asarray([(alpha, phi / alpha) for alpha, phi in pairs])
 
-    int_alpha, int_phi = _panel_integral(integrand, t1, t2)
+    int_alpha, int_phi = _panel_integral(integrand, t1, t2, coeffs.zero)
     return _exp_bound(d * d / (4.0 * (t2 - t1) ** 2) * int_alpha + int_phi)
 
 

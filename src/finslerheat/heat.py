@@ -79,8 +79,16 @@ class DiffusionAssembly:
     _exact: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _w(self, rows: np.ndarray) -> np.ndarray:
-        """W applied to one field (n,) or to each row of a stack (m, n)."""
-        return (self.weights @ rows.T).T
+        """W applied to one field (n,) or to each row of a stack (m, n).
+
+        Transposed back, the (n, m) result of the sparse product is an
+        F-ordered view; the copy keeps the rows C-contiguous like every other
+        stack of the step solve. On F-ordered rows the measure-weighted row
+        reductions of :func:`cg_measure` ran about 4x slower (28 against 7 us
+        per 64^2 field in a block of two; 2-core Xeon, one thread), which
+        made a whole-block sweep of two fields slower than two sweeps.
+        """
+        return np.ascontiguousarray((self.weights @ rows.T).T)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Apply the frozen diffusion operator to one field (n,) or to a

@@ -220,6 +220,9 @@ class LiYauCoefficients:
     K: float
     N: float
     horizon: float
+    #: the profile's zero beyond the horizon (pi / c for sine:<c>), where
+    #: alpha and phi blow up; inf when the profile stays positive
+    zero: float = math.inf
 
 
 def _verify_coefficient_odes(profile, coeffs, K, N, horizon):
@@ -306,6 +309,7 @@ def alpha_phi(
         K=K,
         N=N,
         horizon=horizon,
+        zero=profile.horizon(),
     )
     _verify_coefficient_odes(profile, coeffs, K, N, horizon)
     return coeffs

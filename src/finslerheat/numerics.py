@@ -84,16 +84,6 @@ def newton_root(
     raise NoConvergence(f"Newton iteration stalled on [{lo}, {hi}]")
 
 
-#: working-set size, in array elements, of one lockstep CG sweep: m fields
-#: on n nodes are solved in chunks of max(1, C // n). Small grids share the
-#: per-call overhead of the sparse product and the preconditioner (1-d
-#: Randers, n = 128, dt = 5e-4, one implicit step of a random field with the
-#: banded Cholesky preconditioner: 0.007-0.011 ms per field in chunks of 32,
-#: 0.07-0.12 ms alone); at 64^2 a field runs alone, 4.1-5.7 ms per step.
-#: 2-core Xeon, one thread, numpy 2.4, scipy 1.17.
-CG_BLOCK_ELEMENTS = 4096
-
-
 def cg_measure(
     apply_op: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
@@ -111,36 +101,28 @@ def cg_measure(
     ``rhs`` and ``x0`` are one field ``(n,)`` or a stack ``(m, n)`` of fields
     as rows; ``apply_op`` and ``precond`` map a stack ``(k, n)`` to itself,
     and ``precond`` must be self-adjoint and positive definite in the same
-    inner product, acting on each row alone. The m solves run in lockstep,
-    each with its own scalars, stopping rule and row-wise reductions, so a
-    field's result does not depend on its stack, bit for bit. A field stops
-    when its (unpreconditioned) measure-norm residual is below ``rel_tol``
-    (floored at 64 eps) times that of its right-hand side, or after 20
-    iterations without a new best residual (the round-off floor). Raises
+    inner product, acting on each row alone. The whole stack runs in one
+    lockstep sweep, with no chunks: each operator and preconditioner call
+    serves every row still iterating, while each row keeps its own scalars,
+    stopping rule and row-wise reductions, so a field's result does not
+    depend on its stack, bit for bit. A row leaves the sweep when its
+    (unpreconditioned) measure-norm residual is below ``rel_tol`` (floored
+    at 64 eps) times that of its right-hand side, or after 20 iterations
+    without a new best residual (the round-off floor). Raises
     :class:`SolverDivergence` if one is still iterating after ``10 * n``
     iterations.
     """
     b = np.ascontiguousarray(np.atleast_2d(rhs), dtype=float)
-    m, n = b.shape
     x = np.array(np.atleast_2d(x0), dtype=float, order="C")
+    shape = np.shape(rhs)
     tol2 = max(rel_tol, 64.0 * np.finfo(float).eps) ** 2
-    max_iter = 10 * n
-    width = max(1, CG_BLOCK_ELEMENTS // n)
-    for lo in range(0, m, width):
-        chunk = slice(lo, lo + width)
-        _cg_lockstep(apply_op, precond, b[chunk], sigma, x[chunk], tol2, max_iter)
-    return x.reshape(np.shape(rhs))
-
-
-def _cg_lockstep(apply_op, precond, b, sigma, x, tol2, max_iter) -> None:
-    """Preconditioned measure-CG on the rows of ``b``, in place on the start
-    rows ``x``; a row leaves the working set once it converges or stalls."""
+    max_iter = 10 * b.shape[1]
     r = b - apply_op(x)
     rr = np.einsum("ij,ij,j->i", r, r, sigma)
     target = tol2 * np.maximum(np.einsum("ij,ij,j->i", b, b, sigma), 1e-300)
     rows = np.flatnonzero(rr > target)
     if rows.size == 0:
-        return
+        return x.reshape(shape)
     xa = x
     if rows.size < len(b):
         xa, r, rr, target = x[rows], r[rows], rr[rows], target[rows]
@@ -173,7 +155,7 @@ def _cg_lockstep(apply_op, precond, b, sigma, x, tol2, max_iter) -> None:
             best_rr, best_it = best_rr[keep], best_it[keep]
             stall_check = it + 1
             if rows.size == 0:
-                return
+                return x.reshape(shape)
         z = precond(r)
         rz_new = np.einsum("ij,ij,j->i", r, z, sigma)
         p *= (rz_new / rz)[:, None]

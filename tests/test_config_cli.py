@@ -22,6 +22,7 @@ from finslerheat.config import (
     parse_expression,
 )
 from finslerheat.errors import ConfigError
+from finslerheat.heat import DiffusionAssembly
 from finslerheat.metrics import RandersNorm
 from finslerheat.runner import (
     RunManifest,
@@ -436,6 +437,53 @@ def test_run_is_deterministic_for_a_fixed_config(tmp_path):
         assert a == b
 
 
+def test_block_transport_reports_match_one_column_at_a_time(tmp_path, monkeypatch):
+    # the checks move blocks of 1, 2, 5 and 15 columns, and duality an
+    # adjoint block of 5; every report must keep its bytes when each column
+    # is stepped alone
+    base = """\
+        [grid]
+        dim = 2
+        nodes = 16
+
+        [metric]
+        family = randers
+        a = 1.0, 0.2, 0.8
+        b = 0.3, 0.1
+
+        [initial]
+        u = 1 + 0.4*sin(1, 0, 0.3) + 0.2*cos(1, 1)
+
+        [time]
+        dt = 1e-3
+        t_final = 1e-2
+        """
+    config = checked_config(
+        tmp_path,
+        """\
+        [checks]
+        names = conservative, duality, positivity, cauchy_schwarz, gradient_estimate, variance
+        n_fields = 5
+        """,
+        base=base,
+    )
+    blocked = run(config, out_dir=str(tmp_path / "block"))
+    advance = DiffusionAssembly.advance
+
+    def one_column_at_a_time(self, values):
+        values = np.asarray(values, dtype=float)
+        if values.ndim == 1:
+            return advance(self, values)
+        return np.column_stack([advance(self, col) for col in values.T])
+
+    monkeypatch.setattr(DiffusionAssembly, "advance", one_column_at_a_time)
+    alone = run(config, out_dir=str(tmp_path / "alone"))
+    assert sorted(blocked.report_paths) == sorted(config.checks)
+    for name in config.checks:
+        with open(blocked.report_paths[name], "rb") as a, open(alone.report_paths[name], "rb") as b:
+            assert a.read() == b.read(), name
+
+
 def test_overclaimed_curvature_is_recorded_not_raised(tmp_path):
     # euclidean flow has K = 0; demanding the K = 200 decay must fail
     config = checked_config(
@@ -714,6 +762,34 @@ def test_cli_tiny_curvature_counts_as_zero_for_both_entropy_checks(tmp_path, cap
     assert main(["check", path, "--only", "weak_logsob"]) == 2
     err = capsys.readouterr().err
     assert err == "error: check weak_logsob: zero bound: use the exponential entropy-gap triple\n"
+
+
+def test_cli_integral_harnack_with_sine_profile_runs(tmp_path, capsys):
+    # the window [0.2, 1.6] runs toward the zero of sine:1.3 at 2.42, which
+    # made the integral bound's quadrature exit 2
+    path = write_ini(
+        tmp_path,
+        """\
+        [grid]
+        dim = 1
+        nodes = 32
+
+        [time]
+        dt = 0.02
+        t_final = 2.0
+
+        [checks]
+        names = harnack
+        N = 2
+        K = 0.2
+        profile = sine:1.3
+        harnack_mode = integral
+        harnack_pairs = 3, 0.2, 5, 1.6
+        """,
+        f"[output]\ndir = {tmp_path / 'runs'}\n",
+    )
+    assert main(["check", path]) == 0
+    assert "ok   harnack" in capsys.readouterr().out
 
 
 def test_load_config_rejects_unknown_profile(tmp_path):

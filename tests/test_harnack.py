@@ -234,6 +234,24 @@ def test_integral_bound_rejects_rules_that_disagree():
         harnack_bound_integral(jump, 0.5, 0.2, 0.4)
 
 
+@pytest.mark.parametrize("K, t1, t2", [(0.2, 0.2, 1.6), (-1.0, 0.02, 2.0)])
+def test_integral_bound_grades_panels_toward_the_profile_zero(K, t1, t2):
+    # alpha and phi of sine:1.3 blow up at its zero pi / 1.3 = 2.42; on
+    # panels graded only toward t = 0 the 8- and 12-point rules stayed
+    # 2.4e-8 apart here and the bound raised NoConvergence
+    coeffs = alpha_phi(LiYauProfile.parse("sine:1.3"), K, 2.0, 2.0)
+    assert coeffs.zero == math.pi / 1.3
+    d = 0.3
+
+    def integral(f):
+        return quad(f, t1, t2, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    int_alpha = integral(coeffs.alpha)
+    int_phi = integral(lambda s: coeffs.phi(s) / coeffs.alpha(s))
+    ref = math.exp(d * d / (4.0 * (t2 - t1) ** 2) * int_alpha + int_phi)
+    assert harnack_bound_integral(coeffs, d, t1, t2) == pytest.approx(ref, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # the conjugate-form bound against an independent oracle: envelope zeros by
 # brentq on PsiEvaluator.psi, the conjugate by a bounded scalar maximiser,

@@ -258,13 +258,12 @@ def test_heat_step_keeps_constants(scheme):
     np.testing.assert_allclose(out.values, 2.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("width", [1, 3, 20])
+@pytest.mark.parametrize("width", [1, 2, 3, 20, 42])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_advance_block_columns_match_single_fields(scheme, width):
-    # 16^2 nodes with a 9-point Randers stencil; a 20-column block spans
-    # two CG chunks, so chunk boundaries are covered too
+    # 16^2 nodes with a 9-point Randers stencil; width 2 is the smallest
+    # stack whose sparse product comes back F-ordered
     grid = TorusGrid(2, 16)
-    assert numerics.CG_BLOCK_ELEMENTS // grid.n_nodes < 20
     metric = MetricField(
         grid, RandersNorm(np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([0.3, 0.1]))
     )
@@ -310,18 +309,20 @@ def test_step_preconditioner_is_symmetric_positive_in_measure(desc):
     assert np.min(np.linalg.eigvalsh(0.5 * (gram + gram.T))) > 0.0
 
 
-def test_step_solve_is_preconditioned(monkeypatch):
-    # one implicit step of a random field on the 64^2 Randers check setup;
-    # unpreconditioned CG takes about 80 operator applications here
+def randers_2d_step_assembly():
+    """Implicit step (dt 5e-4) of the 64^2 Randers check setup."""
     grid = TorusGrid(2, 64)
     metric = MetricField(
         grid, RandersNorm(np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([0.3, 0.1]))
     )
-    measure = MeasureField.lebesgue(grid)
     x, y = grid.coordinates().T
     u = 1.0 + 0.4 * np.sin(2 * math.pi * x + 0.3) + 0.2 * np.cos(2 * math.pi * (x + y))
     direction = gradient_field(metric, ScalarField(grid, u))
-    asm = weighted_laplacian(metric, measure, direction, dt=5e-4)
+    return weighted_laplacian(metric, MeasureField.lebesgue(grid), direction, dt=5e-4)
+
+
+def count_operator_applications(monkeypatch) -> list:
+    """Route heat's step solve through a counter of operator calls."""
     calls = []
 
     def counting(apply_op, rhs, sigma, *args, **kwargs):
@@ -332,12 +333,35 @@ def test_step_solve_is_preconditioned(monkeypatch):
         return numerics.cg_measure(op, rhs, sigma, *args, **kwargs)
 
     monkeypatch.setattr(heat, "cg_measure", counting)
-    g = np.random.default_rng(0).standard_normal(grid.n_nodes)
+    return calls
+
+
+def test_step_solve_is_preconditioned(monkeypatch):
+    # one implicit step of a random field on the 64^2 Randers check setup;
+    # unpreconditioned CG takes about 80 operator applications here
+    asm = randers_2d_step_assembly()
+    calls = count_operator_applications(monkeypatch)
+    g = np.random.default_rng(0).standard_normal(asm.sigma.size)
     out = asm.advance(g)
     assert len(calls) <= 30
     residual = g - out + asm.dt * asm.apply(out)
-    sig = measure.sigma
+    sig = asm.sigma
     assert np.sum(residual**2 * sig) <= 1e-24 * np.sum(g**2 * sig)
+
+
+def test_step_solve_sweeps_a_block_in_one_lockstep(monkeypatch):
+    # five fields alone take about 5 x 20 operator applications; one
+    # lockstep sweep serves the whole block with each call
+    asm = randers_2d_step_assembly()
+    calls = count_operator_applications(monkeypatch)
+    block = np.random.default_rng(5).standard_normal((asm.sigma.size, 5))
+    out = asm.advance(block)
+    assert len(calls) <= 30
+    residual = block - out + asm.dt * asm.apply(out)
+    sig = asm.sigma[:, None]
+    assert np.all(np.sum(residual**2 * sig, 0) <= 1e-24 * np.sum(block**2 * sig, 0))
+    stack = np.ascontiguousarray(block.T)
+    assert asm._w(stack).flags.c_contiguous
 
 
 def randers_1d_assembly(nodes, dt, scheme="implicit_euler", weighted=True):
@@ -359,9 +383,7 @@ def randers_1d_assembly(nodes, dt, scheme="implicit_euler", weighted=True):
 @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
 @pytest.mark.parametrize("family", ["randers", "weighted_euclidean"])
 def test_advance_block_columns_match_single_fields_1d(family, scheme, width):
-    # the 1-d step is preconditioned by its banded Cholesky factor; a
-    # 200-column block spans two CG chunks of 32 nodes
-    assert numerics.CG_BLOCK_ELEMENTS // 32 < 200
+    # the 1-d step is preconditioned by its banded Cholesky factor
     if family == "randers":
         asm = randers_1d_assembly(32, 1e-3, scheme, weighted=False)
     else:
@@ -396,16 +418,7 @@ def test_1d_step_solve_needs_at_most_three_operator_applications(monkeypatch):
     # one implicit step of a random field on the criterion-7 setup (1-d
     # Randers, n = 128, dt = 5e-4); the FFT model took about 22 here
     asm = randers_1d_assembly(128, 5e-4, weighted=False)
-    calls = []
-
-    def counting(apply_op, rhs, sigma, *args, **kwargs):
-        def op(x):
-            calls.append(1)
-            return apply_op(x)
-
-        return numerics.cg_measure(op, rhs, sigma, *args, **kwargs)
-
-    monkeypatch.setattr(heat, "cg_measure", counting)
+    calls = count_operator_applications(monkeypatch)
     g = np.random.default_rng(0).standard_normal(128)
     out = asm.advance(g)
     assert len(calls) <= 3
