@@ -71,7 +71,6 @@ from .metrics import (
     Asym1DNorm,
     EuclideanNorm,
     MetricField,
-    MinkowskiNorm,
     RandersNorm,
     RiemannianNorm,
     reversibility,

@@ -33,14 +33,7 @@ from .errors import ConfigError, FinslerHeatError
 from .geometry import MeasureField, ScalarField, TorusGrid
 from .heat import SCHEMES
 from .liyau import LiYauProfile
-from .metrics import (
-    Asym1DNorm,
-    EuclideanNorm,
-    MetricField,
-    MinkowskiNorm,
-    RandersNorm,
-    RiemannianNorm,
-)
+from .metrics import Asym1DNorm, EuclideanNorm, MetricField, RandersNorm, RiemannianNorm
 from .runner import CHECKS
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
@@ -108,21 +101,28 @@ def parse_expression(text: str, dim: int, period: float):
     return evaluate
 
 
-def _floats(text: str) -> list[float]:
+def _number(key: str, text: str, kind=float):
+    """``text`` read as ``kind`` (float or int); a malformed value is a
+    ConfigError that names ``key``."""
     try:
-        return [float(p) for p in text.split(",")]
+        return kind(text)
     except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}")
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {noun}, got {text.strip()!r}") from None
 
 
-def _build_descriptor(dim, family, section) -> MinkowskiNorm:
+def _floats(key: str, text: str) -> list[float]:
+    return [_number(key, part) for part in text.split(",")]
+
+
+def _build_descriptor(dim, family, section) -> RandersNorm:
     """Construct the norm descriptor, converting admissibility failures
     into configuration errors so they surface before any solve."""
     try:
         if family == "euclidean":
             return EuclideanNorm(dim)
         if family in ("riemannian", "randers"):
-            entries = _floats(section.get("a", "1"))
+            entries = _floats("[metric] a", section.get("a", "1"))
             if dim == 1:
                 a = np.asarray([[entries[0]]])
             else:
@@ -131,7 +131,7 @@ def _build_descriptor(dim, family, section) -> MinkowskiNorm:
                 a = np.asarray([[entries[0], entries[1]], [entries[1], entries[2]]])
             if family == "riemannian":
                 return RiemannianNorm(a)
-            b = np.asarray(_floats(section.get("b", "0")))
+            b = np.asarray(_floats("[metric] b", section.get("b", "0")))
             if b.shape != (dim,):
                 raise ConfigError(f"drift must have {dim} components")
             return RandersNorm(a, b)
@@ -139,7 +139,8 @@ def _build_descriptor(dim, family, section) -> MinkowskiNorm:
             if dim != 1:
                 raise ConfigError("asym1d is one-dimensional")
             return Asym1DNorm(
-                float(section.get("p_plus", "1")), float(section.get("p_minus", "1"))
+                _number("[metric] p_plus", section.get("p_plus", "1")),
+                _number("[metric] p_minus", section.get("p_minus", "1")),
             )
     except ConfigError:
         raise
@@ -154,7 +155,7 @@ class ExperimentConfig:
     nodes: int
     period: float
     family: str
-    descriptor: MinkowskiNorm
+    descriptor: RandersNorm
     f_expr: str
     u0_expr: str
     dt: float
@@ -198,24 +199,24 @@ def config_hash(text: str) -> str:
 
 
 def _parse_pairs(text: str):
-    pairs = []
+    key, pairs = "[checks] harnack_pairs", []
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
         parts = chunk.split(",")
         if len(parts) != 4:
             raise ConfigError(f"harnack pair needs x1,t1,x2,t2: {chunk!r}")
-        pairs.append(
-            (int(parts[0]), float(parts[1]), int(parts[2]), float(parts[3]))
-        )
+        kinds = (int, float, int, float)
+        pairs.append(tuple(_number(key, p, k) for p, k in zip(parts, kinds)))
     return tuple(pairs)
 
 
 def _parse_ladder(text: str):
-    levels = []
+    key, levels = "[ladder] levels", []
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
         parts = chunk.split(",")
         if len(parts) != 2:
             raise ConfigError(f"ladder level needs nodes,dt: {chunk!r}")
-        levels.append((int(parts[0]), float(parts[1])))
+        nodes, dt = parts
+        levels.append((_number(key, nodes, int), _number(key, dt)))
     for (n0, d0), (n1, d1) in zip(levels, levels[1:]):
         if n1 <= n0 or d1 > d0:
             raise ConfigError("ladder must refine: nodes up, dt not up")
@@ -230,12 +231,9 @@ def load_config(path: str) -> ExperimentConfig:
     if "grid" not in parser or "time" not in parser:
         raise ConfigError("config needs [grid] and [time] sections")
     grid_sec = parser["grid"]
-    try:
-        dim = grid_sec.getint("dim", 1)
-        nodes = grid_sec.getint("nodes", 64)
-        period = grid_sec.getfloat("period", 1.0)
-    except ValueError as exc:
-        raise ConfigError(f"bad [grid] value: {exc}") from exc
+    dim = _number("[grid] dim", grid_sec.get("dim", "1"), int)
+    nodes = _number("[grid] nodes", grid_sec.get("nodes", "64"), int)
+    period = _number("[grid] period", grid_sec.get("period", "1.0"))
     if dim not in (1, 2):
         raise ConfigError("dim must be 1 or 2")
     if nodes < 8:
@@ -248,13 +246,10 @@ def load_config(path: str) -> ExperimentConfig:
     descriptor = _build_descriptor(dim, family, metric_sec)
 
     time_sec = parser["time"]
-    try:
-        dt = time_sec.getfloat("dt")
-        t_final = time_sec.getfloat("t_final")
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad [time] value: {exc}") from exc
-    if dt is None or t_final is None:
+    if "dt" not in time_sec or "t_final" not in time_sec:
         raise ConfigError("[time] needs dt and t_final")
+    dt = _number("[time] dt", time_sec["dt"])
+    t_final = _number("[time] t_final", time_sec["t_final"])
     if not 0.0 < dt <= t_final:
         raise ConfigError("need 0 < dt <= t_final")
     scheme = time_sec.get("scheme", "implicit_euler").strip()
@@ -273,16 +268,20 @@ def load_config(path: str) -> ExperimentConfig:
     if n_text in ("inf", "infinity", "auto"):
         n_eff = math.inf
     else:
-        n_eff = float(n_text)
-        if n_eff < dim:
-            raise ConfigError("effective dimension below the actual dimension")
+        n_eff = _number("[checks] N", n_text)
+        if not n_eff >= dim:  # NaN fails too
+            raise ConfigError(
+                f"effective dimension below the actual dimension: N = {n_text}"
+            )
     k_text = str(checks_sec.get("K", "auto")).strip().lower()
-    k_val = None if k_text == "auto" else float(k_text)
+    k_val = None if k_text == "auto" else _number("[checks] K", k_text)
     profile = str(checks_sec.get("profile", "quadratic")).strip()
     LiYauProfile.parse(profile)
-    seed = int(str(checks_sec.get("seed", "1234")))
-    n_fields = int(str(checks_sec.get("n_fields", "20")))
-    s_time = float(str(checks_sec.get("s", "0.0")))
+    seed = _number("[checks] seed", str(checks_sec.get("seed", "1234")), int)
+    n_fields = _number("[checks] n_fields", str(checks_sec.get("n_fields", "20")), int)
+    if n_fields < 1:
+        raise ConfigError("[checks] n_fields must be at least 1")
+    s_time = _number("[checks] s", str(checks_sec.get("s", "0.0")))
     phi_expr = str(checks_sec.get("phi", "1"))
     harnack_pairs = _parse_pairs(str(checks_sec.get("harnack_pairs", "")))
     harnack_mode = str(checks_sec.get("harnack_mode", "lf")).strip()

@@ -1,32 +1,28 @@
-"""Minkowski norms on flat tori: families, duals, and Legendre maps.
+"""Minkowski norms on flat tori: one Randers class, its dual and Legendre maps.
 
-Supported families
-------------------
-``RandersNorm``
-    F(y) = sqrt(y . a y) + b . y with the a-dual norm of the covector ``b``
-    strictly below one. Genuinely asymmetric: F(-y) != F(y) unless b = 0.
-``RiemannianNorm``
-    F(y) = sqrt(y . a y) for a constant symmetric positive definite ``a``:
-    the Randers norm with b = 0.
-``EuclideanNorm``
-    F(y) = |y|: the Randers norm with a = I and b = 0.
-``Asym1DNorm``
-    One-dimensional piecewise linear norm with slopes ``p_plus`` on y > 0
-    and ``p_minus`` on y < 0.
+``RandersNorm`` is F(y) = sqrt(y . a y) + b . y with the a-dual norm of the
+covector ``b`` strictly below one, genuinely asymmetric unless b = 0. Every
+family is a ``RandersNorm`` under its ``family`` label:
 
-All descriptor methods broadcast over leading axes; vectors and covectors
-are arrays of shape ``(..., dim)``.
+* ``euclidean`` (:func:`EuclideanNorm`): a = I, b = 0;
+* ``riemannian`` (:func:`RiemannianNorm`): constant positive definite a, b = 0;
+* ``randers``: any admissible a and b;
+* ``asym1d`` (:func:`Asym1DNorm`): the 1-d norm with slope ``p_plus`` on
+  y > 0 and ``p_minus`` on y < 0, which is sqrt(a) = (p_plus + p_minus)/2
+  and b = (p_plus - p_minus)/2.
 
-The fundamental tensor at a direction ``v`` is half the second derivative
-of F^2, the Legendre map sends a covector ``xi`` to the unique vector ``y``
-with F(y) = F*(xi) and xi(y) = F(y)^2, and ``legendre_inverse`` is its
-inverse y -> g_y(y, .) = d(F^2)/2.
+All methods broadcast over leading axes; vectors and covectors are arrays
+of shape ``(..., dim)``. The fundamental tensor at ``v`` is half the
+second derivative of F^2, the Legendre map sends a covector ``xi`` to the
+unique ``y`` with F(y) = F*(xi) and xi(y) = F(y)^2, and
+``legendre_inverse`` is its inverse y -> g_y(y, .) = d(F^2)/2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,81 +30,6 @@ from .errors import DegenerateVector, UnsupportedFamily
 
 #: degeneracy threshold, scaled by the descriptor's length scale
 EPS_DEGENERATE = 1e-12
-
-
-def _sym2(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
-
-
-class MinkowskiNorm:
-    """Base class for constant-coefficient Minkowski norm descriptors."""
-
-    dim: int
-    family: str
-
-    # -- interface -------------------------------------------------------
-
-    def norm(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def dual_norm(self, xi: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def fundamental_tensor(self, v: np.ndarray) -> np.ndarray:
-        """g_ij(v) = (1/2) d^2(F^2)/dy^i dy^j, shape ``(..., d, d)``; raises
-        :class:`DegenerateVector` near v = 0."""
-        v = np.asarray(v, float)
-        self._require_nondegenerate(v)
-        return self.fundamental_tensor_unchecked(v)
-
-    def fundamental_tensor_unchecked(self, v: np.ndarray) -> np.ndarray:
-        """:meth:`fundamental_tensor` without the degeneracy check."""
-        raise NotImplementedError
-
-    def legendre(self, xi: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def legendre_inverse(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def riemannian_part(self) -> np.ndarray:
-        """Symmetric positive definite tensor used at degenerate nodes."""
-        raise NotImplementedError
-
-    # -- shared helpers --------------------------------------------------
-
-    @property
-    def length_scale(self) -> float:
-        a = self.riemannian_part()
-        return float(np.sqrt(np.trace(a) / a.shape[0]))
-
-    def degenerate_mask(self, y: np.ndarray) -> np.ndarray:
-        """True where ``y`` is numerically indistinguishable from zero."""
-        mag = np.linalg.norm(np.atleast_2d(y), axis=-1)
-        return (mag <= EPS_DEGENERATE * self.length_scale).reshape(np.shape(y)[:-1])
-
-    def _require_nondegenerate(self, y: np.ndarray) -> None:
-        if np.any(self.degenerate_mask(y)):
-            raise DegenerateVector(
-                f"{self.family}: vector magnitude below {EPS_DEGENERATE} x scale"
-            )
-
-    def inverse_tensor_field(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse fundamental tensor per row of ``v``; ``mask`` flags the
-        degenerate rows, which get the inverse of :meth:`riemannian_part`.
-        Returns ``(ginv, mask)``."""
-        v = np.asarray(v, dtype=float)
-        mask = self.degenerate_mask(v)
-        safe = np.where(mask[..., None], self._unit_substitute(), v)
-        g = self.fundamental_tensor_unchecked(safe)
-        ginv = _invert_spd(g)
-        ginv[mask] = _invert_spd(self.riemannian_part()[None, ...])[0]
-        return ginv, mask
-
-    def _unit_substitute(self) -> np.ndarray:
-        e = np.zeros(self.dim)
-        e[0] = 1.0
-        return e
 
 
 def _invert_spd(g: np.ndarray) -> np.ndarray:
@@ -126,7 +47,7 @@ def _invert_spd(g: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RandersNorm(MinkowskiNorm):
+class RandersNorm:
     """F(y) = sqrt(y . a y) + b . y with |b|_a < 1.
 
     The drift covector ``b`` tilts the unit ball; reversibility
@@ -142,7 +63,9 @@ class RandersNorm(MinkowskiNorm):
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
         if a.shape[0] not in (1, 2) or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
             raise UnsupportedFamily(f"bad shapes a={a.shape}, b={b.shape}")
-        a = _sym2(a)
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise UnsupportedFamily("tensor and drift must be finite")
+        a = 0.5 * (a + a.T)
         if np.any(np.linalg.eigvalsh(a) <= 0):
             raise UnsupportedFamily("tensor must be positive definite")
         a_inv = np.linalg.inv(a)
@@ -159,6 +82,21 @@ class RandersNorm(MinkowskiNorm):
     @property
     def dim(self):
         return self.a.shape[0]
+
+    @property
+    def length_scale(self) -> float:
+        return float(np.sqrt(np.trace(self.a) / self.dim))
+
+    def degenerate_mask(self, y: np.ndarray) -> np.ndarray:
+        """True where ``y`` is numerically indistinguishable from zero."""
+        mag = np.linalg.norm(np.atleast_2d(y), axis=-1)
+        return (mag <= EPS_DEGENERATE * self.length_scale).reshape(np.shape(y)[:-1])
+
+    def _require_nondegenerate(self, y: np.ndarray) -> None:
+        if np.any(self.degenerate_mask(y)):
+            raise DegenerateVector(
+                f"{self.family}: vector magnitude below {EPS_DEGENERATE} x scale"
+            )
 
     def norm(self, y):
         y = np.asarray(y, float)
@@ -178,17 +116,35 @@ class RandersNorm(MinkowskiNorm):
         r = np.sqrt(lam * q + m * m)
         return (r - m) / lam, r
 
+    def fundamental_tensor(self, v: np.ndarray) -> np.ndarray:
+        """g_ij(v) = (1/2) d^2(F^2)/dy^i dy^j, shape ``(..., d, d)``; raises
+        :class:`DegenerateVector` near v = 0."""
+        v = np.asarray(v, float)
+        self._require_nondegenerate(v)
+        return self.fundamental_tensor_unchecked(v)
+
     def fundamental_tensor_unchecked(self, v):
+        """:meth:`fundamental_tensor` without the degeneracy check."""
         v = np.asarray(v, float)
         av = np.einsum("ij,...j->...i", self.a, v)
         alpha = np.sqrt(np.einsum("...i,...i->...", v, av))
         ell = av / alpha[..., None]
         f_over_alpha = 1.0 + (v @ self.b) / alpha
         lb = ell + self.b
-        g = f_over_alpha[..., None, None] * (
+        return f_over_alpha[..., None, None] * (
             self.a - ell[..., :, None] * ell[..., None, :]
         ) + lb[..., :, None] * lb[..., None, :]
-        return g
+
+    def inverse_tensor_field(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse fundamental tensor per row of ``v``; ``mask`` flags the
+        degenerate rows, which get the inverse of :meth:`riemannian_part`.
+        Returns ``(ginv, mask)``."""
+        v = np.asarray(v, dtype=float)
+        mask = self.degenerate_mask(v)
+        safe = np.where(mask[..., None], np.eye(self.dim)[0], v)
+        ginv = _invert_spd(self.fundamental_tensor_unchecked(safe))
+        ginv[mask] = _invert_spd(self.a[None])[0]
+        return ginv, mask
 
     def legendre_inverse(self, y):
         y = np.asarray(y, float)
@@ -214,13 +170,15 @@ class RandersNorm(MinkowskiNorm):
         return np.where(self.degenerate_mask(xi)[..., None], 0.0, y)
 
     def riemannian_part(self):
+        """Symmetric positive definite tensor used at degenerate nodes."""
         return self.a.copy()
 
 
 def RiemannianNorm(a) -> RandersNorm:
     """F(y) = sqrt(y . a y) for a constant symmetric positive definite ``a``:
     the Randers norm with b = 0, labelled ``riemannian``."""
-    return _quadratic(np.atleast_2d(np.asarray(a, dtype=float)), "riemannian")
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    return _labelled(a, np.zeros(a.shape[0]), "riemannian")
 
 
 def EuclideanNorm(dim: int = 1) -> RandersNorm:
@@ -228,70 +186,52 @@ def EuclideanNorm(dim: int = 1) -> RandersNorm:
     b = 0, labelled ``euclidean``."""
     if dim not in (1, 2):
         raise UnsupportedFamily(f"dimension {dim} not supported")
-    return _quadratic(np.eye(dim), "euclidean")
+    return _labelled(np.eye(dim), np.zeros(dim), "euclidean")
 
 
-def _quadratic(a: np.ndarray, family: str) -> RandersNorm:
-    """The Randers norm with tensor ``a`` and b = 0, under a quadratic
-    family label (checks that need g_V = a test the label)."""
-    desc = RandersNorm(a, np.zeros(a.shape[0]))
+def Asym1DNorm(p_plus: float, p_minus: float) -> RandersNorm:
+    """F(y) = p_plus y for y >= 0 and -p_minus y for y < 0: the 1-d Randers
+    norm with sqrt(a) = (p_plus + p_minus)/2 and b = (p_plus - p_minus)/2,
+    labelled ``asym1d``."""
+    # written so that NaN fails; |b|_a < 1 alone would accept (-1, -1)
+    if not (0.0 < p_plus < math.inf and 0.0 < p_minus < math.inf):
+        raise UnsupportedFamily("slopes must be positive and finite")
+    a, b = (0.5 * (p_plus + p_minus)) ** 2, 0.5 * (p_plus - p_minus)
+    return _labelled([[a]], [b], "asym1d")
+
+
+def _labelled(a, b, family: str) -> RandersNorm:
+    """The Randers norm (a, b) under a family label, which checks test."""
+    desc = RandersNorm(a, b)
     object.__setattr__(desc, "family", family)
     return desc
 
 
-@dataclass(frozen=True)
-class Asym1DNorm(MinkowskiNorm):
-    """One-dimensional norm with distinct forward/backward slopes.
+def reversibility(desc: RandersNorm) -> float:
+    """sup F(-y)/F(y) = (1 + beta)/(1 - beta) with beta = |b|_a, from above.
 
-    F(y) = p_plus * y for y >= 0 and -p_minus * y for y < 0. Equivalent to a
-    1-d Randers norm with sqrt(a) = (p_plus + p_minus)/2 and
-    b = (p_plus - p_minus)/2.
+    Evaluated in exact rational arithmetic on the stored ``a`` and ``b``
+    and rounded up, so round-off never puts it below the sup; exactly 1
+    for quadratic norms.
     """
-
-    p_plus: float
-    p_minus: float
-    family: str = field(default="asym1d", init=False)
-    dim: int = field(default=1, init=False)
-
-    def __post_init__(self):
-        if self.p_plus <= 0 or self.p_minus <= 0:
-            raise UnsupportedFamily("slopes must be positive")
-
-    def _slope(self, y):
-        return np.where(np.asarray(y) >= 0, self.p_plus, self.p_minus)
-
-    def norm(self, y):
-        y = np.asarray(y, float)[..., 0]
-        return np.abs(y) * self._slope(y)
-
-    def dual_norm(self, xi):
-        # sup xi(y)/F(y): forward covectors see 1/p_plus, backward 1/p_minus
-        xi = np.asarray(xi, float)[..., 0]
-        return np.abs(xi) / self._slope(xi)
-
-    def fundamental_tensor_unchecked(self, v):
-        v = np.asarray(v, float)[..., 0]
-        return (self._slope(v) ** 2)[..., None, None]
-
-    def legendre(self, xi):
-        xi = np.asarray(xi, float)
-        return xi / self._slope(xi[..., 0])[..., None] ** 2
-
-    def legendre_inverse(self, y):
-        y = np.asarray(y, float)
-        return y * self._slope(y[..., 0])[..., None] ** 2
-
-    def riemannian_part(self):
-        return np.array([[0.25 * (self.p_plus + self.p_minus) ** 2]])
-
-
-def reversibility(desc: MinkowskiNorm) -> float:
-    """Exact sup F(-y)/F(y): the slope ratio for the asymmetric 1-d norm,
-    else (1 + |b|_a)/(1 - |b|_a), which is 1 for quadratic norms."""
-    if desc.family == "asym1d":
-        return max(desc.p_plus / desc.p_minus, desc.p_minus / desc.p_plus)
-    beta = math.sqrt(desc.b_norm_sq)
-    return (1.0 + beta) / (1.0 - beta)
+    if not desc.b.any():
+        return 1.0
+    a = [[Fraction(x) for x in row] for row in desc.a.tolist()]
+    b = [Fraction(x) for x in desc.b.tolist()]
+    if desc.dim == 1:
+        q = b[0] ** 2 / a[0][0]
+    else:  # b . adj(a) b / det(a); a is stored symmetric
+        (p, r), (_, s) = a
+        q = (s * b[0] ** 2 - 2 * r * b[0] * b[1] + p * b[1] ** 2) / (p * s - r * r)
+    # beta = sqrt(n/d) rounded up: ceil(sqrt(n d 4^64)) / (d 2^64)
+    m = q.numerator * q.denominator << 128
+    root = math.isqrt(m)
+    beta = Fraction(root + (root * root < m), q.denominator << 64)
+    if beta >= 1:  # admitted at round-off only: F vanishes on a direction
+        return math.inf
+    exact = (1 + beta) / (1 - beta)
+    value = float(exact)
+    return value if value >= exact else math.nextafter(value, math.inf)
 
 
 @dataclass(frozen=True)
@@ -304,7 +244,7 @@ class MetricField:
     """
 
     grid: "TorusGrid"  # noqa: F821 (geometry imports this module, not vice versa)
-    descriptor: MinkowskiNorm
+    descriptor: RandersNorm
 
     def __post_init__(self):
         if self.descriptor.dim != self.grid.dim:

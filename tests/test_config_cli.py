@@ -706,6 +706,36 @@ def test_cli_config_error_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+BAD_VALUES = {
+    "p_plus_word": ("[metric]\nfamily = asym1d\np_plus = two\n", "[metric] p_plus"),
+    "N_word": ("[checks]\nnames = duality\nN = eight\n", "[checks] N"),
+    "K_word": ("[checks]\nnames = duality\nK = x\n", "[checks] K"),
+    "seed_word": ("[checks]\nnames = duality\nseed = x\n", "[checks] seed"),
+    "pair_word": (
+        "[checks]\nnames = harnack\nharnack_pairs = 1,x,2,0.002\n",
+        "[checks] harnack_pairs",
+    ),
+    "ladder_word": ("[ladder]\nlevels = 16,x\n", "[ladder] levels"),
+    "N_nan": ("[checks]\nnames = duality\nN = nan\n", "N = nan"),
+    "n_fields_zero": ("[checks]\nnames = duality\nn_fields = 0\n", "n_fields"),
+    "a_nan": ("[metric]\nfamily = randers\na = nan\n", "finite"),
+    "a_inf": ("[metric]\nfamily = randers\na = inf\n", "finite"),
+    "p_plus_nan": ("[metric]\nfamily = asym1d\np_plus = nan\n", "slopes"),
+    "p_plus_inf": ("[metric]\nfamily = asym1d\np_plus = inf\n", "slopes"),
+}
+
+
+@pytest.mark.parametrize("block, named", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_cli_malformed_or_non_finite_value_exits_two(tmp_path, capsys, block, named):
+    # one error line that names the key, before any solve
+    path = write_ini(tmp_path, GOOD, block, f"[output]\ndir = {tmp_path / 'runs'}\n")
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize(
     "check, K",
     [

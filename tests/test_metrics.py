@@ -1,5 +1,7 @@
 """Norm families: values, duality, Legendre maps, reversibility."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,18 @@ def test_asym1d_norm_and_dual():
     # sup xi(y) over F(y) = 1: forward unit vector is 1/2, backward is 1
     assert desc.dual_norm(np.array([1.0])) == pytest.approx(0.5)
     assert desc.dual_norm(np.array([-1.0])) == pytest.approx(1.0)
+    # the piecewise linear definition on both signs, through the Randers form
+    assert isinstance(desc, RandersNorm) and desc.family == "asym1d"
+    y = np.array([[3.0], [0.5], [-0.5], [-3.0]])
+    slope = np.where(y[:, 0] > 0, 2.0, 1.0)
+    np.testing.assert_allclose(desc.norm(y), slope * np.abs(y[:, 0]), rtol=1e-14)
+    np.testing.assert_allclose(desc.dual_norm(y), np.abs(y[:, 0]) / slope, rtol=1e-14)
+    np.testing.assert_allclose(desc.legendre(y), y / slope[:, None] ** 2, rtol=1e-14)
+    np.testing.assert_allclose(desc.legendre_inverse(y), y * slope[:, None] ** 2, rtol=1e-14)
+    np.testing.assert_allclose(
+        desc.fundamental_tensor(y), slope[:, None, None] ** 2, rtol=1e-14
+    )
+    assert reversibility(desc) >= 2.0
 
 
 def dense_directions(desc, count=2**16):
@@ -267,8 +281,25 @@ def test_quadratic_tensor_shape_guard(a):
 
 
 def test_asym1d_requires_positive_slopes():
-    with pytest.raises(UnsupportedFamily):
-        Asym1DNorm(2.0, 0.0)
+    # NaN must fail the slope test, and (-2, -1) would pass |b|_a < 1 alone
+    for slopes in [(2.0, 0.0), (0.0, 1.0), (-2.0, -1.0), (math.nan, 1.0), (math.inf, 1.0)]:
+        with pytest.raises(UnsupportedFamily, match="slopes"):
+            Asym1DNorm(*slopes)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [([[math.nan]], [0.0]), ([[math.inf]], [0.0]), ([[1.0]], [math.nan]), ([[1.0]], [-math.inf])],
+)
+def test_randers_rejects_non_finite_entries(a, b):
+    with pytest.raises(UnsupportedFamily, match="finite"):
+        RandersNorm(np.array(a), np.array(b))
+
+
+def test_reversibility_with_underflowing_or_zero_drift():
+    # |b|_a^2 underflows a double here; the exact bound still lies above 1
+    assert reversibility(RandersNorm(np.eye(2), np.array([1e-200, 0.0]))) > 1.0
+    assert reversibility(RiemannianNorm(np.diag([4.0, 1.0]))) == 1.0
 
 
 def test_euclidean_dimension_guard():
