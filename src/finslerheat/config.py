@@ -111,6 +111,14 @@ def _number(key: str, text: str, kind=float):
         raise ConfigError(f"{key}: expected {noun}, got {text.strip()!r}") from None
 
 
+def _finite(key: str, text: str) -> float:
+    """``text`` read as a float that must be finite; a ConfigError names ``key``."""
+    value = _number(key, text)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {text.strip()!r}")
+    return value
+
+
 def _floats(key: str, text: str) -> list[float]:
     return [_number(key, part) for part in text.split(",")]
 
@@ -233,7 +241,7 @@ def load_config(path: str) -> ExperimentConfig:
     grid_sec = parser["grid"]
     dim = _number("[grid] dim", grid_sec.get("dim", "1"), int)
     nodes = _number("[grid] nodes", grid_sec.get("nodes", "64"), int)
-    period = _number("[grid] period", grid_sec.get("period", "1.0"))
+    period = _finite("[grid] period", grid_sec.get("period", "1.0"))
     if dim not in (1, 2):
         raise ConfigError("dim must be 1 or 2")
     if nodes < 8:
@@ -248,8 +256,8 @@ def load_config(path: str) -> ExperimentConfig:
     time_sec = parser["time"]
     if "dt" not in time_sec or "t_final" not in time_sec:
         raise ConfigError("[time] needs dt and t_final")
-    dt = _number("[time] dt", time_sec["dt"])
-    t_final = _number("[time] t_final", time_sec["t_final"])
+    dt = _finite("[time] dt", time_sec["dt"])
+    t_final = _finite("[time] t_final", time_sec["t_final"])
     if not 0.0 < dt <= t_final:
         raise ConfigError("need 0 < dt <= t_final")
     scheme = time_sec.get("scheme", "implicit_euler").strip()
@@ -274,14 +282,14 @@ def load_config(path: str) -> ExperimentConfig:
                 f"effective dimension below the actual dimension: N = {n_text}"
             )
     k_text = str(checks_sec.get("K", "auto")).strip().lower()
-    k_val = None if k_text == "auto" else _number("[checks] K", k_text)
+    k_val = None if k_text == "auto" else _finite("[checks] K", k_text)
     profile = str(checks_sec.get("profile", "quadratic")).strip()
     LiYauProfile.parse(profile)
     seed = _number("[checks] seed", str(checks_sec.get("seed", "1234")), int)
     n_fields = _number("[checks] n_fields", str(checks_sec.get("n_fields", "20")), int)
     if n_fields < 1:
         raise ConfigError("[checks] n_fields must be at least 1")
-    s_time = _number("[checks] s", str(checks_sec.get("s", "0.0")))
+    s_time = _finite("[checks] s", str(checks_sec.get("s", "0.0")))
     phi_expr = str(checks_sec.get("phi", "1"))
     harnack_pairs = _parse_pairs(str(checks_sec.get("harnack_pairs", "")))
     harnack_mode = str(checks_sec.get("harnack_mode", "lf")).strip()
@@ -296,6 +304,12 @@ def load_config(path: str) -> ExperimentConfig:
         if "ladder" in parser
         else ()
     )
+
+    # every grid the config solves on must hold every Harnack node
+    limit = min([nodes] + [level for level, _ in ladder]) ** dim
+    for node in (x for pair in harnack_pairs for x in pair[::2]):
+        if not 0 <= node < limit:
+            raise ConfigError(f"[checks] harnack_pairs: node {node} outside [0, {limit})")
 
     # surface expression problems now, not at solve time
     for expr in (f_expr, u0_expr, phi_expr):

@@ -292,9 +292,10 @@ def gradient_field(metric: MetricField, u: ScalarField) -> VectorField:
     get a zero vector.
     """
     du = _differential(u.grid, u.values)
-    scale = max(1.0, float(np.max(np.linalg.norm(du, axis=-1), initial=0.0)))
+    mag = np.linalg.norm(du, axis=-1)
+    scale = max(1.0, float(np.max(mag, initial=0.0)))
     desc = metric.descriptor
-    mask = np.linalg.norm(du, axis=-1) <= EPS_DEGENERATE * desc.length_scale * scale
+    mask = mag <= EPS_DEGENERATE * desc.length_scale * scale
     grad = desc.legendre(du)
     grad[mask] = 0.0
     return VectorField(u.grid, grad)

@@ -24,7 +24,6 @@ with every edge weight replaced by its direction's mean.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -240,13 +239,33 @@ def _face_average(grid, node_values: np.ndarray, axis_offsets) -> np.ndarray:
     return 0.5 * (arr + rolled).reshape(node_values.shape)
 
 
-def _edge_indices(grid, axis_offsets) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.arange(grid.n_nodes).reshape(grid.shape)
-    rolled = idx
-    for ax, off in enumerate(axis_offsets):
-        if off:
-            rolled = np.roll(rolled, -off, axis=ax)
-    return idx.ravel(), rolled.ravel()
+@functools.lru_cache(maxsize=8)
+def _csr_pattern(shape: tuple[int, ...], offsets) -> tuple[np.ndarray, ...]:
+    """(indptr, indices, order) of the symmetric edge matrix of a stencil:
+    direction k puts w_k[i] at (i, j) and (j, i), j = i + ``offsets[k]``,
+    and CSR entry e is entry ``order[e]`` of concatenate(w_0, w_1, ...).
+    With at least 8 nodes per axis no entry repeats, so these are the
+    arrays of ``coo_matrix(...).tocsr()``, rows sorted by column. Read-only,
+    as every assembly on the grid shares them."""
+    n = math.prod(shape)
+    flat = np.arange(n)
+    rows, cols, source = [], [], []
+    for k, off in enumerate(offsets):
+        nbr = np.roll(flat.reshape(shape), [-o for o in off], axis=tuple(range(len(shape))))
+        rows += [flat, nbr.ravel()]
+        cols += [nbr.ravel(), flat]
+        source += [k * n + flat] * 2
+    rows, cols, source = map(np.concatenate, (rows, cols, source))
+    order = np.lexsort((cols, rows))
+    per_row = 2 * len(offsets)
+    pattern = (
+        np.arange(0, per_row * n + 1, per_row, dtype=np.int32),
+        cols[order].astype(np.int32),
+        source[order],
+    )
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
 
 
 def weighted_laplacian(
@@ -272,22 +291,10 @@ def weighted_laplacian(
     rho = measure.density
     h_pow = grid.h ** (grid.dim - 2)
 
-    rows, cols, data, stencil = [], [], [], []
-
-    def add_edges(offsets, coeff):
-        i, j = _edge_indices(grid, offsets)
-        w = coeff * h_pow
-        rows.append(i)
-        cols.append(j)
-        data.append(w)
-        rows.append(j)
-        cols.append(i)
-        data.append(w)
-        stencil.append((offsets, float(np.mean(w))))
-
+    # stencil direction -> face coefficient of its edges
     if grid.dim == 1:
         g11 = _face_average(grid, ginv[:, 0, 0], (1,)) * _face_average(grid, rho, (1,))
-        add_edges((1,), g11)
+        edges = {(1,): g11}
         kappa_max = float(np.max(ginv[:, 0, 0]))
     else:
         rho_x = _face_average(grid, rho, (1, 0))
@@ -300,18 +307,22 @@ def weighted_laplacian(
         g12_y = _face_average(grid, ginv[:, 0, 1], (0, 1))
         g12_d = _face_average(grid, ginv[:, 0, 1], (1, 1))
         g12_a = _face_average(grid, ginv[:, 0, 1], (1, -1))
-        add_edges((1, 0), rho_x * (g11_x - np.abs(g12_x)))
-        add_edges((0, 1), rho_y * (g22_y - np.abs(g12_y)))
-        add_edges((1, 1), rho_d * np.maximum(g12_d, 0.0))
-        add_edges((1, -1), rho_a * np.maximum(-g12_a, 0.0))
+        edges = {
+            (1, 0): rho_x * (g11_x - np.abs(g12_x)),
+            (0, 1): rho_y * (g22_y - np.abs(g12_y)),
+            (1, 1): rho_d * np.maximum(g12_d, 0.0),
+            (1, -1): rho_a * np.maximum(-g12_a, 0.0),
+        }
         tr = ginv[:, 0, 0] + ginv[:, 1, 1]
         det = ginv[:, 0, 0] * ginv[:, 1, 1] - ginv[:, 0, 1] ** 2
         kappa_max = float(np.max(0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4 * det, 0)))))
 
-    w_mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+    weights = [coeff * h_pow for coeff in edges.values()]
+    indptr, indices, order = _csr_pattern(grid.shape, tuple(edges))
+    w_mat = sp.csr_matrix(
+        (np.concatenate(weights)[order], indices, indptr),
         shape=(grid.n_nodes, grid.n_nodes),
-    ).tocsr()
+    )
     degree = w_mat @ np.ones(grid.n_nodes)
     return DiffusionAssembly(
         weights=w_mat,
@@ -323,7 +334,7 @@ def weighted_laplacian(
         kappa_max=kappa_max,
         degenerate_nodes=int(np.count_nonzero(mask)),
         shape=grid.shape,
-        stencil=tuple(stencil),
+        stencil=tuple((d, float(np.mean(w))) for d, w in zip(edges, weights)),
     )
 
 
@@ -433,18 +444,22 @@ class Trajectory:
         return index
 
     def export(self, out_dir: str) -> None:
-        """Write snapshot CSVs and a small JSON description."""
+        """Write snapshot CSVs and a small JSON description.
+
+        Each CSV is the text ``csv.writer`` would write, built as one string:
+        the writer formats a float64 with ``str``, which is ``repr(float)``.
+        """
         os.makedirs(out_dir, exist_ok=True)
-        coords = self.grid.coordinates()
+        header = ",".join(["node"] + [f"x{i}" for i in range(self.grid.dim)] + ["u"])
+        prefixes = [
+            ",".join(map(repr, [i, *xs])) + ","
+            for i, xs in enumerate(self.grid.coordinates().tolist())
+        ]
         for k in (0, self.n_times - 1):
             path = os.path.join(out_dir, f"field_{self.times[k]:.6f}.csv")
+            rows = map(str.__add__, prefixes, map(repr, self.fields[k].tolist()))
             with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(
-                    ["node"] + [f"x{i}" for i in range(self.grid.dim)] + ["u"]
-                )
-                for i in range(self.grid.n_nodes):
-                    writer.writerow([i, *coords[i], self.fields[k][i]])
+                fh.write("\r\n".join([header, *rows, ""]))
         meta = {
             "scheme": self.scheme,
             "dt": self.dt,

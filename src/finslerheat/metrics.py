@@ -109,10 +109,15 @@ class RandersNorm:
     def _dual_parts(self, xi):
         """(F*(xi), r). The dual of a Randers norm is again Randers-type:
         F* = (r - m)/lam with lam = 1 - |b|_a^2, q = xi . a^-1 xi,
-        m = xi . a^-1 b and r = sqrt(lam q + m^2)."""
+        m = xi . a^-1 b and r = sqrt(lam q + m^2).
+
+        q and m are summed from zero over (i, j) in row-major order with terms
+        (xi_i a^-1_ij) xi_j and (xi_i a^-1_ij) b_j: the einsum's bits, cheaper."""
         lam = 1.0 - self.b_norm_sq
-        q = np.einsum("...i,ij,...j->...", xi, self.a_inv, xi)
-        m = np.einsum("...i,ij,j->...", xi, self.a_inv, self.b)
+        pairs = [(i, j) for i in range(self.dim) for j in range(self.dim)]
+        xa = {(i, j): xi[..., i] * self.a_inv[i, j] for i, j in pairs}
+        q = sum(xa[i, j] * xi[..., j] for i, j in pairs)
+        m = sum(xa[i, j] * self.b[j] for i, j in pairs)
         r = np.sqrt(lam * q + m * m)
         return (r - m) / lam, r
 
@@ -124,16 +129,27 @@ class RandersNorm:
         return self.fundamental_tensor_unchecked(v)
 
     def fundamental_tensor_unchecked(self, v):
-        """:meth:`fundamental_tensor` without the degeneracy check."""
+        """:meth:`fundamental_tensor` without the degeneracy check.
+
+        g_ij = (F/alpha)(a_ij - l_i l_j) + (l_i + b_i)(l_j + b_j) with
+        l = a v / alpha, one component at a time; a v and alpha^2 are summed
+        from zero over j like the ``einsum`` they replace, so the bits match.
+        """
         v = np.asarray(v, float)
-        av = np.einsum("ij,...j->...i", self.a, v)
-        alpha = np.sqrt(np.einsum("...i,...i->...", v, av))
-        ell = av / alpha[..., None]
-        f_over_alpha = 1.0 + (v @ self.b) / alpha
-        lb = ell + self.b
-        return f_over_alpha[..., None, None] * (
-            self.a - ell[..., :, None] * ell[..., None, :]
-        ) + lb[..., :, None] * lb[..., None, :]
+        a, b, dim = self.a, self.b, self.dim
+        comps = [v[..., j] for j in range(dim)]
+        av = [sum(a[i, j] * comps[j] for j in range(dim)) for i in range(dim)]
+        alpha = np.sqrt(sum(c * x for c, x in zip(comps, av)))
+        ell = [x / alpha for x in av]
+        f_over_alpha = 1.0 + (v @ b) / alpha
+        lb = [x + b[i] for i, x in enumerate(ell)]
+        g = np.empty(v.shape + (dim,))
+        for i in range(dim):
+            for j in range(i, dim):
+                g[..., i, j] = g[..., j, i] = (
+                    f_over_alpha * (a[i, j] - ell[i] * ell[j]) + lb[i] * lb[j]
+                )
+        return g
 
     def inverse_tensor_field(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Inverse fundamental tensor per row of ``v``; ``mask`` flags the

@@ -294,6 +294,15 @@ def test_randers_descriptor_round_trip(tmp_path):
     assert config.descriptor.b == pytest.approx([0.3])
 
 
+def test_harnack_nodes_must_fit_the_smallest_ladder_grid(tmp_path):
+    # node 20 exists on the 32-node grid but not on the 16-node level
+    pairs = "[checks]\nnames = harnack\nharnack_pairs = 20,0.002,3,0.004\n"
+    assert load_config(write_ini(tmp_path, GOOD, pairs)).harnack_pairs
+    ladder = "[ladder]\nlevels = 16,1e-3; 32,5e-4\n"
+    with pytest.raises(ConfigError, match=r"node 20 outside \[0, 16\)"):
+        load_config(write_ini(tmp_path, GOOD, pairs, ladder))
+
+
 def test_harnack_pairs_and_ladder_parse(tmp_path):
     path = write_ini(
         tmp_path,
@@ -722,6 +731,18 @@ BAD_VALUES = {
     "a_inf": ("[metric]\nfamily = randers\na = inf\n", "finite"),
     "p_plus_nan": ("[metric]\nfamily = asym1d\np_plus = nan\n", "slopes"),
     "p_plus_inf": ("[metric]\nfamily = asym1d\np_plus = inf\n", "slopes"),
+    "s_nan": ("[checks]\nnames = exp_entropy\nN = 3\nK = 0\ns = nan\n", "[checks] s"),
+    "s_inf": ("[checks]\nnames = exp_entropy\nN = 3\nK = 0\ns = inf\n", "[checks] s"),
+    "K_nan": ("[checks]\nnames = gradient_estimate\nK = nan\n", "[checks] K"),
+    "K_minus_inf": ("[checks]\nnames = gradient_estimate\nK = -inf\n", "[checks] K"),
+    "pair_node_past_grid": (
+        "[checks]\nnames = harnack\nharnack_pairs = 1,0.002,200,0.004\n",
+        "[checks] harnack_pairs",
+    ),
+    "pair_node_negative": (
+        "[checks]\nnames = harnack\nharnack_pairs = -1,0.002,3,0.004\n",
+        "[checks] harnack_pairs",
+    ),
 }
 
 
@@ -730,6 +751,25 @@ def test_cli_malformed_or_non_finite_value_exits_two(tmp_path, capsys, block, na
     # one error line that names the key, before any solve
     path = write_ini(tmp_path, GOOD, block, f"[output]\ndir = {tmp_path / 'runs'}\n")
     assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        ("period = 1.0", "period = inf", "[grid] period"),
+        ("dt = 1e-3\n    t_final = 5e-3", "dt = inf\n    t_final = inf", "[time] dt"),
+        ("t_final = 5e-3", "t_final = nan", "[time] t_final"),
+    ],
+)
+def test_cli_non_finite_grid_or_time_exits_two(tmp_path, capsys, old, new, named):
+    # inf <= inf and an infinite period once passed load_config and ended in
+    # a traceback inside the solve
+    path = write_ini(tmp_path, GOOD.replace(old, new), f"[output]\ndir = {tmp_path / 'runs'}\n")
+    assert main(["solve", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err

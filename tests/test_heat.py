@@ -1,10 +1,13 @@
 """Operator assembly, time stepping, trajectories, curvature commutation."""
 
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from finslerheat import (
     Asym1DNorm,
@@ -81,6 +84,91 @@ def test_assembly_kernel_and_self_adjointness(desc):
         lhs = float(np.sum(asm.apply(f) * g * sig))
         rhs = float(np.sum(f * asm.apply(g) * sig))
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
+
+
+def coo_reference(metric, measure, direction) -> sp.csr_matrix:
+    """The edge matrix as a COO -> CSR conversion builds it: the face
+    coefficient of each stencil direction d at (i, i + d) and (i + d, i)."""
+    grid = metric.grid
+    ginv, _ = metric.descriptor.inverse_tensor_field(direction.values)
+    rho = measure.density
+
+    def face(values, d):
+        return heat._face_average(grid, values, d)
+
+    if grid.dim == 1:
+        edges = {(1,): face(ginv[:, 0, 0], (1,)) * face(rho, (1,))}
+    else:
+        g11, g12, g22 = ginv[:, 0, 0], ginv[:, 0, 1], ginv[:, 1, 1]
+        edges = {
+            (1, 0): face(rho, (1, 0)) * (face(g11, (1, 0)) - np.abs(face(g12, (1, 0)))),
+            (0, 1): face(rho, (0, 1)) * (face(g22, (0, 1)) - np.abs(face(g12, (0, 1)))),
+            (1, 1): face(rho, (1, 1)) * np.maximum(face(g12, (1, 1)), 0.0),
+            (1, -1): face(rho, (1, -1)) * np.maximum(-face(g12, (1, -1)), 0.0),
+        }
+    node = np.arange(grid.n_nodes).reshape(grid.shape)
+    rows, cols, data = [], [], []
+    for d, coeff in edges.items():
+        nbr = np.roll(node, [-o for o in d], axis=tuple(range(grid.dim))).ravel()
+        w = coeff * grid.h ** (grid.dim - 2)
+        rows += [node.ravel(), nbr]
+        cols += [nbr, node.ravel()]
+        data += [w, w]
+    return sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.n_nodes, grid.n_nodes),
+    ).tocsr()
+
+
+@pytest.mark.parametrize("nodes", [8, 64])
+@pytest.mark.parametrize(
+    "desc",
+    [
+        Asym1DNorm(2.0, 1.0),
+        RandersNorm(np.array([[1.3]]), np.array([0.4])),
+        # strong anisotropy: negative axis weights
+        RiemannianNorm(np.array([[0.5, 0.9], [0.9, 2.0]])),
+        RandersNorm(np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([0.3, 0.1])),
+    ],
+    ids=lambda d: f"{d.family}-{d.dim}d",
+)
+def test_assembly_csr_arrays_equal_the_coo_conversion(desc, nodes):
+    grid = TorusGrid(desc.dim, nodes)
+    metric = MetricField(grid, desc)
+    rng = np.random.default_rng(nodes)
+    measure = MeasureField(grid, 0.3 * rng.standard_normal(grid.n_nodes))
+    values = rng.standard_normal((grid.n_nodes, grid.dim))
+    values[:3] = 0.0  # degenerate nodes take the Riemannian fallback
+    direction = VectorField(grid, values)
+    got = weighted_laplacian(metric, measure, direction).weights
+    want = coo_reference(metric, measure, direction)
+    for name in ("data", "indices", "indptr"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes(), name
+    if desc.family == "riemannian":
+        assert np.any(got.data < 0.0)
+
+
+def test_csr_pattern_is_shared_and_read_only():
+    grid = TorusGrid(2, 16)
+    metric = MetricField(grid, RandersNorm(np.eye(2), np.array([0.4, 0.1])))
+    measure = MeasureField.lebesgue(grid)
+    rng = np.random.default_rng(3)
+    first, second = (
+        weighted_laplacian(
+            metric, measure, VectorField(grid, rng.standard_normal((grid.n_nodes, 2)))
+        ).weights
+        for _ in range(2)
+    )
+    assert not np.shares_memory(first.data, second.data)
+    for name in ("indices", "indptr"):
+        arr = getattr(first, name)
+        assert np.shares_memory(arr, getattr(second, name))
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    for arr in heat._csr_pattern(grid.shape, ((1, 0), (0, 1), (1, 1), (1, -1))):
+        assert not arr.flags.writeable
 
 
 def test_assembly_euclidean_is_three_point_stencil():
@@ -535,6 +623,28 @@ def test_trajectory_export_roundtrip(tmp_path):
     assert meta["times"] == [0.0, pytest.approx(0.01)]
     first = (tmp_path / "field_0.000000.csv").read_text().strip().splitlines()
     assert len(first) == grid.n_nodes + 1  # header plus one row per node
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_export_writes_the_csv_writer_bytes(tmp_path, dim):
+    grid = TorusGrid(dim, 8)
+    metric = MetricField(grid, EuclideanNorm(dim))
+    u0 = ScalarField(grid, 1.0 + 0.5 * np.sin(2 * math.pi * grid.coordinates()[:, 0]))
+    traj = solve_heat_flow(metric, MeasureField.lebesgue(grid), u0, 2e-3, 1e-3)
+    rng = np.random.default_rng(5)
+    last = rng.standard_normal(grid.n_nodes) * 10.0 ** rng.integers(-320, 300, grid.n_nodes)
+    last[:8] = [0.0, -0.0, np.nan, np.inf, 1e16, 1e-5, 5e-324, 0.1]
+    traj.fields[-1] = last
+    traj.export(str(tmp_path))
+    coords = grid.coordinates()
+    for k in (0, traj.n_times - 1):
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["node"] + [f"x{i}" for i in range(dim)] + ["u"])
+        for i in range(grid.n_nodes):
+            writer.writerow([i, *coords[i], traj.fields[k][i]])
+        path = tmp_path / f"field_{traj.times[k]:.6f}.csv"
+        assert path.read_bytes() == buf.getvalue().encode()
 
 
 def test_time_derivative_commutes_with_gradient_energy():

@@ -154,6 +154,72 @@ def test_tensor_matches_finite_differences(desc):
                 assert fd == pytest.approx(g[i, j], rel=1e-6, abs=1e-6)
 
 
+# ---------------------------------------------------------------------------
+# component-wise algebra against the einsum forms it replaced
+# ---------------------------------------------------------------------------
+
+EINSUM_FAMILIES = [
+    EuclideanNorm(1),
+    EuclideanNorm(2),
+    RiemannianNorm(np.array([[2.5]])),
+    RiemannianNorm(np.array([[0.5, 0.9], [0.9, 2.0]])),
+    RandersNorm(np.array([[1.3]]), np.array([0.4])),
+    RandersNorm(np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([0.3, 0.1])),
+    Asym1DNorm(2.0, 1.0),
+]
+
+
+def einsum_tensor(desc, v):
+    av = np.einsum("ij,...j->...i", desc.a, v)
+    alpha = np.sqrt(np.einsum("...i,...i->...", v, av))
+    ell = av / alpha[..., None]
+    f_over_alpha = 1.0 + (v @ desc.b) / alpha
+    lb = ell + desc.b
+    return f_over_alpha[..., None, None] * (
+        desc.a - ell[..., :, None] * ell[..., None, :]
+    ) + lb[..., :, None] * lb[..., None, :]
+
+
+def einsum_dual_parts(desc, xi):
+    lam = 1.0 - desc.b_norm_sq
+    q = np.einsum("...i,ij,...j->...", xi, desc.a_inv, xi)
+    m = np.einsum("...i,ij,j->...", xi, desc.a_inv, desc.b)
+    r = np.sqrt(lam * q + m * m)
+    return (r - m) / lam, r
+
+
+def assert_same_bits(got, want):
+    """Equal bytes wherever the reference is a number, NaN where it is NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def einsum_inputs(dim, kind):
+    rng = np.random.default_rng(7)
+    if kind == "zero":
+        return np.array([[0.0] * dim, [-0.0] * dim, [-0.0] + [0.0] * (dim - 1)])
+    v = rng.standard_normal((4000, dim))
+    if kind == "tiny":
+        return 1e-300 * v
+    return v * np.exp(rng.uniform(-30.0, 30.0, (4000, 1)))
+
+
+@pytest.mark.parametrize("kind", ["random", "zero", "tiny"])
+@pytest.mark.parametrize(
+    "desc", EINSUM_FAMILIES, ids=lambda d: f"{d.family}-{d.dim}d"
+)
+def test_componentwise_algebra_matches_einsum_bit_for_bit(desc, kind):
+    v = einsum_inputs(desc.dim, kind)
+    with np.errstate(all="ignore"):
+        assert_same_bits(desc.fundamental_tensor_unchecked(v), einsum_tensor(desc, v))
+        assert_same_bits(desc.fundamental_tensor_unchecked(v[0]), einsum_tensor(desc, v[0]))
+        for got, want in zip(desc._dual_parts(v), einsum_dual_parts(desc, v)):
+            assert_same_bits(got, want)
+
+
 def test_tensor_rejects_degenerate_vector():
     with pytest.raises(DegenerateVector):
         RANDERS.fundamental_tensor(np.array([0.0, 1e-15]))
