@@ -213,7 +213,10 @@ def _parse_pairs(text: str):
         if len(parts) != 4:
             raise ConfigError(f"harnack pair needs x1,t1,x2,t2: {chunk!r}")
         kinds = (int, float, int, float)
-        pairs.append(tuple(_number(key, p, k) for p, k in zip(parts, kinds)))
+        pair = tuple(_number(key, p, k) for p, k in zip(parts, kinds))
+        if not 0.0 < pair[1] < pair[3]:  # NaN fails too
+            raise ConfigError(f"{key}: need 0 < t1 < t2, got {chunk!r}")
+        pairs.append(pair)
     return tuple(pairs)
 
 
@@ -232,10 +235,14 @@ def _parse_ladder(text: str):
 
 
 def load_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a '%' makes a malformed value, not a late traceback
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     with open(path) as fh:
         text = fh.read()
-    parser.read_string(text)
+    try:
+        parser.read_string(text, source=path)
+    except configparser.Error as exc:  # a repeated section or key, a stray line
+        raise ConfigError(" ".join(str(exc).split())) from None
     if "grid" not in parser or "time" not in parser:
         raise ConfigError("config needs [grid] and [time] sections")
     grid_sec = parser["grid"]

@@ -18,8 +18,11 @@ are logged, never clamped.
 Every implicit step, in the solver and in transport alike, is one
 preconditioned measure-CG solve (see DiffusionAssembly.advance). In 1-d the
 preconditioner is the exact inverse of the step, from a banded Cholesky
-factor built once per assembly; in 2-d it is the FFT inverse of the same step
-with every edge weight replaced by its direction's mean.
+factor built once per assembly, and CG starts at its solution: one operator
+application checks the residual, and a field iterates only if that misses
+the tolerance. In 2-d the preconditioner is the FFT inverse of the same step
+with every edge weight replaced by its direction's mean, and CG starts at the
+right-hand side.
 """
 
 from __future__ import annotations
@@ -113,7 +116,8 @@ class DiffusionAssembly:
         The same routine drives both the nonlinear solve and the linearized
         transport, so re-running it on recorded data reproduces the solver
         trajectory bit for bit. Column j of a block result is bitwise the
-        result for column j alone.
+        result for column j alone. In 1-d, CG starts at the exact banded
+        solve and only verifies it; in 2-d it starts at the right-hand side.
         """
         if self.scheme == "explicit":
             return values + self.dt * self.apply(values)
@@ -131,13 +135,17 @@ class DiffusionAssembly:
         def op(x):
             return diag * x - scale * self._w(x)
 
-        return cg_measure(op, rhs, self.sigma, self._preconditioner(dt_eff), x0=rows).T
+        precond = self._preconditioner(dt_eff)
+        x0 = precond(np.atleast_2d(rhs)) if len(self.shape) == 1 else rows
+        return cg_measure(op, rhs, self.sigma, precond, x0=x0).T
 
     def _preconditioner(self, dt_eff: float):
         """Preconditioner of the step operator I + dt_eff * Sigma^-1 L: its
         exact inverse in 1-d, kept on the assembly after the first call, and
         the FFT model of :meth:`_fft_inverse` in 2-d. Either is self-adjoint
-        and positive definite in the sigma inner product."""
+        and positive definite in the sigma inner product. Only the 1-d one
+        is exact, so only there does :meth:`advance` start CG at its image
+        of the right-hand side."""
         if len(self.shape) > 1:
             return self._fft_inverse(dt_eff)
         if self._exact is None or self._exact[0] != dt_eff:

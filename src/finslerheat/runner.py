@@ -171,7 +171,7 @@ def _harnack(ctx: CheckContext):
     cf = ctx.coeffs() if config.harnack_mode == "integral" else None
     return [
         harnack_mod.verify_harnack(
-            ctx.traj, x1, t1, x2, t2, config.harnack_mode, N=config.N, K=ctx.K, coeffs=cf
+            ctx.traj, x1, t1, x2, t2, config.harnack_mode, N=ctx.finite_n(), K=ctx.K, coeffs=cf
         )
         for x1, t1, x2, t2 in config.harnack_pairs
     ]

@@ -526,6 +526,11 @@ def test_overclaimed_curvature_is_recorded_not_raised(tmp_path):
             "[checks]\nnames = harnack\nN = 8\n",
             "check harnack: .*without harnack_pairs",
         ),
+        # N = inf once made the bound NaN and blamed the quadrature rules
+        (
+            "[checks]\nnames = harnack\nharnack_pairs = 1,0.002,3,0.004\n",
+            "check harnack: this check needs a finite N",
+        ),
     ],
 )
 def test_registry_guards_name_the_check(tmp_path, checks_block, message):
@@ -720,6 +725,17 @@ BAD_VALUES = {
     "N_word": ("[checks]\nnames = duality\nN = eight\n", "[checks] N"),
     "K_word": ("[checks]\nnames = duality\nK = x\n", "[checks] K"),
     "seed_word": ("[checks]\nnames = duality\nseed = x\n", "[checks] seed"),
+    # configparser's interpolation once raised on the first read of the key
+    "seed_percent": ("[checks]\nnames = duality\nseed = 5%\n", "[checks] seed"),
+    # t1 = 0 once reached theta_descriptor's -N / (2 t): ZeroDivisionError
+    "pair_time_zero": (
+        "[checks]\nnames = harnack\nN = 2\nK = 0\nharnack_pairs = 1,0.0,3,0.004\n",
+        "[checks] harnack_pairs",
+    ),
+    # configparser's DuplicateSectionError and DuplicateOptionError once
+    # escaped as tracebacks
+    "section_twice": ("[time]\ndt = 2e-3\n", "section 'time' already exists"),
+    "key_twice": ("dt = 2e-3\n", "option 'dt' in section 'time' already exists"),
     "pair_word": (
         "[checks]\nnames = harnack\nharnack_pairs = 1,x,2,0.002\n",
         "[checks] harnack_pairs",

@@ -502,17 +502,23 @@ def test_step_preconditioner_is_the_exact_step_inverse_in_1d(nodes):
     assert np.min(np.linalg.eigvalsh(0.5 * (gram + gram.T))) > 0.0
 
 
-def test_1d_step_solve_needs_at_most_three_operator_applications(monkeypatch):
-    # one implicit step of a random field on the criterion-7 setup (1-d
-    # Randers, n = 128, dt = 5e-4); the FFT model took about 22 here
+def test_1d_step_solve_takes_one_operator_application(monkeypatch):
+    # one implicit step on the criterion-7 setup (1-d Randers, n = 128,
+    # dt = 5e-4) starts CG at the exact banded solve, so the only operator
+    # application is the residual that verifies it; the FFT model took
+    # about 22 here
     asm = randers_1d_assembly(128, 5e-4, weighted=False)
-    calls = count_operator_applications(monkeypatch)
-    g = np.random.default_rng(0).standard_normal(128)
-    out = asm.advance(g)
-    assert len(calls) <= 3
-    residual = g - out + asm.dt * asm.apply(out)
     sig = asm.sigma
-    assert np.sum(residual**2 * sig) <= 1e-24 * np.sum(g**2 * sig)
+    rng = np.random.default_rng(0)
+    calls = count_operator_applications(monkeypatch)
+    for g in (rng.standard_normal(128), rng.standard_normal((128, 20))):
+        calls.clear()
+        out = asm.advance(g)
+        assert len(calls) == 1
+        residual = g - out + asm.dt * asm.apply(out)
+        assert np.all(
+            np.sum(residual.T**2 * sig, axis=-1) <= 1e-24 * np.sum(g.T**2 * sig, axis=-1)
+        )
 
 
 def test_heat_step_conserves_mass():
