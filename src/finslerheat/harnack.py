@@ -182,7 +182,8 @@ def harnack_bound_integral(
         pairs = [(coeffs.alpha(s), coeffs.phi(s)) for s in times.tolist()]
         return np.asarray([(alpha, phi / alpha) for alpha, phi in pairs])
 
-    int_alpha, int_phi = _panel_integral(integrand, t1, t2, coeffs.zero)
+    pole = min(coeffs.zero, coeffs.alpha_zero)
+    int_alpha, int_phi = _panel_integral(integrand, t1, t2, pole)
     return _exp_bound(d * d / (4.0 * (t2 - t1) ** 2) * int_alpha + int_phi)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -223,6 +223,9 @@ class LiYauCoefficients:
     #: the profile's zero beyond the horizon (pi / c for sine:<c>), where
     #: alpha and phi blow up; inf when the profile stays positive
     zero: float = math.inf
+    #: the zero of alpha, a pole of phi / alpha, when K > 0 puts one below
+    #: the profile's zero and below twice the horizon; inf otherwise
+    alpha_zero: float = math.inf
 
 
 def _verify_coefficient_odes(profile, coeffs, K, N, horizon):
@@ -257,6 +260,33 @@ def _verify_coefficient_odes(profile, coeffs, K, N, horizon):
                 f"coefficient identities fail at t={t:.4g}: "
                 f"{res1:.2e} / {res2:.2e}"
             )
+
+
+def _alpha_zero(profile: LiYauProfile, K: float, horizon: float) -> float:
+    """Zero of alpha = 1 - 2 K int_a / a on (0, min(2 horizon, profile zero)],
+    the root of g = 2 K int_a - a. Only K > 0 has one: g < 0 near t = 0, and
+    g > 0 at the profile's zero. Doubling from 1/K brackets it, and
+    :func:`newton_root` refines it. A zero beyond twice the horizon is inf,
+    as no window inside the horizon grades toward it; so is one that a sinh
+    profile overflows before reaching."""
+    if K <= 0.0:
+        return math.inf
+
+    def g(t: float) -> tuple[float, float]:
+        a = float(profile.value(t))
+        return 2.0 * K * profile.integral(t) - a, 2.0 * K * a - float(profile.derivative(t))
+
+    end = min(2.0 * horizon, profile.horizon())
+    t = min(1.0 / K, end)
+    try:
+        with np.errstate(over="ignore"):
+            while not g(t)[0] > 0.0:
+                if t >= end:
+                    return math.inf
+                t = min(2.0 * t, end)
+    except OverflowError:
+        return math.inf
+    return newton_root(g, 0.0, t, 0.5 * t)
 
 
 def alpha_phi(
@@ -310,6 +340,7 @@ def alpha_phi(
         N=N,
         horizon=horizon,
         zero=profile.horizon(),
+        alpha_zero=_alpha_zero(profile, K, horizon),
     )
     _verify_coefficient_odes(profile, coeffs, K, N, horizon)
     return coeffs
@@ -579,6 +610,17 @@ def _u_lap_log(traj: Trajectory, index: int) -> np.ndarray:
     return assembly.apply(u) - u * assembly.carre_du_champ(np.log(u))
 
 
+def moved_integrals(
+    traj: Trajectory, phi: np.ndarray, fields: Iterable[np.ndarray], src: int, dst: int
+) -> list[float]:
+    """<phi, P_{src,dst} f>_m for each field f, taken as <P*_{src,dst} phi, f>_m:
+    one adjoint transport of phi, then one weighted sum per field. A constant
+    phi is a fixed point of every step: a 2-d step returns it, bit for bit,
+    after one residual check."""
+    weight = traj.transport(phi, src, dst, adjoint=True)
+    return [float(np.sum(weight * f * traj.measure.sigma)) for f in fields]
+
+
 def check_exp_uu(
     traj: Trajectory, s: float, t: float, phi: ScalarField, N: float
 ) -> InequalityReport:
@@ -587,7 +629,8 @@ def check_exp_uu(
     Three scalar inequalities tied together by the normalization
     zeta = 2 / (N integral of phi u_t): two exponential bounds on the
     weighted entropy gap and the resulting quadratic relation between the
-    endpoint dissipation integrals.
+    endpoint dissipation integrals. The integrals of fields moved from s to
+    t are <P*_{s,t} phi, f>_m, by :func:`moved_integrals`.
     """
     src = traj.index_of(s)
     dst = traj.index_of(t)
@@ -604,12 +647,11 @@ def check_exp_uu(
     zeta = 2.0 / (N * mass_t)
     lap_t = traj.assembly_at(dst).apply(u_t)
     int_t = float(np.sum(w * _u_lap_log(traj, dst) * sig))
-    moved, ent_moved = traj.transport(
-        np.column_stack([_u_lap_log(traj, src), u_s * np.log(u_s)]), src, dst
-    ).T
-    int_s = float(np.sum(w * moved * sig))
-    exponent = zeta * float(
-        np.sum(w * (u_t * np.log(u_t) - ent_moved + delta * lap_t) * sig)
+    int_s, ent_moved = moved_integrals(
+        traj, w, (_u_lap_log(traj, src), u_s * np.log(u_s)), src, dst
+    )
+    exponent = zeta * (
+        float(np.sum(w * (u_t * np.log(u_t) + delta * lap_t) * sig)) - ent_moved
     )
 
     r1 = math.exp(exponent) - (1.0 + delta * zeta * int_t)
@@ -644,7 +686,9 @@ def check_log_sob_weak(
     The branch parameter chi is formed from weighted averages of the time
     derivative; both exponential inequalities are evaluated with the
     oscillator prefactor written through the signed kernel, which is
-    continuous across chi = 1.
+    continuous across chi = 1. The integrals of the entropy and the squared
+    gradient moved from 0 to t are <P*_{0,t} phi, f>_m, by
+    :func:`moved_integrals`.
     """
     if abs(K) < ZERO_CURVATURE:
         raise DomainError("zero bound: use the exponential entropy-gap triple")
@@ -673,14 +717,13 @@ def check_log_sob_weak(
             grid_meta=meta,
         )
     grad_0 = traj.fields[0] * traj.assembly_at(0).carre_du_champ(np.log(u_0))
-    ent_moved, grad_0_moved = traj.transport(
-        np.column_stack([u_0 * np.log(u_0), grad_0]), 0, dst
-    ).T
-    ent_gap = float(np.sum(w * (u_t * np.log(u_t) - ent_moved) * sig))
+    ent_moved, grad_0_moved = moved_integrals(
+        traj, w, (u_0 * np.log(u_0), grad_0), 0, dst
+    )
+    ent_gap = float(np.sum(w * u_t * np.log(u_t) * sig)) - ent_moved
     grad_t = float(
         np.sum(w * u_t * traj.assembly_at(dst).carre_du_champ(np.log(u_t)) * sig)
     )
-    grad_0_moved = float(np.sum(w * grad_0_moved * sig))
 
     with overflow_is_domain_error(f"exp(K t) at K = {K:g}, t = {t:g}"):
         prefactor = t * _s_kernel((K * t) ** 2 * (chi - 1.0))

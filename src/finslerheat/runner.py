@@ -320,9 +320,10 @@ def convergence_table(
     """Worst residual per check across a refinement ladder.
 
     Fits log(residual) against log(h) when every level has a positive
-    residual. A check passes if every level's report passed its own
-    tolerance, every residual is finite, and, when an expected window is
-    given, the fitted order falls in it.
+    residual. The round-off checks of :data:`semigroup.ROUNDOFF_CHECKS` get
+    no fit: their residuals carry no order in h. A check passes if every
+    level's report passed its own tolerance, every residual is finite, and,
+    when an expected window is given, the fitted order falls in it.
     """
     expected_orders = expected_orders or {}
     by_check: dict[str, list[tuple[float, float, float]]] = {}
@@ -345,7 +346,8 @@ def convergence_table(
         residuals = np.asarray([r for _, _, r in triples])
         hs = np.asarray([h for h, _, _ in triples])
         order = None
-        if len(triples) >= 2 and np.all(residuals > 0):
+        roundoff = name in semigroup.ROUNDOFF_CHECKS
+        if not roundoff and len(triples) >= 2 and np.all(residuals > 0):
             order = float(np.polyfit(np.log(hs), np.log(residuals), 1)[0])
         passed = levels_passed[name] and bool(np.all(np.isfinite(residuals)))
         if name in expected_orders:

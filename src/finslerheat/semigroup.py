@@ -25,8 +25,10 @@ from .heat import Trajectory
 from .numerics import overflow_is_domain_error
 from .reporting import InequalityReport, compare, discretization_tolerance
 
-#: tolerance of the round-off checks: conservation, duality, semigroup law
+#: tolerance of the round-off checks: structural identities of the steps,
+#: by their config names
 ROUNDOFF = 1e-12
+ROUNDOFF_CHECKS = ("conservative", "duality", "semigroup_law")
 
 
 @dataclass(frozen=True)

@@ -252,6 +252,41 @@ def test_integral_bound_grades_panels_toward_the_profile_zero(K, t1, t2):
     assert harnack_bound_integral(coeffs, d, t1, t2) == pytest.approx(ref, rel=1e-9)
 
 
+def test_integral_bound_grades_panels_toward_the_zero_of_alpha():
+    # with K = 0.2, N = 2 alpha of sine:1.3 vanishes at t = 1.853, before the
+    # profile's zero: phi / alpha has a pole there, and on panels graded only
+    # toward the profile's zero the rules gave 6.51569245 vs 6.51589971
+    coeffs = alpha_phi(LiYauProfile.parse("sine:1.3"), 0.2, 2.0, 2.0)
+    assert coeffs.alpha_zero == pytest.approx(1.8532010896802766, rel=1e-12)
+    assert abs(coeffs.alpha(coeffs.alpha_zero)) < 1e-12
+    t1, t2, d = 0.01, 1.8, 0.3
+
+    def integral(f):
+        return quad(f, t1, t2, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+    int_alpha = integral(coeffs.alpha)
+    int_phi = integral(lambda s: coeffs.phi(s) / coeffs.alpha(s))
+    ref = math.exp(d * d / (4.0 * (t2 - t1) ** 2) * int_alpha + int_phi)
+    assert harnack_bound_integral(coeffs, d, t1, t2) == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "profile, K, horizon, zero",
+    [
+        ("quadratic", 3.0, 0.4, 0.5),  # alpha = 1 - 2 K t / 3
+        ("quadratic", 0.2, 2.0, math.inf),  # zero 7.5 beyond twice the horizon
+        ("sine:1.3", -1.0, 2.0, math.inf),  # alpha >= 1 for K <= 0
+        ("lixu", 1.0, 2.0, math.inf),
+        # K > tau: the zero lies far below t = 444, where sinh overflows
+        ("sinh:0.8", 1.0, 300.0, 1.9929868827562331),
+        ("sinh:0.8", 0.5, 460.0, math.inf),
+    ],
+)
+def test_alpha_zero_of_each_profile(profile, K, horizon, zero):
+    coeffs = alpha_phi(LiYauProfile.parse(profile), K, 2.0, horizon)
+    assert coeffs.alpha_zero == pytest.approx(zero, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # the conjugate-form bound against an independent oracle: envelope zeros by
 # brentq on PsiEvaluator.psi, the conjugate by a bounded scalar maximiser,

@@ -17,6 +17,7 @@ from finslerheat import (
     NoRoot,
     ProfileInadmissible,
     PsiEvaluator,
+    RandersNorm,
     ScalarField,
     TorusGrid,
     alpha_phi,
@@ -30,6 +31,7 @@ from finslerheat import (
     ricci_lower_bound,
     solve_heat_flow,
 )
+from finslerheat import heat, liyau
 from finslerheat.harnack import theta, theta_descriptor
 from finslerheat.liyau import (
     _s_kernel,
@@ -549,3 +551,79 @@ def test_weak_log_sobolev_domain_report():
     rep = check_log_sob_weak(traj, 0.03, phi, -150.0, 0.05)
     assert rep.name == "weak-log-sobolev-domain"
     assert not rep.passed
+
+
+# ---------------------------------------------------------------------------
+# phi-integrals of transported fields through the adjoint transport of phi
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def randers_traj_2d():
+    grid = TorusGrid(2, 16)
+    metric = MetricField(grid, RandersNorm([[1.0, 0.2], [0.2, 0.8]], [0.3, 0.1]))
+    x, y = grid.coordinates().T
+    u0 = 1.0 + 0.4 * np.sin(2 * math.pi * (x + 0.3)) + 0.2 * np.cos(2 * math.pi * (x + y))
+    return solve_heat_flow(metric, MeasureField.lebesgue(grid), ScalarField(grid, u0), 5e-3, 1e-3)
+
+
+def forward_integrals(traj, phi, fields, src, dst):
+    """<phi, P f>_m by moving every field forward as one block."""
+    moved = traj.transport(np.column_stack(fields), src, dst)
+    return [float(np.sum(phi * m * traj.measure.sigma)) for m in moved.T]
+
+
+def bump_phi(traj):
+    # positive and far from constant, so P* phi differs from phi
+    return ScalarField(traj.grid, np.exp(np.cos(2 * math.pi * traj.grid.coordinates()[:, 0])))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_entropy_checks_match_the_forward_route(
+    dim, weighted_traj, randers_traj_2d, monkeypatch
+):
+    traj, K = weighted_traj if dim == 1 else (randers_traj_2d, -0.5)
+    phi = bump_phi(traj)
+    last = traj.times[-1]
+    s = traj.times[2]
+
+    def reports():
+        return (
+            check_exp_uu(traj, s, last, phi, 2.0),
+            check_log_sob_weak(traj, last, phi, K, 3.0),
+        )
+
+    adjoint = reports()
+    monkeypatch.setattr(liyau, "moved_integrals", forward_integrals)
+    forward = reports()
+    assert [r.name for r in adjoint] == ["exp-entropy-gap", "weak-log-sobolev"]
+    for a, f in zip(adjoint, forward):
+        assert a.passed == f.passed
+        sides = np.concatenate([f.lhs_range, f.rhs_range])
+        scale = max(1.0, float(np.max(np.abs(sides))))
+        gaps = np.concatenate([a.lhs_range, a.rhs_range]) - sides
+        assert np.max(np.abs(gaps)) <= 1e-12 * scale
+        assert abs(a.worst_residual - f.worst_residual) <= 1e-12 * scale
+
+
+def test_constant_phi_is_a_fixed_point_of_the_2d_adjoint_transport(
+    randers_traj_2d, monkeypatch
+):
+    # every step annihilates constants exactly, so CG's first residual check
+    # accepts its start and the preconditioner is never applied
+    traj = randers_traj_2d
+    applied = []
+    build = heat.DiffusionAssembly._preconditioner
+
+    def counting(self, dt_eff):
+        precond = build(self, dt_eff)
+        return lambda r: applied.append(len(r)) or precond(r)
+
+    monkeypatch.setattr(heat.DiffusionAssembly, "_preconditioner", counting)
+    ones = np.ones(traj.grid.n_nodes)
+    moved = traj.transport(ones, 0, traj.n_times - 1, adjoint=True)
+    assert moved.tobytes() == ones.tobytes()
+    assert applied == []
+    # a non-constant field does iterate, so the counter sees the solver
+    traj.transport(bump_phi(traj).values, 0, 1, adjoint=True)
+    assert applied
