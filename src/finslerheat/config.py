@@ -293,6 +293,8 @@ def load_config(path: str) -> ExperimentConfig:
     profile = str(checks_sec.get("profile", "quadratic")).strip()
     LiYauProfile.parse(profile)
     seed = _number("[checks] seed", str(checks_sec.get("seed", "1234")), int)
+    if seed < 0:
+        raise ConfigError(f"[checks] seed must be non-negative, got {seed}")
     n_fields = _number("[checks] n_fields", str(checks_sec.get("n_fields", "20")), int)
     if n_fields < 1:
         raise ConfigError("[checks] n_fields must be at least 1")

@@ -285,18 +285,19 @@ def differential_field(u: ScalarField) -> CovectorField:
     return CovectorField(u.grid, _differential(u.grid, u.values))
 
 
-def gradient_field(metric: MetricField, u: ScalarField) -> VectorField:
-    """Metric gradient: Legendre transform of the centered differential.
-
-    Nodes where the differential is degenerate (relative to the field scale)
-    get a zero vector.
-    """
-    du = _differential(u.grid, u.values)
+def degenerate_covectors(metric: MetricField, du: np.ndarray) -> np.ndarray:
+    """True where the differential ``du`` is degenerate relative to the field
+    scale: |du| <= EPS_DEGENERATE * length scale * max(1, max |du|)."""
     mag = np.linalg.norm(du, axis=-1)
     scale = max(1.0, float(np.max(mag, initial=0.0)))
-    desc = metric.descriptor
-    mask = mag <= EPS_DEGENERATE * desc.length_scale * scale
-    grad = desc.legendre(du)
-    grad[mask] = 0.0
+    return mag <= EPS_DEGENERATE * metric.descriptor.length_scale * scale
+
+
+def gradient_field(metric: MetricField, u: ScalarField) -> VectorField:
+    """Metric gradient: Legendre transform of the centered differential,
+    zero where it is degenerate (:func:`degenerate_covectors`)."""
+    du = _differential(u.grid, u.values)
+    grad = metric.descriptor.legendre(du)
+    grad[degenerate_covectors(metric, du)] = 0.0
     return VectorField(u.grid, grad)
 

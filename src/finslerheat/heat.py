@@ -1,9 +1,10 @@
 """Nonlinear heat flow by frozen-coefficient steps.
 
-Each step freezes the gradient field V of the current iterate, assembles the
-weighted diffusion operator with tensor g^{ij}(V), and advances with the
-selected scheme. The assembly is a finite-volume stiffness built from face
-averages, so two structural identities hold exactly by construction:
+Each step freezes the differential du of the current iterate, assembles the
+weighted diffusion operator with the dual tensor g*(du) (the Hessian of F*^2/2,
+which is g^{ij} at the gradient legendre(du)), and advances with the selected
+scheme. The assembly is a finite-volume stiffness built from face averages,
+so two structural identities hold exactly by construction:
 
 * the operator annihilates constants, and
 * it is self-adjoint in the measure inner product.
@@ -41,12 +42,13 @@ from scipy.linalg.lapack import dpbtrs
 
 from .errors import CflViolation, IndexRange, UnsupportedFamily
 from .geometry import (
+    CovectorField,
     MeasureField,
     ScalarField,
-    VectorField,
     _differential,
     _hessian_fields,
-    gradient_field,
+    degenerate_covectors,
+    differential_field,
 )
 from .metrics import MetricField
 from .numerics import cg_measure
@@ -198,21 +200,24 @@ class DiffusionAssembly:
         local size of the operator. The result M^-1 r = Dh F^-1[F(Sigma Dh r)
         / lambda] is self-adjoint and positive definite in the sigma inner
         product: the clip keeps lambda >= mean(sigma) > 0 even when
-        anisotropy makes an axis weight negative.
+        anisotropy makes an axis weight negative. Dh and the symbol are
+        built at the first application: a CG solve that accepts its start
+        applies none.
         """
-        full = self.sigma + dt_eff * self.degree
-        dh = np.sqrt(np.mean(full) / full)
-        sdh = self.sigma * dh
-        offsets = tuple(d for d, _ in self.stencil)
-        weights = np.maximum([w for _, w in self.stencil], 0.0)
-        inv_lam = 1.0 / (
-            np.mean(self.sigma)
-            + dt_eff * np.tensordot(weights, _stencil_symbols(self.shape, offsets), 1)
-        )
         shape = self.shape
         axes = tuple(range(-len(shape), 0))
 
+        @functools.cache
+        def model():
+            full = self.sigma + dt_eff * self.degree
+            dh = np.sqrt(np.mean(full) / full)
+            offsets, weights = zip(*self.stencil)
+            symbol = np.tensordot(np.maximum(weights, 0.0), _stencil_symbols(shape, offsets), 1)
+            inv_lam = 1.0 / (np.mean(self.sigma) + dt_eff * symbol)
+            return dh, self.sigma * dh, inv_lam
+
         def precond(r):
+            dh, sdh, inv_lam = model()
             rows = (sdh * r).reshape(-1, *shape)
             spec = fft.rfftn(rows, axes=axes, overwrite_x=True)
             spec *= inv_lam
@@ -279,50 +284,41 @@ def _csr_pattern(shape: tuple[int, ...], offsets) -> tuple[np.ndarray, ...]:
 def weighted_laplacian(
     metric: MetricField,
     measure: MeasureField,
-    direction: VectorField,
+    differential: CovectorField,
     time: float = 0.0,
     dt: float = 0.0,
     scheme: str = "implicit_euler",
 ) -> DiffusionAssembly:
-    """Assemble the diffusion operator with tensor g^{ij}(direction).
-
-    Degenerate direction nodes fall back to the inverse of the family's
-    Riemannian part; their count is recorded on the assembly.
+    """Assemble the diffusion operator with the dual tensor g*(du) of the
+    frozen differential du. Degenerate nodes (``degenerate_covectors``) take
+    a^-1, the inverse of the Riemannian part; the assembly records their count.
     """
     grid = metric.grid
-    if measure.grid != grid or direction.grid != grid:
-        raise ValueError("metric, measure and direction live on different grids")
+    if measure.grid != grid or differential.grid != grid:
+        raise ValueError("metric, measure and differential live on different grids")
     if scheme not in SCHEMES:
         raise UnsupportedFamily(f"unknown scheme {scheme}")
-    desc = metric.descriptor
-    ginv, mask = desc.inverse_tensor_field(direction.values)
+    mask = degenerate_covectors(metric, differential.values)
+    ginv = metric.descriptor.dual_tensor(differential.values, mask)
     rho = measure.density
     h_pow = grid.h ** (grid.dim - 2)
 
+    face = functools.partial(_face_average, grid)
     # stencil direction -> face coefficient of its edges
     if grid.dim == 1:
-        g11 = _face_average(grid, ginv[:, 0, 0], (1,)) * _face_average(grid, rho, (1,))
-        edges = {(1,): g11}
-        kappa_max = float(np.max(ginv[:, 0, 0]))
+        (g11,) = ginv
+        edges = {(1,): face(g11, (1,)) * face(rho, (1,))}
+        kappa_max = float(np.max(g11))
     else:
-        rho_x = _face_average(grid, rho, (1, 0))
-        rho_y = _face_average(grid, rho, (0, 1))
-        rho_d = _face_average(grid, rho, (1, 1))
-        rho_a = _face_average(grid, rho, (1, -1))
-        g11_x = _face_average(grid, ginv[:, 0, 0], (1, 0))
-        g12_x = _face_average(grid, ginv[:, 0, 1], (1, 0))
-        g22_y = _face_average(grid, ginv[:, 1, 1], (0, 1))
-        g12_y = _face_average(grid, ginv[:, 0, 1], (0, 1))
-        g12_d = _face_average(grid, ginv[:, 0, 1], (1, 1))
-        g12_a = _face_average(grid, ginv[:, 0, 1], (1, -1))
+        g11, g12, g22 = ginv
         edges = {
-            (1, 0): rho_x * (g11_x - np.abs(g12_x)),
-            (0, 1): rho_y * (g22_y - np.abs(g12_y)),
-            (1, 1): rho_d * np.maximum(g12_d, 0.0),
-            (1, -1): rho_a * np.maximum(-g12_a, 0.0),
+            (1, 0): face(rho, (1, 0)) * (face(g11, (1, 0)) - np.abs(face(g12, (1, 0)))),
+            (0, 1): face(rho, (0, 1)) * (face(g22, (0, 1)) - np.abs(face(g12, (0, 1)))),
+            (1, 1): face(rho, (1, 1)) * np.maximum(face(g12, (1, 1)), 0.0),
+            (1, -1): face(rho, (1, -1)) * np.maximum(-face(g12, (1, -1)), 0.0),
         }
-        tr = ginv[:, 0, 0] + ginv[:, 1, 1]
-        det = ginv[:, 0, 0] * ginv[:, 1, 1] - ginv[:, 0, 1] ** 2
+        tr = g11 + g22
+        det = g11 * g22 - g12**2
         kappa_max = float(np.max(0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4 * det, 0)))))
 
     weights = [coeff * h_pow for coeff in edges.values()]
@@ -363,14 +359,7 @@ def heat_step(
     """Advance the nonlinear flow by one frozen-coefficient step."""
     if dt <= 0:
         raise ValueError("step size must be positive")
-    assembly = weighted_laplacian(
-        metric,
-        measure,
-        gradient_field(metric, u),
-        time=time,
-        dt=dt,
-        scheme=scheme,
-    )
+    assembly = weighted_laplacian(metric, measure, differential_field(u), time, dt, scheme)
     if scheme == "explicit":
         _check_cfl(metric.grid, dt, assembly.kappa_max)
     return ScalarField(u.grid, assembly.advance(u.values)), assembly
@@ -418,14 +407,9 @@ class Trajectory:
         if index < len(self.assemblies):
             return self.assemblies[index]
         # final time: assemble once at the last recorded field
-        u = self.field_at(index)
+        du = differential_field(self.field_at(index))
         extra = weighted_laplacian(
-            self.metric,
-            self.measure,
-            gradient_field(self.metric, u),
-            time=self.times[index],
-            dt=self.dt,
-            scheme=self.scheme,
+            self.metric, self.measure, du, self.times[index], self.dt, self.scheme
         )
         self.assemblies.append(extra)
         return extra
@@ -551,8 +535,8 @@ def bochner_residual(
     which is O(h^2) for smooth data. The slack field replaces the Hessian
     norm by (Au)^2 / N and the drift term by its N-dimensional version; it
     is bounded below by -O(h^2). Critical points of u need no guard: a
-    quadratic metric has g_V = a for every V, which is also the fallback
-    the assembly uses where the gradient vanishes.
+    quadratic metric has g*(du) = a^-1 for every du, which is also what
+    the assembly uses where the differential vanishes.
     """
     desc = metric.descriptor
     if desc.family not in ("euclidean", "riemannian"):
@@ -569,7 +553,7 @@ def bochner_residual(
     fnorm = np.sqrt(np.einsum("ni,ij,nj->n", grad, a, grad))
     scale = max(1.0, float(np.max(fnorm)))
 
-    assembly = weighted_laplacian(metric, measure, VectorField(grid, grad))
+    assembly = weighted_laplacian(metric, measure, CovectorField(grid, du))
     energy = 0.5 * np.einsum("ni,ij,nj->n", du, a_inv, du)
     lap_u = assembly.apply(u.values)
     term_transport = np.einsum("ni,ni->n", _differential(grid, lap_u), grad)

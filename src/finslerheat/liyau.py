@@ -368,8 +368,9 @@ class PsiEvaluator:
             raise DomainError("zero curvature bound has no envelope; use the limit forms")
         if self.t <= 0 or self.N <= 0:
             raise DomainError("need t > 0 and N > 0")
-        if (self.K * self.t) ** 2 == 0.0:
-            raise DomainError("the envelope needs (K t)^2 > 0 in double precision")
+        with overflow_is_domain_error(f"(K t)^2 at K = {self.K:g}, t = {self.t:g}"):
+            if (self.K * self.t) ** 2 == 0.0:
+                raise DomainError("the envelope needs (K t)^2 > 0 in double precision")
 
     @property
     def x_max(self) -> float:

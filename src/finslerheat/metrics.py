@@ -15,7 +15,9 @@ All methods broadcast over leading axes; vectors and covectors are arrays
 of shape ``(..., dim)``. The fundamental tensor at ``v`` is half the
 second derivative of F^2, the Legendre map sends a covector ``xi`` to the
 unique ``y`` with F(y) = F*(xi) and xi(y) = F(y)^2, and
-``legendre_inverse`` is its inverse y -> g_y(y, .) = d(F^2)/2.
+``legendre_inverse`` is its inverse y -> g_y(y, .) = d(F^2)/2. The dual
+tensor at ``xi`` is the Hessian of F*^2/2, the inverse of the fundamental
+tensor at legendre(xi).
 """
 
 from __future__ import annotations
@@ -30,20 +32,6 @@ from .errors import DegenerateVector, UnsupportedFamily
 
 #: degeneracy threshold, scaled by the descriptor's length scale
 EPS_DEGENERATE = 1e-12
-
-
-def _invert_spd(g: np.ndarray) -> np.ndarray:
-    """Invert a stack of 1x1 or 2x2 symmetric matrices."""
-    if g.shape[-1] == 1:
-        return 1.0 / g
-    a, b, c = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-    det = a * c - b * b
-    out = np.empty_like(g)
-    out[..., 0, 0] = c / det
-    out[..., 1, 1] = a / det
-    out[..., 0, 1] = -b / det
-    out[..., 1, 0] = -b / det
-    return out
 
 
 @dataclass(frozen=True)
@@ -107,19 +95,18 @@ class RandersNorm:
         return self._dual_parts(np.asarray(xi, float))[0]
 
     def _dual_parts(self, xi):
-        """(F*(xi), r). The dual of a Randers norm is again Randers-type:
+        """(F*(xi), r, m, xa). The dual of a Randers norm is again Randers-type:
         F* = (r - m)/lam with lam = 1 - |b|_a^2, q = xi . a^-1 xi,
-        m = xi . a^-1 b and r = sqrt(lam q + m^2).
-
-        q and m are summed from zero over (i, j) in row-major order with terms
-        (xi_i a^-1_ij) xi_j and (xi_i a^-1_ij) b_j: the einsum's bits, cheaper."""
+        m = xi . a^-1 b and r = sqrt(lam q + m^2). q and m are summed from zero
+        over (i, j) in row-major order with terms xa[i, j] xi_j and xa[i, j] b_j,
+        xa[i, j] = xi_i a^-1_ij: the einsum's bits, cheaper."""
         lam = 1.0 - self.b_norm_sq
         pairs = [(i, j) for i in range(self.dim) for j in range(self.dim)]
         xa = {(i, j): xi[..., i] * self.a_inv[i, j] for i, j in pairs}
         q = sum(xa[i, j] * xi[..., j] for i, j in pairs)
         m = sum(xa[i, j] * self.b[j] for i, j in pairs)
         r = np.sqrt(lam * q + m * m)
-        return (r - m) / lam, r
+        return (r - m) / lam, r, m, xa
 
     def fundamental_tensor(self, v: np.ndarray) -> np.ndarray:
         """g_ij(v) = (1/2) d^2(F^2)/dy^i dy^j, shape ``(..., d, d)``; raises
@@ -151,16 +138,27 @@ class RandersNorm:
                 )
         return g
 
-    def inverse_tensor_field(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse fundamental tensor per row of ``v``; ``mask`` flags the
-        degenerate rows, which get the inverse of :meth:`riemannian_part`.
-        Returns ``(ginv, mask)``."""
-        v = np.asarray(v, dtype=float)
-        mask = self.degenerate_mask(v)
-        safe = np.where(mask[..., None], np.eye(self.dim)[0], v)
-        ginv = _invert_spd(self.fundamental_tensor_unchecked(safe))
-        ginv[mask] = _invert_spd(self.a[None])[0]
-        return ginv, mask
+    def dual_tensor(self, xi, mask) -> tuple[np.ndarray, ...]:
+        """Components g*^ij(xi), i <= j in row-major order, of the Hessian of
+        F*^2/2 at ``xi``: the inverse fundamental tensor at legendre(xi). With
+        lam, m, r of :meth:`_dual_parts`, u = a^-1 xi and beta = a^-1 b,
+        grad r = s = (lam u + m beta)/r and grad F* = (s - beta)/lam, so
+        g* = F*/(lam r) (lam a^-1 + beta beta^T - s s^T) + grad F* grad F*^T.
+        Rows flagged by ``mask`` get a^-1."""
+        dim, a_inv, lam, beta = self.dim, self.a_inv, 1.0 - self.b_norm_sq, self.a_inv @ self.b
+        upper = [(i, j) for i in range(dim) for j in range(i, dim)]
+        with np.errstate(invalid="ignore", divide="ignore"):  # r = 0 where xi = 0
+            fstar, r, m, xa = self._dual_parts(np.asarray(xi, float))
+            # a^-1 is symmetric: u_i = sum_j xi_j a^-1_ji
+            s = [(lam * sum(xa[j, i] for j in range(dim)) + m * beta[i]) / r for i in range(dim)]
+            c, d = fstar / (lam * r), [(s_i - beta_i) / lam for s_i, beta_i in zip(s, beta)]
+            comps = [
+                c * ((lam * a_inv[i, j] + beta[i] * beta[j]) - s[i] * s[j]) + d[i] * d[j]
+                for i, j in upper
+            ]
+        for g, (i, j) in zip(comps, upper):
+            g[mask] = a_inv[i, j]
+        return tuple(comps)
 
     def legendre_inverse(self, y):
         y = np.asarray(y, float)
@@ -179,14 +177,15 @@ class RandersNorm:
         a^-1 (xi - F*(xi) b)/r. Degenerate covectors map to 0.
         """
         xi = np.asarray(xi, float)
-        fstar, r = self._dual_parts(xi)
+        fstar, r = self._dual_parts(xi)[:2]
         tilted = np.einsum("ij,...j->...i", self.a_inv, xi - fstar[..., None] * self.b)
         with np.errstate(invalid="ignore", divide="ignore"):
             y = (fstar / r)[..., None] * tilted
         return np.where(self.degenerate_mask(xi)[..., None], 0.0, y)
 
     def riemannian_part(self):
-        """Symmetric positive definite tensor used at degenerate nodes."""
+        """The quadratic part ``a``; the assembly uses its inverse at
+        degenerate nodes."""
         return self.a.copy()
 
 

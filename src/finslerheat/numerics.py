@@ -47,6 +47,14 @@ def overflow_is_domain_error(what: str):
         raise DomainError(f"{what} overflows double precision") from None
 
 
+def finite_exp(x: float) -> float:
+    """``math.exp``, which also raises OverflowError where the exponent
+    itself overflowed to +inf (a product K t of finite floats can)."""
+    if x == math.inf:
+        raise OverflowError("math range error")
+    return math.exp(x)
+
+
 def gauss_legendre(points: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``points``-point Gauss-Legendre rule on [0, 1]."""
     nodes, weights = np.polynomial.legendre.leggauss(points)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, IndexRange
 from .geometry import ZERO_CURVATURE, ScalarField, differential_field
 from .heat import Trajectory
-from .numerics import overflow_is_domain_error
+from .numerics import finite_exp, overflow_is_domain_error
 from .reporting import InequalityReport, compare, discretization_tolerance
 
 #: tolerance of the round-off checks: structural identities of the steps,
@@ -311,7 +311,7 @@ def gradient_estimate_check(plan: TransportPlan, K: float) -> InequalityReport:
     asm_s = traj.assembly_at(plan.start)
     asm_t = traj.assembly_at(plan.end)
     with overflow_is_domain_error(f"exp(-2K t) at K = {K:g}, t = {plan.elapsed:g}"):
-        factor = math.exp(-2.0 * K * plan.elapsed)
+        factor = finite_exp(-2.0 * K * plan.elapsed)
 
     log_s = u_s * _log_carre(asm_s, u_s)
     log_t = u_t * _log_carre(asm_t, u_t)
@@ -341,8 +341,8 @@ def _logsob_coefficients(K: float, delta: float) -> tuple[float, float]:
     if abs(K) < ZERO_CURVATURE:
         return -delta, -delta
     with overflow_is_domain_error(f"exp(2|K| t) at K = {K:g}, t = {delta:g}"):
-        c_forward = (1.0 - math.exp(2.0 * K * delta)) / (2.0 * K)
-        c_reverse = (math.exp(-2.0 * K * delta) - 1.0) / (2.0 * K)
+        c_forward = (1.0 - finite_exp(2.0 * K * delta)) / (2.0 * K)
+        c_reverse = (finite_exp(-2.0 * K * delta) - 1.0) / (2.0 * K)
     return c_forward, c_reverse
 
 

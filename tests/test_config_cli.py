@@ -750,6 +750,8 @@ BAD_VALUES = {
     "N_word": ("[checks]\nnames = duality\nN = eight\n", "[checks] N"),
     "K_word": ("[checks]\nnames = duality\nK = x\n", "[checks] K"),
     "seed_word": ("[checks]\nnames = duality\nseed = x\n", "[checks] seed"),
+    # numpy's default_rng once raised ValueError on a negative seed
+    "seed_negative": ("[checks]\nnames = duality\nseed = -5\n", "[checks] seed"),
     # configparser's interpolation once raised on the first read of the key
     "seed_percent": ("[checks]\nnames = duality\nseed = 5%\n", "[checks] seed"),
     # t1 = 0 once reached theta_descriptor's -N / (2 t): ZeroDivisionError
@@ -826,11 +828,16 @@ def test_cli_non_finite_grid_or_time_exits_two(tmp_path, capsys, old, new, named
         ("weak_logsob", -20000),
         ("gradient_estimate", -20000),
         ("lipschitz", -20000),
+        # the product K t itself overflows: once a FAIL with an infinite
+        # tolerance, a NaN coefficient and an OverflowError traceback
+        ("gradient_estimate", -1e308),
+        ("local_logsob", -1e308),
+        ("liyau_envelope", -1e308),
     ],
 )
 def test_cli_exponential_overflow_exits_two(tmp_path, capsys, check, K):
-    # exp(2|K| t) at t = 0.05 leaves double precision: a domain error, not
-    # a failed check or a traceback
+    # exp(2|K| t) or (K t)^2 at t = 0.05 leaves double precision: a domain
+    # error, not a failed check or a traceback
     path = write_ini(
         tmp_path,
         GOOD.replace("dt = 1e-3\n    t_final = 5e-3", "dt = 1e-2\n    t_final = 5e-2"),

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import scipy.sparse as sp
 from finslerheat import (
     Asym1DNorm,
     CflViolation,
+    CovectorField,
     EuclideanNorm,
     IndexRange,
     MeasureField,
@@ -21,7 +23,6 @@ from finslerheat import (
     ScalarField,
     TorusGrid,
     UnsupportedFamily,
-    VectorField,
     bochner_residual,
     gradient_field,
     heat_step,
@@ -30,7 +31,7 @@ from finslerheat import (
     weighted_laplacian,
 )
 from finslerheat import heat, numerics
-from finslerheat.geometry import differential_field
+from finslerheat.geometry import degenerate_covectors, differential_field
 from finslerheat.heat import SCHEMES
 
 
@@ -73,8 +74,8 @@ def test_assembly_kernel_and_self_adjointness(desc):
     if desc.family == "randers":
         measure = MeasureField.lebesgue(grid)
     rng = np.random.default_rng(0)
-    direction = VectorField(grid, rng.standard_normal((grid.n_nodes, 2)) + 0.2)
-    asm = weighted_laplacian(metric, measure, direction)
+    du = CovectorField(grid, rng.standard_normal((grid.n_nodes, 2)) + 0.2)
+    asm = weighted_laplacian(metric, measure, du)
     ones = np.ones(grid.n_nodes)
     assert np.max(np.abs(asm.apply(ones))) <= 1e-12
     sig = measure.sigma
@@ -86,20 +87,21 @@ def test_assembly_kernel_and_self_adjointness(desc):
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
 
-def coo_reference(metric, measure, direction) -> sp.csr_matrix:
+def coo_reference(metric, measure, du) -> sp.csr_matrix:
     """The edge matrix as a COO -> CSR conversion builds it: the face
     coefficient of each stencil direction d at (i, i + d) and (i + d, i)."""
     grid = metric.grid
-    ginv, _ = metric.descriptor.inverse_tensor_field(direction.values)
+    mask = degenerate_covectors(metric, du.values)
+    ginv = metric.descriptor.dual_tensor(du.values, mask)
     rho = measure.density
 
     def face(values, d):
         return heat._face_average(grid, values, d)
 
     if grid.dim == 1:
-        edges = {(1,): face(ginv[:, 0, 0], (1,)) * face(rho, (1,))}
+        edges = {(1,): face(ginv[0], (1,)) * face(rho, (1,))}
     else:
-        g11, g12, g22 = ginv[:, 0, 0], ginv[:, 0, 1], ginv[:, 1, 1]
+        g11, g12, g22 = ginv
         edges = {
             (1, 0): face(rho, (1, 0)) * (face(g11, (1, 0)) - np.abs(face(g12, (1, 0)))),
             (0, 1): face(rho, (0, 1)) * (face(g22, (0, 1)) - np.abs(face(g12, (0, 1)))),
@@ -139,9 +141,9 @@ def test_assembly_csr_arrays_equal_the_coo_conversion(desc, nodes):
     measure = MeasureField(grid, 0.3 * rng.standard_normal(grid.n_nodes))
     values = rng.standard_normal((grid.n_nodes, grid.dim))
     values[:3] = 0.0  # degenerate nodes take the Riemannian fallback
-    direction = VectorField(grid, values)
-    got = weighted_laplacian(metric, measure, direction).weights
-    want = coo_reference(metric, measure, direction)
+    du = CovectorField(grid, values)
+    got = weighted_laplacian(metric, measure, du).weights
+    want = coo_reference(metric, measure, du)
     for name in ("data", "indices", "indptr"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype
@@ -157,7 +159,7 @@ def test_csr_pattern_is_shared_and_read_only():
     rng = np.random.default_rng(3)
     first, second = (
         weighted_laplacian(
-            metric, measure, VectorField(grid, rng.standard_normal((grid.n_nodes, 2)))
+            metric, measure, CovectorField(grid, rng.standard_normal((grid.n_nodes, 2)))
         ).weights
         for _ in range(2)
     )
@@ -173,8 +175,8 @@ def test_csr_pattern_is_shared_and_read_only():
 
 def test_assembly_euclidean_is_three_point_stencil():
     grid, metric, measure = euclid_setup(32)
-    direction = VectorField(grid, np.ones((grid.n_nodes, 1)))
-    asm = weighted_laplacian(metric, measure, direction)
+    du = CovectorField(grid, np.ones((grid.n_nodes, 1)))
+    asm = weighted_laplacian(metric, measure, du)
     rng = np.random.default_rng(1)
     u = rng.standard_normal(grid.n_nodes)
     stencil = (np.roll(u, -1) - 2 * u + np.roll(u, 1)) / grid.h**2
@@ -187,8 +189,8 @@ def test_assembly_diagonal_riemannian_eigenvalue():
     measure = MeasureField.lebesgue(grid)
     x = grid.coordinates()[:, 0]
     u = np.sin(2 * math.pi * x)
-    direction = VectorField(grid, np.ones((grid.n_nodes, 2)))
-    asm = weighted_laplacian(metric, measure, direction)
+    du = CovectorField(grid, np.ones((grid.n_nodes, 2)))
+    asm = weighted_laplacian(metric, measure, du)
     # inverse tensor multiplies the x-stencil by exactly 1/4
     lam = 0.25 * discrete_eigenvalue(1, grid.h)
     np.testing.assert_allclose(asm.apply(u), lam * u, atol=1e-9)
@@ -204,8 +206,8 @@ def test_assembly_cross_terms_converge():
         measure = MeasureField.lebesgue(grid)
         pts = grid.coordinates()
         u = np.sin(2 * math.pi * pts[:, 0]) * np.sin(2 * math.pi * pts[:, 1])
-        direction = VectorField(grid, np.ones((grid.n_nodes, 2)))
-        asm = weighted_laplacian(metric, measure, direction)
+        du = CovectorField(grid, np.ones((grid.n_nodes, 2)))
+        asm = weighted_laplacian(metric, measure, du)
         # analytic constant-coefficient value with the full inverse tensor
         uxx = -((2 * math.pi) ** 2) * u
         uyy = uxx
@@ -223,8 +225,8 @@ def test_assembly_weighted_drift_term():
     x = grid.coordinates()[:, 0]
     measure = MeasureField(grid, 0.2 * np.cos(2 * math.pi * x))
     u = np.sin(2 * math.pi * x + 0.3)
-    direction = VectorField(grid, np.ones((grid.n_nodes, 1)))
-    asm = weighted_laplacian(metric, measure, direction)
+    du = CovectorField(grid, np.ones((grid.n_nodes, 1)))
+    asm = weighted_laplacian(metric, measure, du)
     upp = -((2 * math.pi) ** 2) * u
     up = 2 * math.pi * np.cos(2 * math.pi * x + 0.3)
     fp = -0.2 * 2 * math.pi * np.sin(2 * math.pi * x)
@@ -238,15 +240,19 @@ def test_degenerate_nodes_get_the_inverse_riemannian_part():
     desc = RandersNorm(np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([0.3, 0.1]))
     metric = MetricField(grid, desc)
     x, y = grid.coordinates().T
-    v = np.column_stack([1.5 + np.cos(2 * math.pi * x), np.sin(2 * math.pi * y)])
+    xi = np.column_stack([1.5 + np.cos(2 * math.pi * x), np.sin(2 * math.pi * y)])
     zeros = [5, 40, 131]
-    v[zeros] = 0.0
-    assert np.count_nonzero(np.all(v == 0.0, axis=1)) == 3
-    ginv, mask = desc.inverse_tensor_field(v)
+    xi[zeros] = 0.0
+    assert np.count_nonzero(np.all(xi == 0.0, axis=1)) == 3
+    mask = degenerate_covectors(metric, xi)
     assert np.array_equal(np.flatnonzero(mask), zeros)
+    ginv = desc.dual_tensor(xi, mask)
     expected = np.linalg.inv(desc.riemannian_part())
-    np.testing.assert_allclose(ginv[mask], np.stack([expected] * 3), rtol=1e-14)
-    asm = weighted_laplacian(metric, MeasureField.lebesgue(grid), VectorField(grid, v))
+    for g, (i, j) in zip(ginv, [(0, 0), (0, 1), (1, 1)]):
+        np.testing.assert_allclose(g[mask], expected[i, j], rtol=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # r = 0 on the zero rows must not warn
+        asm = weighted_laplacian(metric, MeasureField.lebesgue(grid), CovectorField(grid, xi))
     assert asm.degenerate_nodes == 3
 
 
@@ -254,8 +260,8 @@ def test_carre_du_champ_matches_quadratic_form():
     # Gamma(u) from the assembly against its defining combination
     grid, metric, measure = euclid_setup(32)
     rng = np.random.default_rng(2)
-    direction = VectorField(grid, np.ones((grid.n_nodes, 1)))
-    asm = weighted_laplacian(metric, measure, direction)
+    du = CovectorField(grid, np.ones((grid.n_nodes, 1)))
+    asm = weighted_laplacian(metric, measure, du)
     u = rng.standard_normal(grid.n_nodes)
     direct = 0.5 * (asm.apply(u * u) - 2.0 * u * asm.apply(u))
     np.testing.assert_allclose(asm.carre_du_champ(u), direct, atol=1e-8)
@@ -268,8 +274,8 @@ def test_carre_du_champ_matches_quadratic_form():
 
 
 def nonlinear_laplacian(metric, measure, u):
-    """The operator heat_step freezes: the assembly at V = grad u applied to u."""
-    return weighted_laplacian(metric, measure, gradient_field(metric, u)).apply(u.values)
+    """The operator heat_step freezes: the assembly at du applied to u."""
+    return weighted_laplacian(metric, measure, differential_field(u)).apply(u.values)
 
 
 def test_nonlinear_laplacian_constant_field():
@@ -361,8 +367,8 @@ def test_advance_block_columns_match_single_fields(scheme, width):
     x, y = grid.coordinates().T
     u = 1.0 + 0.4 * np.sin(2 * math.pi * x + 0.3) + 0.2 * np.cos(2 * math.pi * y)
     dt = 0.2 * grid.h**2 if scheme == "explicit" else 1e-3
-    direction = gradient_field(metric, ScalarField(grid, u))
-    asm = weighted_laplacian(metric, measure, direction, dt=dt, scheme=scheme)
+    du = differential_field(ScalarField(grid, u))
+    asm = weighted_laplacian(metric, measure, du, dt=dt, scheme=scheme)
     block = np.random.default_rng(width).standard_normal((grid.n_nodes, width))
     out = asm.advance(block)
     assert out.shape == block.shape
@@ -386,7 +392,7 @@ def test_step_preconditioner_is_symmetric_positive_in_measure(desc):
     )
     x, y = grid.coordinates().T
     u = ScalarField(grid, np.sin(2 * math.pi * x) + 0.5 * np.cos(2 * math.pi * (x - y)))
-    asm = weighted_laplacian(metric, measure, gradient_field(metric, u), dt=1e-3)
+    asm = weighted_laplacian(metric, measure, differential_field(u), dt=1e-3)
     if desc.family == "riemannian":
         # strong anisotropy: the y-axis edges carry negative weights
         assert min(w for _, w in asm.stencil) < 0.0
@@ -405,8 +411,8 @@ def randers_2d_step_assembly():
     )
     x, y = grid.coordinates().T
     u = 1.0 + 0.4 * np.sin(2 * math.pi * x + 0.3) + 0.2 * np.cos(2 * math.pi * (x + y))
-    direction = gradient_field(metric, ScalarField(grid, u))
-    return weighted_laplacian(metric, MeasureField.lebesgue(grid), direction, dt=5e-4)
+    du = differential_field(ScalarField(grid, u))
+    return weighted_laplacian(metric, MeasureField.lebesgue(grid), du, dt=5e-4)
 
 
 def count_operator_applications(monkeypatch) -> list:
@@ -452,6 +458,19 @@ def test_step_solve_sweeps_a_block_in_one_lockstep(monkeypatch):
     assert asm._w(stack).flags.c_contiguous
 
 
+def test_fft_preconditioner_is_built_at_first_application(monkeypatch):
+    # a constant field is a fixed point of the step: CG accepts its start at
+    # the first residual check and applies no preconditioner, so none is built
+    asm = randers_2d_step_assembly()
+
+    def unreachable(*args):
+        raise AssertionError("preconditioner built")
+
+    monkeypatch.setattr(heat, "_stencil_symbols", unreachable)
+    ones = np.ones(asm.sigma.size)
+    assert asm.advance(ones).tobytes() == ones.tobytes()
+
+
 def randers_1d_assembly(nodes, dt, scheme="implicit_euler", weighted=True):
     """1-d Randers (b = 0.3) step at the criterion-7 initial field, with the
     weight f = 0.2 cos 2 pi x or the Lebesgue measure."""
@@ -464,7 +483,7 @@ def randers_1d_assembly(nodes, dt, scheme="implicit_euler", weighted=True):
         else MeasureField.lebesgue(grid)
     )
     u = ScalarField(grid, 1.0 + 0.5 * np.sin(2 * math.pi * x + 0.3))
-    return weighted_laplacian(metric, measure, gradient_field(metric, u), dt=dt, scheme=scheme)
+    return weighted_laplacian(metric, measure, differential_field(u), dt=dt, scheme=scheme)
 
 
 @pytest.mark.parametrize("width", [1, 3, 200])
@@ -478,8 +497,8 @@ def test_advance_block_columns_match_single_fields_1d(family, scheme, width):
         grid, metric, _ = euclid_setup(32)
         x = grid.coordinates()[:, 0]
         measure = MeasureField(grid, 0.2 * np.cos(2 * math.pi * x))
-        direction = gradient_field(metric, shifted_sine(grid))
-        asm = weighted_laplacian(metric, measure, direction, dt=1e-3, scheme=scheme)
+        du = differential_field(shifted_sine(grid))
+        asm = weighted_laplacian(metric, measure, du, dt=1e-3, scheme=scheme)
     block = np.random.default_rng(width).standard_normal((32, width))
     out = asm.advance(block)
     assert out.shape == block.shape

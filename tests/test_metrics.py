@@ -1,6 +1,7 @@
 """Norm families: values, duality, Legendre maps, reversibility."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,41 @@ def test_legendre_is_homogeneous_and_exact_at_every_scale(desc, angle, exponent)
     assert_rel_close(y, c * desc.legendre(unit))
     assert_rel_close(desc.legendre_inverse(y), xi)
     assert_rel_close(desc.norm(y), desc.dual_norm(xi))
+
+
+def dual_matrix(comps, dim):
+    """The (..., dim, dim) matrix of dual_tensor's components i <= j."""
+    out = np.empty(comps[0].shape + (dim, dim))
+    upper = [(i, j) for i in range(dim) for j in range(i, dim)]
+    for g, (i, j) in zip(comps, upper):
+        out[..., i, j] = out[..., j, i] = g
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    desc=st.sampled_from(EINSUM_FAMILIES + PROPERTY_FAMILIES[-2:]),
+    angle=st.floats(0.0, 2.0 * np.pi),
+    exponent=st.floats(-6.0, 6.0),
+)
+def test_dual_tensor_is_the_inverse_tensor_at_the_legendre_image(desc, angle, exponent):
+    if desc.dim == 2:
+        unit = np.array([np.cos(angle), np.sin(angle)])
+    else:
+        unit = np.array([1.0 if angle < np.pi else -1.0])
+    xi = np.stack([10.0**exponent * unit, np.zeros(desc.dim)])
+    mask = np.array([False, True])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comps = desc.dual_tensor(xi, mask)
+    got = dual_matrix(comps, desc.dim)
+    want = np.linalg.inv(desc.fundamental_tensor(desc.legendre(xi[0])))
+    assert_rel_close(got[0], want)
+    # the masked row takes a^-1
+    upper = [desc.a_inv[i, j] for i in range(desc.dim) for j in range(i, desc.dim)]
+    assert [g[1] for g in comps] == upper
+    if desc.family == "euclidean" and desc.dim == 1:
+        assert comps[0].tolist() == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
