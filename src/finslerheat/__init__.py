@@ -10,7 +10,6 @@ tolerances.
 from ._version import __version__
 from .errors import (
     AlphaSignChange,
-    CflViolation,
     ConfigError,
     DegenerateVector,
     DomainError,

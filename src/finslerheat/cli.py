@@ -51,9 +51,7 @@ def _cmd_solve(args) -> int:
     config = load_config(args.config)
     out = _resolve_out(args.out, config.out_dir)
     grid, metric, measure, u0 = build_problem(config)
-    traj = solve_heat_flow(
-        metric, measure, u0, config.t_final, config.dt, config.scheme
-    )
+    traj = solve_heat_flow(metric, measure, u0, config.t_final, config.dt)
     traj.export(os.path.join(out, "fields"))
     print(f"solved {config.family} flow to t={config.t_final}; fields in {out}/fields")
     if traj.violations:

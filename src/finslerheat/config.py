@@ -12,7 +12,7 @@ Sections and keys:
 * ``[metric]``: family plus its parameters (a, b, p_plus, p_minus)
 * ``[measure]``: f (log-density expression, default 0)
 * ``[initial]``: u (expression)
-* ``[time]``: dt, t_final, scheme
+* ``[time]``: dt, t_final, scheme (``implicit_euler``, the one time scheme)
 * ``[checks]``: names (comma list of ``runner.CHECKS`` keys), N, K (number
   or auto), profile, seed, n_fields, s, phi, harnack_pairs, harnack_mode
 * ``[output]``: dir
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, FinslerHeatError
 from .geometry import MeasureField, ScalarField, TorusGrid
-from .heat import SCHEMES
+from .heat import SCHEME
 from .liyau import LiYauProfile
 from .metrics import Asym1DNorm, EuclideanNorm, MetricField, RandersNorm, RiemannianNorm
 from .runner import CHECKS
@@ -168,7 +168,6 @@ class ExperimentConfig:
     u0_expr: str
     dt: float
     t_final: float
-    scheme: str
     checks: tuple[str, ...]
     N: float
     K: float | None  # None: resolve from the certified curvature bound
@@ -267,9 +266,9 @@ def load_config(path: str) -> ExperimentConfig:
     t_final = _finite("[time] t_final", time_sec["t_final"])
     if not 0.0 < dt <= t_final:
         raise ConfigError("need 0 < dt <= t_final")
-    scheme = time_sec.get("scheme", "implicit_euler").strip()
-    if scheme not in SCHEMES:
-        raise ConfigError(f"scheme must be one of {SCHEMES}")
+    scheme = time_sec.get("scheme", SCHEME).strip()
+    if scheme != SCHEME:
+        raise ConfigError(f"[time] scheme must be {SCHEME}, got {scheme!r}")
 
     checks_sec = parser["checks"] if "checks" in parser else {}
     names_raw = checks_sec.get("names", "").strip()
@@ -334,7 +333,6 @@ def load_config(path: str) -> ExperimentConfig:
         u0_expr=u0_expr,
         dt=dt,
         t_final=t_final,
-        scheme=scheme,
         checks=checks,
         N=n_eff,
         K=k_val,

@@ -25,10 +25,6 @@ class SolverDivergence(FinslerHeatError):
     """The linear solver exceeded its iteration cap."""
 
 
-class CflViolation(FinslerHeatError):
-    """An explicit step size violates the stability bound."""
-
-
 class IndexRange(FinslerHeatError):
     """A trajectory or grid index is out of range."""
 

@@ -2,8 +2,8 @@
 
 Each step freezes the differential du of the current iterate, assembles the
 weighted diffusion operator with the dual tensor g*(du) (the Hessian of F*^2/2,
-which is g^{ij} at the gradient legendre(du)), and advances with the selected
-scheme. The assembly is a finite-volume stiffness built from face averages,
+which is g^{ij} at the gradient legendre(du)), and advances by one implicit
+Euler step. The assembly is a finite-volume stiffness built from face averages,
 so two structural identities hold exactly by construction:
 
 * the operator annihilates constants, and
@@ -16,7 +16,9 @@ antidiagonal edge matching the sign of g12. Strongly anisotropic tensors can
 make axis weights negative, which is allowed: minimum-principle violations
 are logged, never clamped.
 
-Every implicit step, in the solver and in transport alike, is one
+With non-negative edge weights the step (Sigma + dt L)^-1 Sigma is the inverse
+of an M-matrix: like the paper's linearised semigroup it is positive and
+conserves mass. Every step, in the solver and in transport alike, is one
 preconditioned measure-CG solve (see DiffusionAssembly.advance). In 1-d the
 preconditioner is the exact inverse of the step, from a banded Cholesky
 factor built once per assembly, and CG starts at its solution: one operator
@@ -40,7 +42,7 @@ from scipy import fft
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
-from .errors import CflViolation, IndexRange, UnsupportedFamily
+from .errors import IndexRange, UnsupportedFamily
 from .geometry import (
     CovectorField,
     MeasureField,
@@ -54,7 +56,8 @@ from .metrics import MetricField
 from .numerics import cg_measure
 from .reporting import InequalityReport, compare
 
-SCHEMES = ("implicit_euler", "crank_nicolson", "explicit")
+#: the one time scheme, as ``trajectory.json`` and the run manifest name it
+SCHEME = "implicit_euler"
 
 
 @dataclass
@@ -72,15 +75,12 @@ class DiffusionAssembly:
     sigma: np.ndarray
     time: float
     dt: float
-    scheme: str
     kappa_max: float
     degenerate_nodes: int
     #: grid shape and (offset, mean edge weight) of each stencil direction,
     #: the constant-coefficient model behind the 2-d step preconditioner
     shape: tuple[int, ...]
     stencil: tuple[tuple[tuple[int, ...], float], ...]
-    #: (dt_eff, exact step inverse) of a 1-d assembly, built on first use
-    _exact: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _w(self, rows: np.ndarray) -> np.ndarray:
         """W applied to one field (n,) or to each row of a stack (m, n).
@@ -112,8 +112,8 @@ class DiffusionAssembly:
         ).T
 
     def advance(self, values: np.ndarray) -> np.ndarray:
-        """One step of the recorded scheme applied to one field (n,) or to a
-        block (n, m) with fields as columns.
+        """One implicit Euler step (Sigma + dt L)^-1 Sigma applied to one
+        field (n,) or to a block (n, m) with fields as columns.
 
         The same routine drives both the nonlinear solve and the linearized
         transport, so re-running it on recorded data reproduces the solver
@@ -121,41 +121,29 @@ class DiffusionAssembly:
         result for column j alone. In 1-d, CG starts at the exact banded
         solve and only verifies it; in 2-d it starts at the right-hand side.
         """
-        if self.scheme == "explicit":
-            return values + self.dt * self.apply(values)
         rows = np.asarray(values, dtype=float).T
-        if self.scheme == "implicit_euler":
-            dt_eff, rhs = self.dt, rows
-        elif self.scheme == "crank_nicolson":
-            dt_eff = 0.5 * self.dt
-            rhs = rows - dt_eff * (self.degree * rows - self._w(rows)) / self.sigma
-        else:  # pragma: no cover
-            raise UnsupportedFamily(f"unknown scheme {self.scheme}")
-        diag = 1.0 + dt_eff * self.degree / self.sigma
-        scale = dt_eff / self.sigma
+        diag = 1.0 + self.dt * self.degree / self.sigma
+        scale = self.dt / self.sigma
 
         def op(x):
             return diag * x - scale * self._w(x)
 
-        precond = self._preconditioner(dt_eff)
-        x0 = precond(np.atleast_2d(rhs)) if len(self.shape) == 1 else rows
-        return cg_measure(op, rhs, self.sigma, precond, x0=x0).T
+        precond = self._preconditioner()
+        x0 = precond(np.atleast_2d(rows)) if len(self.shape) == 1 else rows
+        return cg_measure(op, rows, self.sigma, precond, x0=x0).T
 
-    def _preconditioner(self, dt_eff: float):
-        """Preconditioner of the step operator I + dt_eff * Sigma^-1 L: its
+    def _preconditioner(self):
+        """Preconditioner of the step operator I + dt * Sigma^-1 L: its
         exact inverse in 1-d, kept on the assembly after the first call, and
         the FFT model of :meth:`_fft_inverse` in 2-d. Either is self-adjoint
         and positive definite in the sigma inner product. Only the 1-d one
         is exact, so only there does :meth:`advance` start CG at its image
         of the right-hand side."""
-        if len(self.shape) > 1:
-            return self._fft_inverse(dt_eff)
-        if self._exact is None or self._exact[0] != dt_eff:
-            self._exact = (dt_eff, self._exact_inverse(dt_eff))
-        return self._exact[1]
+        return self._fft_inverse() if len(self.shape) > 1 else self._exact_inverse
 
-    def _exact_inverse(self, dt_eff: float):
-        """Exact inverse r -> A^-1 Sigma r of the 1-d step, A = Sigma + dt_eff L.
+    @functools.cached_property
+    def _exact_inverse(self):
+        """Exact inverse r -> A^-1 Sigma r of the 1-d step, A = Sigma + dt L.
 
         A is tridiagonal plus the two periodic corners c = A[0, n-1]. With
         gamma = -A[0, 0], u = (gamma, 0, ..., 0, c) and v = (1, 0, ..., 0,
@@ -165,12 +153,12 @@ class DiffusionAssembly:
         The factor and z are about 3n floats. LAPACK's dpbtrs solves each
         right-hand side alone, so a row's result does not depend on its stack.
         """
-        n = self.shape[0]
-        full = self.sigma + dt_eff * self.degree
-        corner = -dt_eff * self.weights.diagonal(1 - n)[0]
+        n, dt = self.shape[0], self.dt
+        full = self.sigma + dt * self.degree
+        corner = -dt * self.weights.diagonal(1 - n)[0]
         gamma = -full[0]
         band = np.zeros((2, n))
-        band[0, 1:] = -dt_eff * self.weights.diagonal(1)
+        band[0, 1:] = -dt * self.weights.diagonal(1)
         band[1] = full
         band[1, 0] -= gamma
         band[1, -1] -= corner * corner / gamma
@@ -189,14 +177,14 @@ class DiffusionAssembly:
 
         return precond
 
-    def _fft_inverse(self, dt_eff: float):
-        """Approximate inverse of the step operator I + dt_eff * Sigma^-1 L.
+    def _fft_inverse(self):
+        """Approximate inverse of the step operator I + dt * Sigma^-1 L.
 
         With every edge weight replaced by the mean of its stencil direction,
-        mean(sigma) + dt_eff * L is circulant on the torus, and a real FFT
-        diagonalises it with symbol lambda(theta) = mean(sigma) + dt_eff *
+        mean(sigma) + dt * L is circulant on the torus, and a real FFT
+        diagonalises it with symbol lambda(theta) = mean(sigma) + dt *
         sum_d 2 max(w_d, 0) (1 - cos theta.d). The diagonal scaling Dh =
-        sqrt(mean(full) / full), full = sigma + dt_eff * degree, restores the
+        sqrt(mean(full) / full), full = sigma + dt * degree, restores the
         local size of the operator. The result M^-1 r = Dh F^-1[F(Sigma Dh r)
         / lambda] is self-adjoint and positive definite in the sigma inner
         product: the clip keeps lambda >= mean(sigma) > 0 even when
@@ -204,16 +192,16 @@ class DiffusionAssembly:
         built at the first application: a CG solve that accepts its start
         applies none.
         """
-        shape = self.shape
+        shape, dt = self.shape, self.dt
         axes = tuple(range(-len(shape), 0))
 
         @functools.cache
         def model():
-            full = self.sigma + dt_eff * self.degree
+            full = self.sigma + dt * self.degree
             dh = np.sqrt(np.mean(full) / full)
             offsets, weights = zip(*self.stencil)
             symbol = np.tensordot(np.maximum(weights, 0.0), _stencil_symbols(shape, offsets), 1)
-            inv_lam = 1.0 / (np.mean(self.sigma) + dt_eff * symbol)
+            inv_lam = 1.0 / (np.mean(self.sigma) + dt * symbol)
             return dh, self.sigma * dh, inv_lam
 
         def precond(r):
@@ -287,7 +275,6 @@ def weighted_laplacian(
     differential: CovectorField,
     time: float = 0.0,
     dt: float = 0.0,
-    scheme: str = "implicit_euler",
 ) -> DiffusionAssembly:
     """Assemble the diffusion operator with the dual tensor g*(du) of the
     frozen differential du. Degenerate nodes (``degenerate_covectors``) take
@@ -296,8 +283,6 @@ def weighted_laplacian(
     grid = metric.grid
     if measure.grid != grid or differential.grid != grid:
         raise ValueError("metric, measure and differential live on different grids")
-    if scheme not in SCHEMES:
-        raise UnsupportedFamily(f"unknown scheme {scheme}")
     mask = degenerate_covectors(metric, differential.values)
     ginv = metric.descriptor.dual_tensor(differential.values, mask)
     rho = measure.density
@@ -334,7 +319,6 @@ def weighted_laplacian(
         sigma=measure.sigma,
         time=time,
         dt=dt,
-        scheme=scheme,
         kappa_max=kappa_max,
         degenerate_nodes=int(np.count_nonzero(mask)),
         shape=grid.shape,
@@ -342,26 +326,17 @@ def weighted_laplacian(
     )
 
 
-def _check_cfl(grid, dt: float, kappa_max: float):
-    limit = grid.h**2 / (2.0 * grid.dim * kappa_max)
-    if dt > limit:
-        raise CflViolation(f"explicit step {dt:.3e} exceeds stability limit {limit:.3e}")
-
-
 def heat_step(
     metric: MetricField,
     measure: MeasureField,
     u: ScalarField,
     dt: float,
-    scheme: str = "implicit_euler",
     time: float = 0.0,
 ) -> tuple[ScalarField, DiffusionAssembly]:
     """Advance the nonlinear flow by one frozen-coefficient step."""
     if dt <= 0:
         raise ValueError("step size must be positive")
-    assembly = weighted_laplacian(metric, measure, differential_field(u), time, dt, scheme)
-    if scheme == "explicit":
-        _check_cfl(metric.grid, dt, assembly.kappa_max)
+    assembly = weighted_laplacian(metric, measure, differential_field(u), time, dt)
     return ScalarField(u.grid, assembly.advance(u.values)), assembly
 
 
@@ -381,7 +356,6 @@ class Trajectory:
     times: list[float]
     fields: list[np.ndarray]
     assemblies: list[DiffusionAssembly]
-    scheme: str
     dt: float
     violations: list[dict] = field(default_factory=list)
 
@@ -408,9 +382,7 @@ class Trajectory:
             return self.assemblies[index]
         # final time: assemble once at the last recorded field
         du = differential_field(self.field_at(index))
-        extra = weighted_laplacian(
-            self.metric, self.measure, du, self.times[index], self.dt, self.scheme
-        )
+        extra = weighted_laplacian(self.metric, self.measure, du, self.times[index], self.dt)
         self.assemblies.append(extra)
         return extra
 
@@ -453,7 +425,7 @@ class Trajectory:
             with open(path, "w", newline="") as fh:
                 fh.write("\r\n".join([header, *rows, ""]))
         meta = {
-            "scheme": self.scheme,
+            "scheme": SCHEME,
             "dt": self.dt,
             "h": self.grid.h,
             "nodes_per_axis": self.grid.nodes_per_axis,
@@ -472,13 +444,12 @@ def solve_heat_flow(
     u0: ScalarField,
     t_final: float,
     dt: float,
-    scheme: str = "implicit_euler",
 ) -> Trajectory:
     """Run the nonlinear flow from 0 to ``t_final`` recording every step.
 
     The step count is rounded so the final time is hit exactly. Positivity
     and range monitors log violations on the trajectory; nothing is clamped.
-    Mass is conserved to solver tolerance for the implicit schemes.
+    Mass is conserved to solver tolerance.
     """
     if t_final <= 0 or dt <= 0:
         raise ValueError("final time and step size must be positive")
@@ -487,13 +458,13 @@ def solve_heat_flow(
     times = [0.0]
     fields = [u0.values.copy()]
     assemblies: list[DiffusionAssembly] = []
-    traj = Trajectory(metric, measure, times, fields, assemblies, scheme, dt_eff)
+    traj = Trajectory(metric, measure, times, fields, assemblies, dt_eff)
     lo0, hi0 = float(np.min(u0.values)), float(np.max(u0.values))
     drift_tol = 1e-9 * max(1.0, abs(lo0), abs(hi0))
     u = u0
     for k in range(n_steps):
         t = k * dt_eff
-        u, assembly = heat_step(metric, measure, u, dt_eff, scheme, time=t)
+        u, assembly = heat_step(metric, measure, u, dt_eff, time=t)
         assemblies.append(assembly)
         times.append((k + 1) * dt_eff)
         fields.append(u.values)

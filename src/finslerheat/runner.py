@@ -25,7 +25,7 @@ from . import liyau, semigroup
 from ._version import __version__
 from .errors import ConfigError, FinslerHeatError
 from .geometry import ZERO_CURVATURE, ScalarField, ricci_lower_bound
-from .heat import Trajectory, bochner_report, solve_heat_flow
+from .heat import SCHEME, Trajectory, bochner_report, solve_heat_flow
 from .reporting import InequalityReport, json_safe
 
 if TYPE_CHECKING:  # config validates check names against CHECKS
@@ -248,9 +248,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
     K, prov = _resolve_curvature(config, metric, measure)
     clock: dict[str, float] = {}
     t0 = time.perf_counter()
-    traj = solve_heat_flow(
-        metric, measure, u0, config.t_final, config.dt, config.scheme
-    )
+    traj = solve_heat_flow(metric, measure, u0, config.t_final, config.dt)
     clock["solve"] = time.perf_counter() - t0
     traj.export(os.path.join(out, "fields"))
 
@@ -268,7 +266,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
             "dim": grid.dim,
             "nodes_per_axis": grid.nodes_per_axis,
             "family": config.family,
-            "scheme": config.scheme,
+            "scheme": SCHEME,
             "n_violations_solve": len(traj.violations),
         },
         solver_steps=[

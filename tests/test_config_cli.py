@@ -139,7 +139,6 @@ def test_minimal_config_gets_documented_defaults(tmp_path):
     assert config.family == "euclidean"
     assert config.f_expr == "0"
     assert config.u0_expr == "1"
-    assert config.scheme == "implicit_euler"
     assert config.checks == ()
     assert math.isinf(config.N)
     assert config.K is None
@@ -172,9 +171,12 @@ def test_minimal_config_gets_documented_defaults(tmp_path):
         ),
         ("[grid]\n[time]\ndt = 1e-3\n", r"\[time\] needs dt and t_final"),
         ("[grid]\n[time]\ndt = 2e-2\nt_final = 1e-2\n", "0 < dt <= t_final"),
-        (
-            "[grid]\n[time]\ndt = 1e-3\nt_final = 1e-2\nscheme = magic\n",
-            "scheme must be one of",
+        *(
+            (
+                f"[grid]\n[time]\ndt = 1e-3\nt_final = 1e-2\nscheme = {scheme}\n",
+                r"\[time\] scheme must be implicit_euler",
+            )
+            for scheme in ("magic", "crank_nicolson", "explicit")
         ),
         (
             "[grid]\n[time]\ndt = 1e-3\nt_final = 1e-2\n"

@@ -615,8 +615,8 @@ def test_constant_phi_is_a_fixed_point_of_the_2d_adjoint_transport(
     applied = []
     build = heat.DiffusionAssembly._preconditioner
 
-    def counting(self, dt_eff):
-        precond = build(self, dt_eff)
+    def counting(self):
+        precond = build(self)
         return lambda r: applied.append(len(r)) or precond(r)
 
     monkeypatch.setattr(heat.DiffusionAssembly, "_preconditioner", counting)
