@@ -46,16 +46,20 @@ def _resolve_out(flag_value: str | None, config_value: str) -> str:
 
 
 def _cmd_solve(args) -> int:
-    from .heat import solve_heat_flow
+    from .heat import Trajectory, heat_flow
 
     config = load_config(args.config)
     out = _resolve_out(args.out, config.out_dir)
     grid, metric, measure, u0 = build_problem(config)
-    traj = solve_heat_flow(metric, measure, u0, config.t_final, config.dt)
-    traj.export(os.path.join(out, "fields"))
+    violations: list[dict] = []
+    # the export reads only u0 and the last field: keep no other step
+    for t, last, assembly in heat_flow(metric, measure, u0, config.t_final, config.dt, violations):
+        pass
+    ends = Trajectory(metric, measure, [0.0, t], [u0.values, last], [], assembly.dt, violations)
+    ends.export(os.path.join(out, "fields"))
     print(f"solved {config.family} flow to t={config.t_final}; fields in {out}/fields")
-    if traj.violations:
-        print(f"note: {len(traj.violations)} solver monitor entries recorded")
+    if violations:
+        print(f"note: {len(violations)} solver monitor entries recorded")
     return 0
 
 

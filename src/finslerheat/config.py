@@ -6,17 +6,8 @@ written like ``1 + 0.5*cos(1)`` (1-d) or ``0.2*cos(1,2,0.5)`` (2-d with a
 phase). Modes must be integers so every term is periodic on the torus.
 Subtraction is spelled as a negative coefficient after a ``+``.
 
-Sections and keys:
-
-* ``[grid]``: dim, nodes, period
-* ``[metric]``: family plus its parameters (a, b, p_plus, p_minus)
-* ``[measure]``: f (log-density expression, default 0)
-* ``[initial]``: u (expression)
-* ``[time]``: dt, t_final, scheme (``implicit_euler``, the one time scheme)
-* ``[checks]``: names (comma list of ``runner.CHECKS`` keys), N, K (number
-  or auto), profile, seed, n_fields, s, phi, harnack_pairs, harnack_mode
-* ``[output]``: dir
-* ``[ladder]``: levels as ``nodes,dt`` pairs joined by ``;``
+The sections and their keys are listed in ``SCHEMA``, the one whitelist:
+``load_config`` rejects any other section or key.
 """
 
 from __future__ import annotations
@@ -35,6 +26,22 @@ from .heat import SCHEME
 from .liyau import LiYauProfile
 from .metrics import Asym1DNorm, EuclideanNorm, MetricField, RandersNorm, RiemannianNorm
 from .runner import CHECKS
+
+#: section -> its keys, in lower case as configparser stores them
+SCHEMA = {
+    "grid": ("dim", "nodes", "period"),
+    "metric": ("family", "a", "b", "p_plus", "p_minus"),  # the family's parameters
+    "measure": ("f",),  # log-density expression, default 0
+    "initial": ("u",),  # expression
+    "time": ("dt", "t_final", "scheme"),  # scheme: implicit_euler, the one time scheme
+    # names: a comma list of runner.CHECKS keys; N, K: a number or auto
+    "checks": (
+        "names", "n", "k", "profile", "seed", "n_fields", "s", "phi",
+        "harnack_pairs", "harnack_mode",
+    ),
+    "output": ("dir",),
+    "ladder": ("levels",),  # nodes,dt pairs joined by ;
+}
 
 _NUMBER = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _TERM_RE = re.compile(
@@ -234,14 +241,24 @@ def _parse_ladder(text: str):
 
 
 def load_config(path: str) -> ExperimentConfig:
-    # no interpolation: a '%' makes a malformed value, not a late traceback
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # no interpolation: a '%' makes a malformed value, not a late traceback;
+    # no default section: [DEFAULT] is an unknown section, not keys for all
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None, default_section=""
+    )
     with open(path) as fh:
         text = fh.read()
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:  # a repeated section or key, a stray line
         raise ConfigError(" ".join(str(exc).split())) from None
+    for section in parser.sections():
+        known = SCHEMA.get(section)
+        if known is None:
+            raise ConfigError(f"unknown section [{section}]; known: {', '.join(SCHEMA)}")
+        for key in parser[section]:
+            if key not in known:
+                raise ConfigError(f"unknown key [{section}] {key}; known: {', '.join(known)}")
     if "grid" not in parser or "time" not in parser:
         raise ConfigError("config needs [grid] and [time] sections")
     grid_sec = parser["grid"]

@@ -7,6 +7,7 @@ reshape to (n, n) with axis 0 the x direction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -134,7 +135,8 @@ class MeasureField:
     """Weighted measure exp(-f) dx, stored as per-node log-density ``f``.
 
     ``sigma`` are the node weights exp(-f) h^dim; integration against the
-    measure is a plain dot product with them.
+    measure is a plain dot product with them. ``density`` and ``sigma`` are
+    computed once, read-only, and shared by every assembly on the measure.
     """
 
     grid: TorusGrid
@@ -143,13 +145,17 @@ class MeasureField:
     def __post_init__(self):
         object.__setattr__(self, "f", _check_values(self.grid, self.f, None))
 
-    @property
+    @functools.cached_property
     def density(self) -> np.ndarray:
-        return np.exp(-self.f)
+        density = np.exp(-self.f)
+        density.flags.writeable = False
+        return density
 
-    @property
+    @functools.cached_property
     def sigma(self) -> np.ndarray:
-        return self.density * self.grid.h**self.grid.dim
+        sigma = self.density * self.grid.h**self.grid.dim
+        sigma.flags.writeable = False
+        return sigma
 
     @classmethod
     def lebesgue(cls, grid: TorusGrid) -> "MeasureField":

@@ -26,6 +26,10 @@ application checks the residual, and a field iterates only if that misses
 the tolerance. In 2-d the preconditioner is the FFT inverse of the same step
 with every edge weight replaced by its direction's mean, and CG starts at the
 right-hand side.
+
+:func:`heat_flow` is the one step loop, with two consumers:
+:func:`solve_heat_flow` records every step for the checks, and the ``solve``
+verb keeps only u0 and the latest field.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import functools
 import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -438,6 +443,42 @@ class Trajectory:
             json.dump(meta, fh, indent=2, sort_keys=True)
 
 
+def heat_flow(
+    metric: MetricField,
+    measure: MeasureField,
+    u0: ScalarField,
+    t_final: float,
+    dt: float,
+    violations: list[dict],
+) -> Iterator[tuple[float, np.ndarray, DiffusionAssembly]]:
+    """The one step loop: yield (time, field, assembly) after each step of
+    the flow from 0 to ``t_final``, the assembly being the step's own.
+
+    The step count is rounded so the final time is hit exactly; each
+    assembly's ``dt`` is that step. Positivity and range monitors append
+    to ``violations``; nothing is clamped. Mass is conserved to solver
+    tolerance.
+    """
+    if t_final <= 0 or dt <= 0:
+        raise ValueError("final time and step size must be positive")
+    n_steps = max(1, int(round(t_final / dt)))
+    dt_eff = t_final / n_steps
+    lo0, hi0 = float(np.min(u0.values)), float(np.max(u0.values))
+    drift_tol = 1e-9 * max(1.0, abs(lo0), abs(hi0))
+    u = u0
+    for k in range(n_steps):
+        u, assembly = heat_step(metric, measure, u, dt_eff, time=k * dt_eff)
+        t = (k + 1) * dt_eff
+        lo, hi = float(np.min(u.values)), float(np.max(u.values))
+        if lo0 > 0 and lo <= 0:
+            violations.append({"time": t, "kind": "positivity", "magnitude": lo})
+        if lo < lo0 - drift_tol or hi > hi0 + drift_tol:
+            violations.append(
+                {"time": t, "kind": "range", "magnitude": max(lo0 - lo, hi - hi0)}
+            )
+        yield t, u.values, assembly
+
+
 def solve_heat_flow(
     metric: MetricField,
     measure: MeasureField,
@@ -445,43 +486,14 @@ def solve_heat_flow(
     t_final: float,
     dt: float,
 ) -> Trajectory:
-    """Run the nonlinear flow from 0 to ``t_final`` recording every step.
-
-    The step count is rounded so the final time is hit exactly. Positivity
-    and range monitors log violations on the trajectory; nothing is clamped.
-    Mass is conserved to solver tolerance.
-    """
-    if t_final <= 0 or dt <= 0:
-        raise ValueError("final time and step size must be positive")
-    n_steps = max(1, int(round(t_final / dt)))
-    dt_eff = t_final / n_steps
-    times = [0.0]
-    fields = [u0.values.copy()]
-    assemblies: list[DiffusionAssembly] = []
-    traj = Trajectory(metric, measure, times, fields, assemblies, dt_eff)
-    lo0, hi0 = float(np.min(u0.values)), float(np.max(u0.values))
-    drift_tol = 1e-9 * max(1.0, abs(lo0), abs(hi0))
-    u = u0
-    for k in range(n_steps):
-        t = k * dt_eff
-        u, assembly = heat_step(metric, measure, u, dt_eff, time=t)
+    """Run :func:`heat_flow` and record every step: the trajectory the
+    checks transport fields through."""
+    times, fields, assemblies, violations = [0.0], [u0.values.copy()], [], []
+    for t, values, assembly in heat_flow(metric, measure, u0, t_final, dt, violations):
+        times.append(t)
+        fields.append(values)
         assemblies.append(assembly)
-        times.append((k + 1) * dt_eff)
-        fields.append(u.values)
-        lo, hi = float(np.min(u.values)), float(np.max(u.values))
-        if lo0 > 0 and lo <= 0:
-            traj.violations.append(
-                {"time": times[-1], "kind": "positivity", "magnitude": lo}
-            )
-        if lo < lo0 - drift_tol or hi > hi0 + drift_tol:
-            traj.violations.append(
-                {
-                    "time": times[-1],
-                    "kind": "range",
-                    "magnitude": max(lo0 - lo, hi - hi0),
-                }
-            )
-    return traj
+    return Trajectory(metric, measure, times, fields, assemblies, assembly.dt, violations)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,12 +23,13 @@ from finslerheat.config import (
     parse_expression,
 )
 from finslerheat.errors import ConfigError
-from finslerheat.heat import DiffusionAssembly
+from finslerheat.heat import DiffusionAssembly, solve_heat_flow
 from finslerheat.metrics import RandersNorm
 from finslerheat.semigroup import ROUNDOFF_CHECKS
 from finslerheat.runner import (
     CHECKS,
     RunManifest,
+    build_problem,
     convergence_table,
     run,
     run_ladder,
@@ -788,6 +790,12 @@ BAD_VALUES = {
         "[checks]\nnames = harnack\nharnack_pairs = -1,0.002,3,0.004\n",
         "[checks] harnack_pairs",
     ),
+    # a misspelt key or section once loaded silently with its default; the
+    # block after GOOD continues its [time] section
+    "time_key_typo": ("schem = crank_nicolson\n", "[time] schem"),
+    "checks_key_typo": ("[checks]\nnames = duality\nn_field = 5\n", "[checks] n_field"),
+    "section_typo": ("[outptu]\ndir = x\n", "[outptu]"),
+    "default_section": ("[DEFAULT]\nnodes = 16\n", "[DEFAULT]"),
 }
 
 
@@ -1007,6 +1015,62 @@ def test_cli_solve_exports_fields(tmp_path, capsys):
     assert "solved euclidean flow" in capsys.readouterr().out
     fields = tmp_path / "runs" / "fields"
     assert fields.is_dir() and any(fields.iterdir())
+
+
+RANDERS_32 = """\
+    [grid]
+    dim = 2
+    nodes = 32
+
+    [metric]
+    family = randers
+    a = 1.0, 0.2, 0.8
+    b = 0.3, 0.1
+
+    [initial]
+    u = 1 + 0.4*sin(1, 0, 0.3) + 0.2*cos(1, 1)
+
+    [time]
+    dt = 1e-3
+    """
+
+
+def test_cli_solve_writes_the_recorded_trajectory_bytes(tmp_path, capsys):
+    # the verb streams the step loop and keeps only its ends; the files must
+    # equal the export of the full record
+    path = write_ini(tmp_path, RANDERS_32, "t_final = 1e-2\n")
+    config = load_config(path)
+    _, metric, measure, u0 = build_problem(config)
+    traj = solve_heat_flow(metric, measure, u0, config.t_final, config.dt)
+    traj.export(str(tmp_path / "recorded"))
+    assert main(["solve", path, "--out", str(tmp_path / "streamed")]) == 0
+    capsys.readouterr()
+    recorded = sorted((tmp_path / "recorded").iterdir())
+    streamed = sorted((tmp_path / "streamed" / "fields").iterdir())
+    assert [p.name for p in recorded] == [p.name for p in streamed]
+    assert len(recorded) == 3
+    for a, b in zip(recorded, streamed):
+        assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_cli_solve_memory_does_not_grow_with_steps(tmp_path, capsys):
+    # the verb holds O(nodes): 30 more steps may not cost one more assembly
+    peaks = {}
+    # the first run fills the per-grid caches and the interpreter's free lists
+    for steps in (40, 10, 40):
+        path = write_ini(tmp_path, RANDERS_32, f"t_final = {steps}e-3\n")
+        tracemalloc.start()
+        try:
+            assert main(["solve", path, "--out", str(tmp_path / "runs")]) == 0
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    config = load_config(path)
+    _, metric, measure, u0 = build_problem(config)
+    (assembly,) = solve_heat_flow(metric, measure, u0, config.dt, config.dt).assemblies
+    one_assembly = assembly.weights.data.nbytes + assembly.degree.nbytes
+    assert abs(peaks[40] - peaks[10]) < one_assembly, (peaks, one_assembly)
 
 
 def test_cli_out_precedence(tmp_path, capsys, monkeypatch):

@@ -25,6 +25,7 @@ from finslerheat import (
     ricci_lower_bound,
 )
 from finslerheat.geometry import differential_field
+from finslerheat.heat import weighted_laplacian
 
 
 def euclid_metric(nodes=32, dim=1, period=1.0):
@@ -98,6 +99,22 @@ def test_measure_weights_positive():
     assert np.all(m.sigma > 0.0)
     # periodic trapezoid sum of exp(-0.3 cos 2 pi x): the Bessel value I0(0.3)
     assert np.sum(m.sigma) == pytest.approx(np.i0(0.3), rel=1e-10)
+
+
+def test_measure_weights_are_computed_once_and_read_only():
+    grid = TorusGrid(2, 8)
+    m = MeasureField.from_log_density(grid, lambda x, y: 0.3 * math.cos(2 * math.pi * x))
+    assert m.sigma is m.sigma and m.density is m.density
+    np.testing.assert_array_equal(m.density, np.exp(-m.f))
+    np.testing.assert_array_equal(m.sigma, np.exp(-m.f) * grid.h**2)
+    # every assembly on the measure shares these arrays: a write must raise
+    assembly = weighted_laplacian(
+        MetricField(grid, EuclideanNorm(2)), m, differential_field(ScalarField(grid, m.f))
+    )
+    assert assembly.sigma is m.sigma
+    for arr in (m.sigma, m.density):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
