@@ -11,7 +11,6 @@ from ._version import __version__
 from .errors import (
     AlphaSignChange,
     ConfigError,
-    DegenerateVector,
     DomainError,
     FinslerHeatError,
     IndexRange,
@@ -31,7 +30,6 @@ from .geometry import (
     VectorField,
     finsler_distance,
     gradient_field,
-    integrate,
     ricci_lower_bound,
 )
 from .harnack import (
@@ -88,6 +86,5 @@ from .semigroup import (
     laplacian_commutation,
     lipschitz_decay,
     local_logsob_check,
-    transport,
     variance_identity,
 )

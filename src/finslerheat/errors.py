@@ -9,10 +9,6 @@ class FinslerHeatError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DegenerateVector(FinslerHeatError):
-    """A vector or covector is too close to zero for the requested operation."""
-
-
 class NoConvergence(FinslerHeatError):
     """An iterative method exhausted its budget without meeting tolerance."""
 

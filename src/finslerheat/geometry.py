@@ -184,12 +184,6 @@ class CurvatureBound:
             raise ValueError("effective dimension must be >= 1 or inf")
 
 
-def integrate(field: ScalarField | np.ndarray, measure: MeasureField) -> float:
-    """Integral of a scalar field against the weighted measure."""
-    values = field.values if isinstance(field, ScalarField) else np.asarray(field)
-    return float(np.dot(values, measure.sigma))
-
-
 def _hessian_fields(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
     """Coordinate Hessian per node by centered differences, (n, d, d)."""
     d = grid.dim

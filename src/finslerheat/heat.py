@@ -396,12 +396,31 @@ class Trajectory:
     ) -> np.ndarray:
         """Apply the recorded steps start, ..., end - 1 (in reverse order
         when ``adjoint``) to one field (n,) or a block (n, m) of fields as
-        columns, every field moving through each step in one call."""
+        columns, every field moving through each step in one call. This is
+        the one transport loop: P_{start,end}, or its adjoint."""
+        self.check_span(start, end)
         steps = range(start, end)
         x = np.array(values, dtype=float)
         for k in reversed(steps) if adjoint else steps:
             x = self.assemblies[k].advance(x)
         return x
+
+    def check_span(self, start: int, end: int) -> None:
+        """Raise unless 0 <= start < end < n_times: a span of recorded
+        steps, which a lazily built final-time assembly is not."""
+        if not 0 <= start < end < self.n_times:
+            raise IndexRange(f"span ({start}, {end}) needs 0 <= start < end < {self.n_times}")
+
+    def grid_meta(self, **extra) -> dict:
+        """The grid, step and metric family, then ``extra``, for reports."""
+        return {
+            "h": self.grid.h,
+            "dt": self.dt,
+            "dim": self.grid.dim,
+            "nodes_per_axis": self.grid.nodes_per_axis,
+            "family": self.metric.descriptor.family,
+            **extra,
+        }
 
     def delta_u(self, index: int) -> np.ndarray:
         """Spatial-operator value A_t u_t at a recorded index."""

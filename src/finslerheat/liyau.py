@@ -498,19 +498,6 @@ def _log_state(traj: Trajectory, index: int):
     return u, f2, dt_log
 
 
-def _traj_meta(traj: Trajectory, extra: dict | None = None) -> dict:
-    meta = {
-        "h": traj.grid.h,
-        "dt": traj.dt,
-        "dim": traj.grid.dim,
-        "nodes_per_axis": traj.grid.nodes_per_axis,
-        "family": traj.metric.descriptor.family,
-    }
-    if extra:
-        meta.update(extra)
-    return meta
-
-
 def residual_linear(
     traj: Trajectory, t: float, coeffs: LiYauCoefficients
 ) -> InequalityReport:
@@ -527,7 +514,7 @@ def residual_linear(
         rhs,
         tol,
         "max(10h^2, 10dt) * residual scale",
-        grid_meta=_traj_meta(traj, {"t": t, "provenance": coeffs.provenance}),
+        grid_meta=traj.grid_meta(t=t, provenance=coeffs.provenance),
     )
 
 
@@ -540,7 +527,7 @@ def residual_psi(traj: Trajectory, t: float, N: float, K: float) -> InequalityRe
     """
     index = traj.index_of(t)
     _, f2, dt_log = _log_state(traj, index)
-    meta = _traj_meta(traj, {"t": t, "N": N, "K": K})
+    meta = traj.grid_meta(t=t, N=N, K=K)
     if abs(K) < ZERO_CURVATURE:
         lhs = f2 - dt_log
         rhs = np.full_like(lhs, N / (2.0 * t))
@@ -668,7 +655,7 @@ def check_exp_uu(
         abs(int_s),
     )
     tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
-    meta = _traj_meta(traj, {"s": s, "t": t, "zeta": zeta, "N": N})
+    meta = traj.grid_meta(s=s, t=t, zeta=zeta, N=N)
     return compare(
         "exp-entropy-gap",
         lhs,
@@ -707,7 +694,7 @@ def check_log_sob_weak(
     ddt = traj.assembly_at(dst).apply(u_t)
     chi = 4.0 / (N * K) * float(np.sum(w * ddt * sig)) / mass_t
     ev = PsiEvaluator(N, K, t)
-    meta = _traj_meta(traj, {"t": t, "K": K, "N": N, "chi": chi, "zeta": zeta})
+    meta = traj.grid_meta(t=t, K=K, N=N, chi=chi, zeta=zeta)
     if chi >= ev.x_max:
         return compare(
             "weak-log-sobolev-domain",

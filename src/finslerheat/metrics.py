@@ -12,12 +12,10 @@ family is a ``RandersNorm`` under its ``family`` label:
   and b = (p_plus - p_minus)/2.
 
 All methods broadcast over leading axes; vectors and covectors are arrays
-of shape ``(..., dim)``. The fundamental tensor at ``v`` is half the
-second derivative of F^2, the Legendre map sends a covector ``xi`` to the
-unique ``y`` with F(y) = F*(xi) and xi(y) = F(y)^2, and
-``legendre_inverse`` is its inverse y -> g_y(y, .) = d(F^2)/2. The dual
-tensor at ``xi`` is the Hessian of F*^2/2, the inverse of the fundamental
-tensor at legendre(xi).
+of shape ``(..., dim)``. The Legendre map sends a covector ``xi`` to the
+unique ``y`` with F(y) = F*(xi) and xi(y) = F(y)^2. The dual tensor at
+``xi`` is the Hessian of F*^2/2, the inverse of the fundamental tensor
+g_y = d^2(F^2)/2 at y = legendre(xi).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateVector, UnsupportedFamily
+from .errors import UnsupportedFamily
 
 #: degeneracy threshold, scaled by the descriptor's length scale
 EPS_DEGENERATE = 1e-12
@@ -80,12 +78,6 @@ class RandersNorm:
         mag = np.linalg.norm(np.atleast_2d(y), axis=-1)
         return (mag <= EPS_DEGENERATE * self.length_scale).reshape(np.shape(y)[:-1])
 
-    def _require_nondegenerate(self, y: np.ndarray) -> None:
-        if np.any(self.degenerate_mask(y)):
-            raise DegenerateVector(
-                f"{self.family}: vector magnitude below {EPS_DEGENERATE} x scale"
-            )
-
     def norm(self, y):
         y = np.asarray(y, float)
         alpha = np.sqrt(np.einsum("...i,ij,...j->...", y, self.a, y))
@@ -108,36 +100,6 @@ class RandersNorm:
         r = np.sqrt(lam * q + m * m)
         return (r - m) / lam, r, m, xa
 
-    def fundamental_tensor(self, v: np.ndarray) -> np.ndarray:
-        """g_ij(v) = (1/2) d^2(F^2)/dy^i dy^j, shape ``(..., d, d)``; raises
-        :class:`DegenerateVector` near v = 0."""
-        v = np.asarray(v, float)
-        self._require_nondegenerate(v)
-        return self.fundamental_tensor_unchecked(v)
-
-    def fundamental_tensor_unchecked(self, v):
-        """:meth:`fundamental_tensor` without the degeneracy check.
-
-        g_ij = (F/alpha)(a_ij - l_i l_j) + (l_i + b_i)(l_j + b_j) with
-        l = a v / alpha, one component at a time; a v and alpha^2 are summed
-        from zero over j like the ``einsum`` they replace, so the bits match.
-        """
-        v = np.asarray(v, float)
-        a, b, dim = self.a, self.b, self.dim
-        comps = [v[..., j] for j in range(dim)]
-        av = [sum(a[i, j] * comps[j] for j in range(dim)) for i in range(dim)]
-        alpha = np.sqrt(sum(c * x for c, x in zip(comps, av)))
-        ell = [x / alpha for x in av]
-        f_over_alpha = 1.0 + (v @ b) / alpha
-        lb = [x + b[i] for i, x in enumerate(ell)]
-        g = np.empty(v.shape + (dim,))
-        for i in range(dim):
-            for j in range(i, dim):
-                g[..., i, j] = g[..., j, i] = (
-                    f_over_alpha * (a[i, j] - ell[i] * ell[j]) + lb[i] * lb[j]
-                )
-        return g
-
     def dual_tensor(self, xi, mask) -> tuple[np.ndarray, ...]:
         """Components g*^ij(xi), i <= j in row-major order, of the Hessian of
         F*^2/2 at ``xi``: the inverse fundamental tensor at legendre(xi). With
@@ -159,15 +121,6 @@ class RandersNorm:
         for g, (i, j) in zip(comps, upper):
             g[mask] = a_inv[i, j]
         return tuple(comps)
-
-    def legendre_inverse(self, y):
-        y = np.asarray(y, float)
-        self._require_nondegenerate(y)
-        av = np.einsum("ij,...j->...i", self.a, y)
-        alpha = np.sqrt(np.einsum("...i,...i->...", y, av))
-        fval = alpha + y @ self.b
-        # d(F^2)/2 = F dF with dF = a y/alpha + b
-        return fval[..., None] * (av / alpha[..., None] + self.b)
 
     def legendre(self, xi):
         """Closed form y = F*(xi) grad F*(xi), the gradient of F*^2/2.

@@ -244,7 +244,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
     """
     out = out_dir or config.out_dir
     os.makedirs(out, exist_ok=True)
-    grid, metric, measure, u0 = build_problem(config)
+    _, metric, measure, u0 = build_problem(config)
     K, prov = _resolve_curvature(config, metric, measure)
     clock: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -260,15 +260,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
         n_effective=config.N,
         k_resolved=K,
         k_provenance=prov,
-        grid_meta={
-            "h": grid.h,
-            "dt": traj.dt,
-            "dim": grid.dim,
-            "nodes_per_axis": grid.nodes_per_axis,
-            "family": config.family,
-            "scheme": SCHEME,
-            "n_violations_solve": len(traj.violations),
-        },
+        grid_meta=traj.grid_meta(scheme=SCHEME, n_violations_solve=len(traj.violations)),
         solver_steps=[
             {
                 "time": a.time,

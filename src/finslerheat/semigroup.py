@@ -33,54 +33,29 @@ ROUNDOFF_CHECKS = ("conservative", "duality", "semigroup_law")
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """A slice of a recorded trajectory with a travel direction."""
+    """A slice start < end of a recorded trajectory."""
 
     trajectory: Trajectory
     start: int
     end: int
-    direction: str = "forward"
 
     def __post_init__(self):
-        n = self.trajectory.n_times
-        if not (0 <= self.start < n and 0 <= self.end < n):
-            raise IndexRange(f"plan indices ({self.start}, {self.end}) outside [0, {n})")
-        if self.start >= self.end:
-            raise IndexRange("plan needs start < end")
-        if self.direction not in ("forward", "adjoint"):
-            raise ValueError(f"unknown direction {self.direction}")
-
-    @property
-    def dt(self) -> float:
-        return self.trajectory.dt
+        self.trajectory.check_span(self.start, self.end)
 
     @property
     def elapsed(self) -> float:
         return self.trajectory.times[self.end] - self.trajectory.times[self.start]
 
-    def run(self, values: np.ndarray, direction: str | None = None) -> np.ndarray:
+    def run(self, values: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """The plan's recorded steps applied to one field (n,) or a block
-        (n, m) of fields as columns; ``direction`` overrides the plan's."""
-        adjoint = (direction or self.direction) == "adjoint"
+        (n, m) of fields as columns, in reverse order when ``adjoint``."""
         return self.trajectory.transport(values, self.start, self.end, adjoint)
 
-    def grid_meta(self) -> dict:
+    def grid_meta(self, **extra) -> dict:
         traj = self.trajectory
-        return {
-            "h": traj.grid.h,
-            "dt": traj.dt,
-            "dim": traj.grid.dim,
-            "nodes_per_axis": traj.grid.nodes_per_axis,
-            "family": traj.metric.descriptor.family,
-            "start_time": traj.times[self.start],
-            "end_time": traj.times[self.end],
-        }
-
-
-def transport(plan: TransportPlan, g: ScalarField) -> ScalarField:
-    """Apply the recorded step operators of the plan to g."""
-    if g.grid != plan.trajectory.grid:
-        raise ValueError("field lives on a different grid")
-    return ScalarField(g.grid, plan.run(g.values))
+        return traj.grid_meta(
+            start_time=traj.times[self.start], end_time=traj.times[self.end], **extra
+        )
 
 
 def _block(fields) -> tuple[np.ndarray, bool]:
@@ -140,7 +115,7 @@ def check_duality(plan: TransportPlan, g, psi):
     sig = plan.trajectory.measure.sigma
     cases = []
     for gj, pj, fwd, adj in zip(
-        gs.T, psis.T, plan.run(gs, "forward").T, plan.run(psis, "adjoint").T
+        gs.T, psis.T, plan.run(gs).T, plan.run(psis, adjoint=True).T
     ):
         a = float(np.sum(pj * fwd * sig))
         b = float(np.sum(adj * gj * sig))
@@ -153,18 +128,12 @@ def check_semigroup_law(plan: TransportPlan, mid: int, g: ScalarField) -> Inequa
     """Composition through an intermediate index equals direct transport.
 
     Same operator product in the same order, so the gap is exactly zero in
-    floating point; the check guards the indexing, not the arithmetic. An
-    adjoint plan runs its steps from the end back, so it composes the later
-    half first.
+    floating point; the check guards the indexing, not the arithmetic.
     """
     if not plan.start < mid < plan.end:
         raise IndexRange("intermediate index must lie strictly inside the plan")
-    halves = [(plan.start, mid), (mid, plan.end)]
-    if plan.direction == "adjoint":
-        halves.reverse()
-    two = g.values
-    for lo, hi in halves:
-        two = TransportPlan(plan.trajectory, lo, hi, plan.direction).run(two)
+    traj = plan.trajectory
+    two = traj.transport(traj.transport(g.values, plan.start, mid), mid, plan.end)
     direct = plan.run(g.values)
     return compare(
         "semigroup-law",
@@ -267,7 +236,7 @@ def variance_identity(plan: TransportPlan, f, c_dt: float = 50.0):
     acc = 0.5 * traj.assembly_at(plan.start).carre_du_champ(x)
     state = np.hstack([x, x * x, acc])
     for k in range(plan.start, plan.end):
-        state = traj.assemblies[k].advance(state)
+        state = traj.transport(state, k, k + 1)
         w = 0.5 if k + 1 == plan.end else 1.0
         state[:, 2 * m :] += w * traj.assembly_at(k + 1).carre_du_champ(state[:, :m])
     cases = []
@@ -284,7 +253,7 @@ def laplacian_commutation(plan: TransportPlan) -> InequalityReport:
     traj = plan.trajectory
     lap_s = traj.delta_u(plan.start)
     lap_t = traj.delta_u(plan.end)
-    moved = plan.run(lap_s, "forward")
+    moved = plan.run(lap_s)
     gap = np.abs(lap_t - moved)
     scale = max(1.0, float(np.max(np.abs(lap_s))))
     tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
@@ -317,21 +286,19 @@ def gradient_estimate_check(plan: TransportPlan, K: float) -> InequalityReport:
     log_t = u_t * _log_carre(asm_t, u_t)
     raw_s = asm_s.carre_du_champ(u_s)
     raw_t = asm_t.carre_du_champ(u_t)
-    moved = plan.run(np.column_stack([log_s, raw_s]), "forward")
+    moved = plan.run(np.column_stack([log_s, raw_s]))
 
     lhs = np.concatenate([log_t, raw_t])
     rhs = np.concatenate(factor * moved.T)
     scale = max(1.0, float(np.max(np.abs(rhs))))
     tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
-    meta = plan.grid_meta()
-    meta.update({"K": K, "factor": factor})
     return compare(
         "gradient-estimate",
         lhs,
         rhs,
         tol,
         "max(10h^2, 10dt) * gradient scale",
-        grid_meta=meta,
+        grid_meta=plan.grid_meta(K=K, factor=factor),
     )
 
 
@@ -362,7 +329,7 @@ def local_logsob_check(plan: TransportPlan, K: float) -> InequalityReport:
     c_fwd, c_rev = _logsob_coefficients(K, plan.elapsed)
 
     ent_s_moved, grad_s_moved = plan.run(
-        np.column_stack([u_s * np.log(u_s), u_s * _log_carre(asm_s, u_s)]), "forward"
+        np.column_stack([u_s * np.log(u_s), u_s * _log_carre(asm_s, u_s)])
     ).T
     gap = u_t * np.log(u_t) - ent_s_moved
     grad_t = u_t * _log_carre(asm_t, u_t)
@@ -375,15 +342,13 @@ def local_logsob_check(plan: TransportPlan, K: float) -> InequalityReport:
         abs(c_rev) * float(np.max(np.abs(grad_s_moved))),
     )
     tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
-    meta = plan.grid_meta()
-    meta.update({"K": K, "c_forward": c_fwd, "c_reverse": c_rev})
     return compare(
         "local-log-sobolev",
         lhs,
         np.zeros_like(lhs),
         tol,
         "max(10h^2, 10dt) * entropy scale",
-        grid_meta=meta,
+        grid_meta=plan.grid_meta(K=K, c_forward=c_fwd, c_reverse=c_rev),
     )
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from finslerheat import (
     Asym1DNorm,
-    DegenerateVector,
     EuclideanNorm,
     RandersNorm,
     RiemannianNorm,
@@ -61,9 +60,9 @@ def test_asym1d_norm_and_dual():
     np.testing.assert_allclose(desc.norm(y), slope * np.abs(y[:, 0]), rtol=1e-14)
     np.testing.assert_allclose(desc.dual_norm(y), np.abs(y[:, 0]) / slope, rtol=1e-14)
     np.testing.assert_allclose(desc.legendre(y), y / slope[:, None] ** 2, rtol=1e-14)
-    np.testing.assert_allclose(desc.legendre_inverse(y), y * slope[:, None] ** 2, rtol=1e-14)
+    np.testing.assert_allclose(legendre_inverse(desc, y), y * slope[:, None] ** 2, rtol=1e-14)
     np.testing.assert_allclose(
-        desc.fundamental_tensor(y), slope[:, None, None] ** 2, rtol=1e-14
+        einsum_tensor(desc, y), slope[:, None, None] ** 2, rtol=1e-14
     )
     assert reversibility(desc) >= 2.0
 
@@ -106,20 +105,41 @@ def test_norm_zero_iff_zero(desc):
 
 
 # ---------------------------------------------------------------------------
-# fundamental tensor
+# fundamental tensor and Legendre inverse: the reference forms the dual
+# tensor and the Legendre map are checked against
 # ---------------------------------------------------------------------------
+
+
+def einsum_tensor(desc, v):
+    """g_ij(v) = (1/2) d^2(F^2)/dy^i dy^j = (F/alpha)(a_ij - l_i l_j)
+    + (l_i + b_i)(l_j + b_j) with l = a v / alpha, shape ``(..., d, d)``."""
+    av = np.einsum("ij,...j->...i", desc.a, v)
+    alpha = np.sqrt(np.einsum("...i,...i->...", v, av))
+    ell = av / alpha[..., None]
+    f_over_alpha = 1.0 + (v @ desc.b) / alpha
+    lb = ell + desc.b
+    return f_over_alpha[..., None, None] * (
+        desc.a - ell[..., :, None] * ell[..., None, :]
+    ) + lb[..., :, None] * lb[..., None, :]
+
+
+def legendre_inverse(desc, y):
+    """y -> g_y(y, .) = d(F^2)/2 = F(y) (a y / alpha + b)."""
+    av = np.einsum("ij,...j->...i", desc.a, y)
+    alpha = np.sqrt(np.einsum("...i,...i->...", y, av))
+    return (alpha + y @ desc.b)[..., None] * (av / alpha[..., None] + desc.b)
 
 
 def test_fundamental_tensor_quadratic_families():
     v = np.array([0.3, -1.1])
-    np.testing.assert_allclose(EuclideanNorm(2).fundamental_tensor(v), np.eye(2))
+    np.testing.assert_allclose(einsum_tensor(EuclideanNorm(2), v), np.eye(2))
     a = np.array([[4.0, 1.0], [1.0, 2.0]])
-    np.testing.assert_allclose(RiemannianNorm(a).fundamental_tensor(v), a)
+    np.testing.assert_allclose(einsum_tensor(RiemannianNorm(a), v), a)
 
 
 def test_randers_tensor_value_on_axis():
     v = np.array([1.0, 0.0])
-    g = RANDERS.fundamental_tensor(v)
+    g = einsum_tensor(RANDERS, v)
     assert v @ g @ v == pytest.approx(2.25, abs=1e-12)
 
 
@@ -127,7 +147,7 @@ def test_randers_tensor_value_on_axis():
 def test_tensor_reproduces_norm_squared(desc):
     rng = np.random.default_rng(7)
     for v in random_vectors(desc, rng):
-        g = desc.fundamental_tensor(v)
+        g = einsum_tensor(desc, v)
         assert v @ g @ v == pytest.approx(desc.norm(v) ** 2, abs=1e-12)
         np.testing.assert_allclose(g, g.T, atol=1e-12)
         assert np.all(np.linalg.eigvalsh(g) > 0.0)
@@ -139,7 +159,7 @@ def test_tensor_matches_finite_differences(desc):
     rng = np.random.default_rng(11)
     step = 1e-4
     for v in random_vectors(desc, rng, count=5):
-        g = desc.fundamental_tensor(v)
+        g = einsum_tensor(desc, v)
         for i in range(desc.dim):
             for j in range(desc.dim):
                 ei = np.zeros(desc.dim)
@@ -168,17 +188,6 @@ EINSUM_FAMILIES = [
     RandersNorm(np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([0.3, 0.1])),
     Asym1DNorm(2.0, 1.0),
 ]
-
-
-def einsum_tensor(desc, v):
-    av = np.einsum("ij,...j->...i", desc.a, v)
-    alpha = np.sqrt(np.einsum("...i,...i->...", v, av))
-    ell = av / alpha[..., None]
-    f_over_alpha = 1.0 + (v @ desc.b) / alpha
-    lb = ell + desc.b
-    return f_over_alpha[..., None, None] * (
-        desc.a - ell[..., :, None] * ell[..., None, :]
-    ) + lb[..., :, None] * lb[..., None, :]
 
 
 def einsum_dual_parts(desc, xi):
@@ -215,15 +224,8 @@ def einsum_inputs(dim, kind):
 def test_componentwise_algebra_matches_einsum_bit_for_bit(desc, kind):
     v = einsum_inputs(desc.dim, kind)
     with np.errstate(all="ignore"):
-        assert_same_bits(desc.fundamental_tensor_unchecked(v), einsum_tensor(desc, v))
-        assert_same_bits(desc.fundamental_tensor_unchecked(v[0]), einsum_tensor(desc, v[0]))
         for got, want in zip(desc._dual_parts(v), einsum_dual_parts(desc, v)):
             assert_same_bits(got, want)
-
-
-def test_tensor_rejects_degenerate_vector():
-    with pytest.raises(DegenerateVector):
-        RANDERS.fundamental_tensor(np.array([0.0, 1e-15]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +236,7 @@ def test_tensor_rejects_degenerate_vector():
 def test_legendre_euclidean_identity():
     xi = np.array([3.0, 4.0])
     np.testing.assert_allclose(EuclideanNorm(2).legendre(xi), xi)
-    np.testing.assert_allclose(EuclideanNorm(2).legendre_inverse(np.array([1.0, 2.0])),
+    np.testing.assert_allclose(legendre_inverse(EuclideanNorm(2), np.array([1.0, 2.0])),
                                np.array([1.0, 2.0]))
 
 
@@ -248,7 +250,7 @@ def test_legendre_riemannian_solves_tensor():
 def test_legendre_asym1d_value():
     desc = Asym1DNorm(2.0, 1.0)
     np.testing.assert_allclose(
-        desc.legendre_inverse(np.array([1.0])), np.array([4.0]), atol=1e-14
+        legendre_inverse(desc, np.array([1.0])), np.array([4.0]), atol=1e-14
     )
 
 
@@ -261,7 +263,7 @@ def test_legendre_maps_zero_to_zero():
 def test_legendre_roundtrip_both_directions(desc):
     rng = np.random.default_rng(19)
     for v in random_vectors(desc, rng):
-        xi = desc.legendre_inverse(v)
+        xi = legendre_inverse(desc, v)
         # defining identities: xi(v) = F(v)^2 and F*(xi) = F(v)
         f = desc.norm(v)
         assert float(xi @ v) == pytest.approx(f**2, rel=1e-10, abs=1e-10)
@@ -271,7 +273,7 @@ def test_legendre_roundtrip_both_directions(desc):
         xi = rng.standard_normal(desc.dim) + 0.1
         y = desc.legendre(xi)
         np.testing.assert_allclose(
-            desc.legendre_inverse(y), xi, rtol=1e-10, atol=1e-10
+            legendre_inverse(desc, y), xi, rtol=1e-10, atol=1e-10
         )
 
 
@@ -300,7 +302,7 @@ def test_legendre_is_homogeneous_and_exact_at_every_scale(desc, angle, exponent)
     xi = c * unit
     y = desc.legendre(xi)
     assert_rel_close(y, c * desc.legendre(unit))
-    assert_rel_close(desc.legendre_inverse(y), xi)
+    assert_rel_close(legendre_inverse(desc, y), xi)
     assert_rel_close(desc.norm(y), desc.dual_norm(xi))
 
 
@@ -330,7 +332,7 @@ def test_dual_tensor_is_the_inverse_tensor_at_the_legendre_image(desc, angle, ex
         warnings.simplefilter("error")
         comps = desc.dual_tensor(xi, mask)
     got = dual_matrix(comps, desc.dim)
-    want = np.linalg.inv(desc.fundamental_tensor(desc.legendre(xi[0])))
+    want = np.linalg.inv(einsum_tensor(desc, desc.legendre(xi[0])))
     assert_rel_close(got[0], want)
     # the masked row takes a^-1
     upper = [desc.a_inv[i, j] for i in range(desc.dim) for j in range(i, desc.dim)]
