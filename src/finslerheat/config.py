@@ -126,6 +126,20 @@ def _finite(key: str, text: str) -> float:
     return value
 
 
+def _nodes(key: str, nodes: int) -> int:
+    if nodes < 8:
+        raise ConfigError(f"{key}: need at least 8 nodes per axis, got {nodes}")
+    return nodes
+
+
+def _step(key: str, dt: float, t_final: float) -> float:
+    """A time step of a run to ``t_final``: 0 < dt <= t_final, and a step
+    count t_final / dt that is finite (dt = 1e-320 makes it overflow)."""
+    if not (0.0 < dt <= t_final and math.isfinite(t_final / dt)):  # NaN fails too
+        raise ConfigError(f"{key}: need 0 < dt <= t_final and a finite step count, got {dt!r}")
+    return dt
+
+
 def _floats(key: str, text: str) -> list[float]:
     return [_number(key, part) for part in text.split(",")]
 
@@ -226,14 +240,17 @@ def _parse_pairs(text: str):
     return tuple(pairs)
 
 
-def _parse_ladder(text: str):
+def _parse_ladder(text: str, t_final: float):
+    """Each level is checked as ``[grid] nodes`` and ``[time] dt`` are."""
     key, levels = "[ladder] levels", []
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
         parts = chunk.split(",")
         if len(parts) != 2:
             raise ConfigError(f"ladder level needs nodes,dt: {chunk!r}")
         nodes, dt = parts
-        levels.append((_number(key, nodes, int), _number(key, dt)))
+        levels.append(
+            (_nodes(key, _number(key, nodes, int)), _step(key, _finite(key, dt), t_final))
+        )
     for (n0, d0), (n1, d1) in zip(levels, levels[1:]):
         if n1 <= n0 or d1 > d0:
             raise ConfigError("ladder must refine: nodes up, dt not up")
@@ -267,8 +284,7 @@ def load_config(path: str) -> ExperimentConfig:
     period = _finite("[grid] period", grid_sec.get("period", "1.0"))
     if dim not in (1, 2):
         raise ConfigError("dim must be 1 or 2")
-    if nodes < 8:
-        raise ConfigError("need at least 8 nodes per axis")
+    _nodes("[grid] nodes", nodes)
     if period <= 0:
         raise ConfigError("period must be positive")
 
@@ -281,8 +297,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("[time] needs dt and t_final")
     dt = _finite("[time] dt", time_sec["dt"])
     t_final = _finite("[time] t_final", time_sec["t_final"])
-    if not 0.0 < dt <= t_final:
-        raise ConfigError("need 0 < dt <= t_final")
+    _step("[time] dt", dt, t_final)
     scheme = time_sec.get("scheme", SCHEME).strip()
     if scheme != SCHEME:
         raise ConfigError(f"[time] scheme must be {SCHEME}, got {scheme!r}")
@@ -325,7 +340,7 @@ def load_config(path: str) -> ExperimentConfig:
     u0_expr = parser["initial"].get("u", "1") if "initial" in parser else "1"
     out_dir = parser["output"].get("dir", "runs") if "output" in parser else "runs"
     ladder = (
-        _parse_ladder(parser["ladder"].get("levels", ""))
+        _parse_ladder(parser["ladder"].get("levels", ""), t_final)
         if "ladder" in parser
         else ()
     )

@@ -24,8 +24,8 @@ preconditioner is the exact inverse of the step, from a banded Cholesky
 factor built once per assembly, and CG starts at its solution: one operator
 application checks the residual, and a field iterates only if that misses
 the tolerance. In 2-d the preconditioner is the FFT inverse of the same step
-with every edge weight replaced by its direction's mean, and CG starts at the
-right-hand side.
+with every edge weight replaced by its direction's mean, run on numpy.fft one
+axis at a time, and CG starts at the right-hand side.
 
 :func:`heat_flow` is the one step loop, with two consumers:
 :func:`solve_heat_flow` records every step for the checks, and the ``solve``
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import fft
+from numpy import fft
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
@@ -196,9 +196,14 @@ class DiffusionAssembly:
         anisotropy makes an axis weight negative. Dh and the symbol are
         built at the first application: a CG solve that accepts its start
         applies none.
+
+        The transform runs as 1-d numpy.fft passes, the column pass in place
+        on the half spectrum of the row pass: ``rfftn``/``irfftn`` allocate
+        at every pass, and scipy.fft would load scipy.special into every
+        process. Each row of a stack is transformed alone, as
+        :func:`cg_measure` requires.
         """
         shape, dt = self.shape, self.dt
-        axes = tuple(range(-len(shape), 0))
 
         @functools.cache
         def model():
@@ -211,10 +216,11 @@ class DiffusionAssembly:
 
         def precond(r):
             dh, sdh, inv_lam = model()
-            rows = (sdh * r).reshape(-1, *shape)
-            spec = fft.rfftn(rows, axes=axes, overwrite_x=True)
+            spec = fft.rfft((sdh * r).reshape(-1, *shape))
+            fft.fft(spec, axis=-2, out=spec)
             spec *= inv_lam
-            z = fft.irfftn(spec, s=shape, axes=axes, overwrite_x=True).reshape(r.shape)
+            fft.ifft(spec, axis=-2, out=spec)
+            z = fft.irfft(spec, n=shape[-1]).reshape(r.shape)
             z *= dh
             return z
 

@@ -772,6 +772,14 @@ BAD_VALUES = {
         "[checks] harnack_pairs",
     ),
     "ladder_word": ("[ladder]\nlevels = 16,x\n", "[ladder] levels"),
+    # each ladder level once reached the solve unchecked: a ValueError, an
+    # OverflowError from the step count, or a run past t_final that exited 0
+    "ladder_dt_zero": ("[ladder]\nlevels = 16,0\n", "[ladder] levels"),
+    "ladder_dt_negative": ("[ladder]\nlevels = 16,-1e-3\n", "[ladder] levels"),
+    "ladder_nodes_four": ("[ladder]\nlevels = 4,1e-3\n", "[ladder] levels"),
+    "ladder_dt_nan": ("[ladder]\nlevels = 16,nan\n", "[ladder] levels"),
+    "ladder_dt_subnormal": ("[ladder]\nlevels = 16,1e-320\n", "[ladder] levels"),
+    "ladder_dt_past_t_final": ("[ladder]\nlevels = 16,1\n", "[ladder] levels"),
     "N_nan": ("[checks]\nnames = duality\nN = nan\n", "N = nan"),
     "n_fields_zero": ("[checks]\nnames = duality\nn_fields = 0\n", "n_fields"),
     "a_nan": ("[metric]\nfamily = randers\na = nan\n", "finite"),
@@ -816,6 +824,8 @@ def test_cli_malformed_or_non_finite_value_exits_two(tmp_path, capsys, block, na
         ("period = 1.0", "period = inf", "[grid] period"),
         ("dt = 1e-3\n    t_final = 5e-3", "dt = inf\n    t_final = inf", "[time] dt"),
         ("t_final = 5e-3", "t_final = nan", "[time] t_final"),
+        # t_final / dt overflows: once an OverflowError from the step count
+        ("dt = 1e-3\n    t_final = 5e-3", "dt = 1e-320\n    t_final = 1e308", "[time] dt"),
     ],
 )
 def test_cli_non_finite_grid_or_time_exits_two(tmp_path, capsys, old, new, named):
@@ -1184,6 +1194,21 @@ def test_cli_import_leaves_out_scipy_interpolate():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy_fft_and_special():
+    # the 2-d step preconditioner runs on numpy.fft; scipy.fft would load
+    # scipy.special with it (through scipy.fft._fftlog), about 4.8 MB of
+    # peak RSS in every process
+    probe = (
+        "import sys, finslerheat.cli; "
+        "print(sorted({'scipy.fft', 'scipy.special'} & sys.modules.keys()))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(finslerheat.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_version(capsys):

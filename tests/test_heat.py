@@ -461,6 +461,27 @@ def test_step_solve_sweeps_a_block_in_one_lockstep(monkeypatch):
     assert asm._w(stack).flags.c_contiguous
 
 
+@pytest.mark.parametrize("width", [1, 3, 15])
+@pytest.mark.parametrize("nodes", [64, 12])
+def test_step_preconditioner_acts_on_each_row_alone(nodes, width):
+    # cg_measure applies the preconditioner to the stack of unconverged
+    # rows, so the column-bitwise contract of advance needs a stack's rows
+    # to equal the rows applied one at a time, bit for bit
+    if nodes == 64:
+        asm = randers_2d_step_assembly()
+    else:
+        grid = TorusGrid(2, nodes)
+        desc = RandersNorm(np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([0.3, 0.1]))
+        du = differential_field(shifted_sine(grid))
+        asm = weighted_laplacian(MetricField(grid, desc), MeasureField.lebesgue(grid), du, dt=1e-3)
+    precond = asm._preconditioner()
+    stack = np.random.default_rng(width).standard_normal((width, asm.sigma.size))
+    out = precond(stack)
+    assert out.shape == stack.shape
+    for j in range(width):
+        assert out[j].tobytes() == precond(stack[j : j + 1])[0].tobytes()
+
+
 def test_fft_preconditioner_is_built_at_first_application(monkeypatch):
     # a constant field is a fixed point of the step: CG accepts its start at
     # the first residual check and applies no preconditioner, so none is built
