@@ -72,7 +72,7 @@ from .metrics import (
     RiemannianNorm,
     reversibility,
 )
-from .reporting import InequalityReport, compare, discretization_tolerance
+from .reporting import InequalityReport, compare, compare_discretized
 from .semigroup import (
     TransportPlan,
     check_cauchy_schwarz,

@@ -57,7 +57,7 @@ def _cmd_solve(args) -> int:
         pass
     ends = Trajectory(metric, measure, [0.0, t], [u0.values, last], [], assembly.dt, violations)
     ends.export(os.path.join(out, "fields"))
-    print(f"solved {config.family} flow to t={config.t_final}; fields in {out}/fields")
+    print(f"solved {config.descriptor.family} flow to t={config.t_final}; fields in {out}/fields")
     if violations:
         print(f"note: {len(violations)} solver monitor entries recorded")
     return 0

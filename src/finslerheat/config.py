@@ -183,7 +183,6 @@ class ExperimentConfig:
     dim: int
     nodes: int
     period: float
-    family: str
     descriptor: RandersNorm
     f_expr: str
     u0_expr: str
@@ -209,24 +208,26 @@ class ExperimentConfig:
     def build_metric(self, grid: TorusGrid) -> MetricField:
         return MetricField(grid, self.descriptor)
 
+    def _nodal(self, expr: str, grid: TorusGrid) -> np.ndarray:
+        """The values of expression ``expr`` at the nodes of ``grid``."""
+        return parse_expression(expr, self.dim, self.period)(grid.coordinates())
+
     def build_measure(self, grid: TorusGrid) -> MeasureField:
-        fn = parse_expression(self.f_expr, self.dim, self.period)
-        return MeasureField(grid, fn(grid.coordinates()))
+        return MeasureField(grid, self._nodal(self.f_expr, grid))
 
     def build_initial(self, grid: TorusGrid) -> ScalarField:
-        fn = parse_expression(self.u0_expr, self.dim, self.period)
-        return ScalarField(grid, fn(grid.coordinates()))
+        return ScalarField(grid, self._nodal(self.u0_expr, grid))
 
     def build_phi(self, grid: TorusGrid) -> ScalarField:
-        fn = parse_expression(self.phi_expr, self.dim, self.period)
-        return ScalarField(grid, fn(grid.coordinates()))
+        return ScalarField(grid, self._nodal(self.phi_expr, grid))
 
 
 def config_hash(text: str) -> str:
     return hashlib.sha256(text.replace("\r\n", "\n").encode()).hexdigest()
 
 
-def _parse_pairs(text: str):
+def _parse_pairs(text: str, t_final: float):
+    """x1,t1,x2,t2 per pair, with t2 <= t_final: no later time is recorded."""
     key, pairs = "[checks] harnack_pairs", []
     for chunk in filter(None, (c.strip() for c in text.split(";"))):
         parts = chunk.split(",")
@@ -234,8 +235,8 @@ def _parse_pairs(text: str):
             raise ConfigError(f"harnack pair needs x1,t1,x2,t2: {chunk!r}")
         kinds = (int, float, int, float)
         pair = tuple(_number(key, p, k) for p, k in zip(parts, kinds))
-        if not 0.0 < pair[1] < pair[3]:  # NaN fails too
-            raise ConfigError(f"{key}: need 0 < t1 < t2, got {chunk!r}")
+        if not 0.0 < pair[1] < pair[3] <= t_final:  # NaN fails too
+            raise ConfigError(f"{key}: need 0 < t1 < t2 <= t_final, got {chunk!r}")
         pairs.append(pair)
     return tuple(pairs)
 
@@ -331,7 +332,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError("[checks] n_fields must be at least 1")
     s_time = _finite("[checks] s", str(checks_sec.get("s", "0.0")))
     phi_expr = str(checks_sec.get("phi", "1"))
-    harnack_pairs = _parse_pairs(str(checks_sec.get("harnack_pairs", "")))
+    harnack_pairs = _parse_pairs(str(checks_sec.get("harnack_pairs", "")), t_final)
     harnack_mode = str(checks_sec.get("harnack_mode", "lf")).strip()
     if harnack_mode not in ("lf", "integral"):
         raise ConfigError("harnack_mode must be lf or integral")
@@ -359,7 +360,6 @@ def load_config(path: str) -> ExperimentConfig:
         dim=dim,
         nodes=nodes,
         period=period,
-        family=family,
         descriptor=descriptor,
         f_expr=f_expr,
         u0_expr=u0_expr,

@@ -22,7 +22,7 @@ from .geometry import finsler_distance
 from .liyau import LiYauCoefficients, _envelope_g, _t_kernel_second, envelope_zeros
 from .metrics import MetricField
 from .numerics import elementwise, gauss_legendre, newton_root
-from .reporting import InequalityReport, compare, discretization_tolerance
+from .reporting import InequalityReport, compare, compare_discretized
 
 #: time integrals: 8-point Gauss-Legendre per panel, checked against 12 points
 #: to _RULE_AGREEMENT times the integral of |f|; lf integrand gaps stay
@@ -33,9 +33,13 @@ _RULE_AGREEMENT = 1e-10
 
 def _geometric_edges(near: float, far: float) -> np.ndarray:
     """Edges of max(1, ceil(log2(far/near))) panels from ``near`` to
-    ``far`` in geometric progression: no panel is wider than its near edge."""
-    count = max(1, math.ceil(math.log2(far / near)))
-    return near * (far / near) ** (np.arange(count + 1) / count)
+    ``far`` in geometric progression: no panel is wider than its near edge.
+    Raises DomainError when far/near is not finite."""
+    ratio = far / near
+    if not math.isfinite(ratio):
+        raise DomainError(f"time window [{near}, {far}] spans a ratio beyond double range")
+    count = max(1, math.ceil(math.log2(ratio)))
+    return near * ratio ** (np.arange(count + 1) / count)
 
 
 def _panel_integral(integrand, t1: float, t2: float, zero: float = math.inf) -> np.ndarray:
@@ -275,13 +279,6 @@ def verify_harnack(
     lhs = np.asarray([u1])
     rhs = np.asarray([bound * u2])
     scale = max(abs(u1), abs(bound * u2) if math.isfinite(bound) else abs(u1), 1e-300)
-    dt = getattr(flow, "dt", None)
-    if dt is not None:
-        tolerance = discretization_tolerance(grid.h, dt, scale)
-        rule = "max(10h^2, 10dt) * sample scale"
-    else:
-        tolerance = 1e-8 * scale
-        rule = "1e-8 * sample scale (exact kernel)"
     meta = {
         "mode": mode,
         "x1": int(f1),
@@ -294,5 +291,9 @@ def verify_harnack(
         "rhs": bound * u2,
         "h": grid.h,
     }
-    return compare("harnack", lhs, rhs, tolerance, rule, grid_meta=meta)
+    dt = getattr(flow, "dt", None)
+    if dt is not None:
+        return compare_discretized("harnack", lhs, rhs, grid.h, dt, scale, "sample", meta)
+    rule = "1e-8 * sample scale (exact kernel)"
+    return compare("harnack", lhs, rhs, 1e-8 * scale, rule, grid_meta=meta)
 

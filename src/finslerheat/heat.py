@@ -382,9 +382,11 @@ class Trajectory:
         return ScalarField(self.grid, self.fields[self._check(index)])
 
     def index_of(self, t: float) -> int:
-        k = int(round((t - self.times[0]) / self.dt))
-        if 0 <= k < self.n_times and abs(self.times[k] - t) <= 0.49 * self.dt:
-            return k
+        # bound t before rounding: a huge t makes the step count inf
+        if self.times[0] - self.dt <= t <= self.times[-1] + self.dt:  # NaN fails too
+            k = int(round((t - self.times[0]) / self.dt))
+            if 0 <= k < self.n_times and abs(self.times[k] - t) <= 0.49 * self.dt:
+                return k
         raise IndexRange(f"time {t} not on the recorded grid")
 
     def assembly_at(self, index: int) -> DiffusionAssembly:

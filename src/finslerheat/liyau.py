@@ -36,7 +36,7 @@ from .geometry import ZERO_CURVATURE, ScalarField
 from .heat import Trajectory
 from .metrics import EuclideanNorm
 from .numerics import elementwise, gauss_legendre, newton_root, overflow_is_domain_error
-from .reporting import InequalityReport, compare, discretization_tolerance
+from .reporting import InequalityReport, compare, compare_discretized
 
 #: half-width of the Taylor window on w; cot/coth cancellation is
 #: catastrophic closer to the removable singularity
@@ -507,14 +507,9 @@ def residual_linear(
     lhs = f2 - coeffs.alpha(t) * dt_log
     rhs = np.full_like(lhs, coeffs.phi(t))
     scale = max(1.0, float(np.max(np.abs(lhs))), abs(coeffs.phi(t)))
-    tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
-    return compare(
-        "li-yau-linear",
-        lhs,
-        rhs,
-        tol,
-        "max(10h^2, 10dt) * residual scale",
-        grid_meta=traj.grid_meta(t=t, provenance=coeffs.provenance),
+    return compare_discretized(
+        "li-yau-linear", lhs, rhs, traj.grid.h, traj.dt, scale, "residual",
+        traj.grid_meta(t=t, provenance=coeffs.provenance),
     )
 
 
@@ -532,14 +527,8 @@ def residual_psi(traj: Trajectory, t: float, N: float, K: float) -> InequalityRe
         lhs = f2 - dt_log
         rhs = np.full_like(lhs, N / (2.0 * t))
         scale = max(1.0, float(np.max(np.abs(lhs))), N / (2.0 * t))
-        tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
-        return compare(
-            "li-yau-envelope",
-            lhs,
-            rhs,
-            tol,
-            "max(10h^2, 10dt) * residual scale",
-            grid_meta=meta,
+        return compare_discretized(
+            "li-yau-envelope", lhs, rhs, traj.grid.h, traj.dt, scale, "residual", meta
         )
     ev = PsiEvaluator(N, K, t)
     x_field = 4.0 / (N * K) * dt_log
@@ -556,14 +545,8 @@ def residual_psi(traj: Trajectory, t: float, N: float, K: float) -> InequalityRe
     lhs = f2
     rhs = (N / 2.0) * ev.psi(x_field)
     scale = max(1.0, float(np.max(np.abs(rhs))))
-    tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
-    return compare(
-        "li-yau-envelope",
-        lhs,
-        rhs,
-        tol,
-        "max(10h^2, 10dt) * residual scale",
-        grid_meta=meta,
+    return compare_discretized(
+        "li-yau-envelope", lhs, rhs, traj.grid.h, traj.dt, scale, "residual", meta
     )
 
 
@@ -654,15 +637,9 @@ def check_exp_uu(
         abs(int_t),
         abs(int_s),
     )
-    tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
     meta = traj.grid_meta(s=s, t=t, zeta=zeta, N=N)
-    return compare(
-        "exp-entropy-gap",
-        lhs,
-        np.zeros(3),
-        tol,
-        "max(10h^2, 10dt) * functional scale",
-        grid_meta=meta,
+    return compare_discretized(
+        "exp-entropy-gap", lhs, np.zeros(3), traj.grid.h, traj.dt, scale, "functional", meta
     )
 
 
@@ -722,12 +699,6 @@ def check_log_sob_weak(
     lhs = np.asarray([lhs1, lhs2])
     rhs = np.asarray([rhs1, rhs2])
     scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
-    return compare(
-        "weak-log-sobolev",
-        lhs,
-        rhs,
-        tol,
-        "max(10h^2, 10dt) * functional scale",
-        grid_meta=meta,
+    return compare_discretized(
+        "weak-log-sobolev", lhs, rhs, traj.grid.h, traj.dt, scale, "functional", meta
     )

@@ -28,11 +28,6 @@ def json_safe(value):
     return value
 
 
-def discretization_tolerance(h: float, dt: float, scale: float = 1.0) -> float:
-    """Default acceptance margin max(10 h^2, 10 dt) times the data scale."""
-    return max(10.0 * h * h, 10.0 * dt) * max(1.0, scale)
-
-
 @dataclass(frozen=True)
 class InequalityReport:
     """Outcome of one quantitative check of lhs <= rhs + tolerance."""
@@ -100,3 +95,16 @@ def compare(
         rhs_range=(float(np.min(rhs)), float(np.max(rhs))),
         grid_meta=grid_meta or {},
     )
+
+
+def compare_discretized(
+    name: str, lhs: np.ndarray, rhs: np.ndarray, h: float, dt: float, scale: float,
+    what: str, grid_meta: dict,
+) -> InequalityReport:
+    """:func:`compare` at the discretization tolerance
+    max(10 h^2, 10 dt) * max(1, scale), under the rule text that names
+    ``what`` scale; the one place that rule is applied and written. A NaN
+    scale gives the factor 1, an infinite one an infinite tolerance."""
+    tolerance = max(10.0 * h * h, 10.0 * dt) * max(1.0, scale)
+    rule = f"max(10h^2, 10dt) * {what} scale"
+    return compare(name, lhs, rhs, tolerance, rule, grid_meta=grid_meta)

@@ -141,13 +141,6 @@ class CheckContext:
         return liyau.alpha_phi(profile, self.K, self.finite_n(), self.t_end)
 
 
-def _order_bounds(ctx: CheckContext):
-    gs = ctx.draws(ctx.rand_positive)
-    lows = [float(np.min(g.values)) for g in gs]
-    highs = [float(np.max(g.values)) for g in gs]
-    return semigroup.check_order_and_bounds(ctx.plan, gs, lows, highs)
-
-
 def _semigroup_law(ctx: CheckContext):
     plan = ctx.plan
     if plan.end - plan.start < 2:
@@ -186,10 +179,10 @@ CHECKS: dict[str, Callable[[CheckContext], list[InequalityReport]]] = {
     "positivity": lambda ctx: semigroup.check_positivity(
         ctx.plan, ctx.draws(ctx.rand_positive)
     ),
-    "contraction": lambda ctx: semigroup.check_contraction(
-        ctx.plan, ctx.draws(ctx.rand_field), (1, 2, math.inf)
+    "contraction": lambda ctx: semigroup.check_contraction(ctx.plan, ctx.draws(ctx.rand_field)),
+    "order_bounds": lambda ctx: semigroup.check_order_and_bounds(
+        ctx.plan, ctx.draws(ctx.rand_positive)
     ),
-    "order_bounds": _order_bounds,
     "cauchy_schwarz": lambda ctx: semigroup.check_cauchy_schwarz(
         ctx.plan, *ctx.random_pairs()
     ),

@@ -23,7 +23,7 @@ from .errors import DomainError, IndexRange
 from .geometry import ZERO_CURVATURE, ScalarField, differential_field
 from .heat import Trajectory
 from .numerics import finite_exp, overflow_is_domain_error
-from .reporting import InequalityReport, compare, discretization_tolerance
+from .reporting import InequalityReport, compare, compare_discretized
 
 #: tolerance of the round-off checks: structural identities of the steps,
 #: by their config names
@@ -58,25 +58,20 @@ class TransportPlan:
         )
 
 
-def _block(fields) -> tuple[np.ndarray, bool]:
-    """Values of one field, or of a list of fields as the columns of one
-    block, and whether a single field came in."""
-    if isinstance(fields, ScalarField):
-        return fields.values[:, None], True
-    return np.column_stack([f.values for f in fields]), False
+def _block(fields: list[ScalarField]) -> np.ndarray:
+    """The values of a list of fields as the columns of one block."""
+    return np.column_stack([f.values for f in fields])
 
 
-def _reports(plan: TransportPlan, single: bool, rule: str, cases):
-    """One report per (name, lhs, rhs, tolerance) case, in order; the bare
-    report when a single field came in."""
-    reports = [
+def _reports(plan: TransportPlan, rule: str, cases) -> list[InequalityReport]:
+    """One report per (name, lhs, rhs, tolerance) case, in order."""
+    return [
         compare(name, lhs, rhs, tol, rule, grid_meta=plan.grid_meta())
         for name, lhs, rhs, tol in cases
     ]
-    return reports[0] if single else reports
 
 
-def _lp_norm(values: np.ndarray, weights: np.ndarray, p) -> float:
+def _lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     if p == math.inf:
         return float(np.max(np.abs(values)))
     return float(np.sum(np.abs(values) ** p * weights) ** (1.0 / p))
@@ -103,15 +98,16 @@ def check_conservative(plan: TransportPlan) -> InequalityReport:
     )
 
 
-def check_duality(plan: TransportPlan, g, psi):
+def check_duality(
+    plan: TransportPlan, g: list[ScalarField], psi: list[ScalarField]
+) -> list[InequalityReport]:
     """<psi, P g>_m equals <adjoint-P psi, g>_m up to solver tolerance.
 
-    ``g`` and ``psi`` are fields or equal-length lists of fields; for lists
-    every g moves forward in one block, every psi backward in another, and
-    one report per pair comes back in order.
+    ``g`` and ``psi`` are equal-length lists of fields: every g moves
+    forward in one block, every psi backward in another, and one report per
+    pair comes back in order.
     """
-    gs, single = _block(g)
-    psis, _ = _block(psi)
+    gs, psis = _block(g), _block(psi)
     sig = plan.trajectory.measure.sigma
     cases = []
     for gj, pj, fwd, adj in zip(
@@ -121,7 +117,7 @@ def check_duality(plan: TransportPlan, g, psi):
         b = float(np.sum(adj * gj * sig))
         scale = max(1.0, abs(a), abs(b))
         cases.append(("duality", np.array([abs(a - b)]), np.array([0.0]), ROUNDOFF * scale))
-    return _reports(plan, single, f"{ROUNDOFF:g} * pairing scale", cases)
+    return _reports(plan, f"{ROUNDOFF:g} * pairing scale", cases)
 
 
 def check_semigroup_law(plan: TransportPlan, mid: int, g: ScalarField) -> InequalityReport:
@@ -145,93 +141,83 @@ def check_semigroup_law(plan: TransportPlan, mid: int, g: ScalarField) -> Inequa
     )
 
 
-def check_positivity(plan: TransportPlan, g):
+def check_positivity(plan: TransportPlan, g: list[ScalarField]) -> list[InequalityReport]:
     """Strictly positive input stays strictly positive after transport.
 
     Anisotropic stencils can break the discrete minimum principle; failures
-    are reported with magnitude rather than clamped. ``g`` is a field or a
-    list of fields, moved as one block with one report each.
+    are reported with magnitude rather than clamped. ``g`` is a list of
+    fields, moved as one block with one report each.
     """
-    block, single = _block(g)
+    block = _block(g)
     if np.min(block) <= 0.0:
         raise DomainError("positivity check needs g > 0")
     cases = (("positivity", -out, np.zeros_like(out), 0.0) for out in plan.run(block).T)
-    return _reports(plan, single, "strict: transported field must stay positive", cases)
+    return _reports(plan, "strict: transported field must stay positive", cases)
 
 
-def check_contraction(plan: TransportPlan, g, p=2):
-    """L^p contraction ||P g||_p <= ||g||_p for p in 1, 2, inf.
+def check_contraction(plan: TransportPlan, g: list[ScalarField]) -> list[InequalityReport]:
+    """L^p contraction ||P g||_p <= ||g||_p for p = 1, 2, inf.
 
-    ``g`` is a field or a list of fields and ``p`` an exponent or a tuple
-    of them: each field is transported once, in one block, and reported
-    for every exponent, fields outer.
+    ``g`` is a list of fields: each is transported once, in one block, and
+    reported for every exponent, fields outer.
     """
-    ps = p if isinstance(p, tuple) else (p,)
-    if any(q not in (1, 2, math.inf) for q in ps):
-        raise ValueError("p must be 1, 2 or inf")
-    block, single = _block(g)
+    block = _block(g)
     sig = plan.trajectory.measure.sigma
     cases = []
     for before, after in zip(block.T, plan.run(block).T):
-        for q in ps:
+        for q in (1, 2, math.inf):
             lhs, rhs = _lp_norm(after, sig, q), _lp_norm(before, sig, q)
             tol = 1e-10 * max(1.0, rhs)
             cases.append((f"contraction-l{q}", np.array([lhs]), np.array([rhs]), tol))
-    single_report = single and not isinstance(p, tuple)
-    return _reports(plan, single_report, "1e-10 * norm scale", cases)
+    return _reports(plan, "1e-10 * norm scale", cases)
 
 
-def check_order_and_bounds(plan: TransportPlan, g, k1, k2):
-    """Transport maps [k1, k2]-valued fields into [k1, k2] up to tolerance.
-
-    ``g``, ``k1`` and ``k2`` may be equal-length lists: the fields move as
-    one block, each against its own bounds, with one report each.
-    """
-    block, single = _block(g)
-    lows = np.broadcast_to(np.asarray(k1, dtype=float), block.shape[1:])
-    highs = np.broadcast_to(np.asarray(k2, dtype=float), block.shape[1:])
-    if np.any(lows > highs):
-        raise ValueError("need k1 <= k2")
-    if np.any(np.min(block, axis=0) < lows) or np.any(np.max(block, axis=0) > highs):
-        raise DomainError("input field leaves the declared bounds")
+def check_order_and_bounds(plan: TransportPlan, g: list[ScalarField]) -> list[InequalityReport]:
+    """Transport maps each field's range [min g, max g] into itself up to
+    tolerance. ``g`` is a list of fields, moved as one block with one
+    report each."""
+    block = _block(g)
     cases = []
-    for out, lo, hi in zip(plan.run(block).T, lows, highs):
+    for out, lo, hi in zip(plan.run(block).T, block.min(axis=0), block.max(axis=0)):
         # one-sided residuals against both bounds, stacked
         lhs = np.concatenate([lo - out, out - hi])
         tol = 1e-10 * max(1.0, abs(lo), abs(hi))
         cases.append(("order-bounds", lhs, np.zeros_like(lhs), tol))
-    return _reports(plan, single, "1e-10 * bound scale", cases)
+    return _reports(plan, "1e-10 * bound scale", cases)
 
 
-def check_cauchy_schwarz(plan: TransportPlan, f, g):
-    """Pointwise (P fg)^2 <= P(f^2) P(g^2). ``f`` and ``g`` are fields or
-    equal-length lists of fields; the three transported columns of every
-    pair move as one block, with one report per pair."""
-    fs, single = _block(f)
-    gs, _ = _block(g)
+def check_cauchy_schwarz(
+    plan: TransportPlan, f: list[ScalarField], g: list[ScalarField]
+) -> list[InequalityReport]:
+    """Pointwise (P fg)^2 <= P(f^2) P(g^2). ``f`` and ``g`` are equal-length
+    lists of fields; the three transported columns of every pair move as
+    one block, with one report per pair."""
+    fs, gs = _block(f), _block(g)
     moved = np.hsplit(plan.run(np.hstack([fs * gs, fs**2, gs**2])), 3)
     cases = []
     for pf, p2f, p2g in zip(*(block.T for block in moved)):
         lhs, rhs = pf**2, p2f * p2g
         scale = max(1.0, float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))
         cases.append(("cauchy-schwarz", lhs, rhs, 1e-10 * scale))
-    return _reports(plan, single, "1e-10 * field scale", cases)
+    return _reports(plan, "1e-10 * field scale", cases)
 
 
-def variance_identity(plan: TransportPlan, f, c_dt: float = 50.0):
+def variance_identity(
+    plan: TransportPlan, f: list[ScalarField], c_dt: float = 50.0
+) -> list[InequalityReport]:
     """Pointwise identity between the transported-square gap and the
     time-integrated, transported carre du champ.
 
     (P f)^2 - P(f^2) = -2 * integral of P(carre du champ of the running
     transport), the integral taken by the trapezoid rule over recorded
     steps. The two sides agree to O(dt) because both are built from the
-    same discrete operators; no spatial error enters. ``f`` is a field or a
-    list of fields: x, y and acc of every field move as one block per step,
-    with one report per field.
+    same discrete operators; no spatial error enters. ``f`` is a list of
+    fields: x, y and acc of every field move as one block per step, with
+    one report per field.
     """
     traj = plan.trajectory
     dt = traj.dt
-    x, single = _block(f)
+    x = _block(f)
     m = x.shape[1]
     acc = 0.5 * traj.assembly_at(plan.start).carre_du_champ(x)
     state = np.hstack([x, x * x, acc])
@@ -245,7 +231,7 @@ def variance_identity(plan: TransportPlan, f, c_dt: float = 50.0):
         scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
         gap = np.abs(lhs - rhs)
         cases.append(("variance-identity", gap, np.zeros_like(lhs), c_dt * dt * scale))
-    return _reports(plan, single, f"C*dt with C={c_dt:g}, scaled by field size", cases)
+    return _reports(plan, f"C*dt with C={c_dt:g}, scaled by field size", cases)
 
 
 def laplacian_commutation(plan: TransportPlan) -> InequalityReport:
@@ -256,14 +242,9 @@ def laplacian_commutation(plan: TransportPlan) -> InequalityReport:
     moved = plan.run(lap_s)
     gap = np.abs(lap_t - moved)
     scale = max(1.0, float(np.max(np.abs(lap_s))))
-    tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
-    return compare(
-        "laplacian-commutation",
-        gap,
-        np.zeros_like(gap),
-        tol,
-        "max(10h^2, 10dt) * operator scale",
-        grid_meta=plan.grid_meta(),
+    return compare_discretized(
+        "laplacian-commutation", gap, np.zeros_like(gap), traj.grid.h, traj.dt, scale,
+        "operator", plan.grid_meta(),
     )
 
 
@@ -291,14 +272,9 @@ def gradient_estimate_check(plan: TransportPlan, K: float) -> InequalityReport:
     lhs = np.concatenate([log_t, raw_t])
     rhs = np.concatenate(factor * moved.T)
     scale = max(1.0, float(np.max(np.abs(rhs))))
-    tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
-    return compare(
-        "gradient-estimate",
-        lhs,
-        rhs,
-        tol,
-        "max(10h^2, 10dt) * gradient scale",
-        grid_meta=plan.grid_meta(K=K, factor=factor),
+    return compare_discretized(
+        "gradient-estimate", lhs, rhs, traj.grid.h, traj.dt, scale, "gradient",
+        plan.grid_meta(K=K, factor=factor),
     )
 
 
@@ -341,14 +317,9 @@ def local_logsob_check(plan: TransportPlan, K: float) -> InequalityReport:
         abs(c_fwd) * float(np.max(grad_t)),
         abs(c_rev) * float(np.max(np.abs(grad_s_moved))),
     )
-    tol = discretization_tolerance(traj.grid.h, traj.dt, scale)
-    return compare(
-        "local-log-sobolev",
-        lhs,
-        np.zeros_like(lhs),
-        tol,
-        "max(10h^2, 10dt) * entropy scale",
-        grid_meta=plan.grid_meta(K=K, c_forward=c_fwd, c_reverse=c_rev),
+    return compare_discretized(
+        "local-log-sobolev", lhs, np.zeros_like(lhs), traj.grid.h, traj.dt, scale,
+        "entropy", plan.grid_meta(K=K, c_forward=c_fwd, c_reverse=c_rev),
     )
 
 
@@ -375,7 +346,6 @@ def lipschitz_decay(trajectory: Trajectory, K: float) -> InequalityReport:
     lhs = np.concatenate([np.asarray(lip), np.asarray(energy)])
     rhs = np.concatenate([decay * lip[0], decay * energy[0]])
     scale = max(1.0, float(np.max(rhs)))
-    tol = discretization_tolerance(trajectory.grid.h, trajectory.dt, scale)
     meta = {
         "h": trajectory.grid.h,
         "dt": trajectory.dt,
@@ -383,11 +353,6 @@ def lipschitz_decay(trajectory: Trajectory, K: float) -> InequalityReport:
         "family": desc.family,
         "n_times": trajectory.n_times,
     }
-    return compare(
-        "lipschitz-decay",
-        lhs,
-        rhs,
-        tol,
-        "max(10h^2, 10dt) * gradient scale",
-        grid_meta=meta,
+    return compare_discretized(
+        "lipschitz-decay", lhs, rhs, trajectory.grid.h, trajectory.dt, scale, "gradient", meta
     )

@@ -138,7 +138,7 @@ def test_minimal_config_gets_documented_defaults(tmp_path):
     assert config.dim == 1
     assert config.nodes == 16
     assert config.period == 1.0
-    assert config.family == "euclidean"
+    assert config.descriptor.family == "euclidean"
     assert config.f_expr == "0"
     assert config.u0_expr == "1"
     assert config.checks == ()
@@ -295,7 +295,7 @@ def test_randers_descriptor_round_trip(tmp_path):
         """,
     )
     config = load_config(path)
-    assert config.family == "randers"
+    assert config.descriptor.family == "randers"
     assert isinstance(config.descriptor, RandersNorm)
     assert config.descriptor.b == pytest.approx([0.3])
 
@@ -798,6 +798,12 @@ BAD_VALUES = {
         "[checks]\nnames = harnack\nharnack_pairs = -1,0.002,3,0.004\n",
         "[checks] harnack_pairs",
     ),
+    # t2 = 1e308 is never recorded, and its panel count once overflowed
+    # math.ceil in the Harnack quadrature
+    "pair_time_past_t_final": (
+        "[checks]\nnames = harnack\nharnack_pairs = 0,2e-3,3,1e308\n",
+        "[checks] harnack_pairs",
+    ),
     # a misspelt key or section once loaded silently with its default; the
     # block after GOOD continues its [time] section
     "time_key_typo": ("schem = crank_nicolson\n", "[time] schem"),
@@ -900,6 +906,16 @@ def test_cli_tiny_curvature_counts_as_zero_for_both_entropy_checks(tmp_path, cap
     assert main(["check", path, "--only", "weak_logsob"]) == 2
     err = capsys.readouterr().err
     assert err == "error: check weak_logsob: zero bound: use the exponential entropy-gap triple\n"
+
+
+def test_cli_huge_finite_entropy_time_exits_two(tmp_path, capsys):
+    # s = 1e308 is finite, so the config takes it; its step count once
+    # overflowed in Trajectory.index_of (OverflowError, exit 1)
+    block = "[checks]\nnames = exp_entropy\nN = 2\nK = 0\ns = 1e308\n"
+    path = write_ini(tmp_path, GOOD, block, f"[output]\ndir = {tmp_path / 'runs'}\n")
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: check exp_entropy: time 1e+308 not on the recorded grid\n"
 
 
 def test_cli_integral_harnack_with_sine_profile_runs(tmp_path, capsys):
@@ -1183,6 +1199,18 @@ def test_cli_harnack_bounds_overflow_is_strict_json(capsys):
     payload = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert payload["integral_bound"] == "inf"
     assert payload["lf_bound"] == "inf"
+
+
+def test_cli_harnack_bounds_window_past_double_range_exits_two(capsys):
+    # t2 / t1 = 1e311 overflows: the panel count once raised OverflowError
+    rc = main(
+        ["harnack-bounds", "--N", "2", "--K", "0",
+         "--d", "1", "--t1", "1e-3", "--t2", "1e308"]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cli_import_leaves_out_scipy_interpolate():

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from finslerheat.reporting import compare
+from finslerheat.reporting import compare, compare_discretized
 from finslerheat.runner import _write_check
 
 
@@ -96,3 +96,15 @@ def test_finite_report_bytes_are_unchanged():
         "grid_meta": {"h": 0.1},
     }
     assert _dumps(rep) == json.dumps(fields, indent=2, sort_keys=True)
+
+
+def test_discretized_compare_applies_and_states_one_rule():
+    lhs, rhs = np.array([1.0, 2.0]), np.array([1.5, 1.0])
+    h, dt = 0.05, 1e-3
+    for scale, factor in ((3.5, 3.5), (0.2, 1.0), (np.nan, 1.0), (np.inf, np.inf)):
+        rep = compare_discretized("c", lhs, rhs, h, dt, scale, "residual", {"h": h})
+        # the tolerance is max(10 h^2, 10 dt) * max(1, scale): max(1, nan) is 1
+        assert rep.tolerance == max(10.0 * h * h, 10.0 * dt) * factor
+        assert rep.tolerance_rule == "max(10h^2, 10dt) * residual scale"
+        plain = compare("c", lhs, rhs, rep.tolerance, rep.tolerance_rule, grid_meta={"h": h})
+        assert rep == plain

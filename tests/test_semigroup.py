@@ -138,7 +138,7 @@ def test_duality_random_pairs(weighted_traj):
     for _ in range(5):
         g = ScalarField(traj.grid, rng.standard_normal(traj.grid.n_nodes))
         psi = ScalarField(traj.grid, rng.standard_normal(traj.grid.n_nodes))
-        rep = check_duality(plan, g, psi)
+        (rep,) = check_duality(plan, [g], [psi])
         assert rep.passed, rep.worst_residual
 
 
@@ -186,40 +186,32 @@ def test_block_transport_matches_per_field_transport(randers_traj, adjoint):
 
 
 def test_batched_checks_match_field_by_field_checks(weighted_traj):
+    # one list of 3 fields gives, bit for bit, the reports of three
+    # one-field lists
     traj, _ = weighted_traj
     plan = full_plan(traj)
     rng = np.random.default_rng(9)
 
-    def fields(count=3, positive=False):
-        values = rng.standard_normal((count, traj.grid.n_nodes))
+    def fields(positive=False):
+        values = rng.standard_normal((3, traj.grid.n_nodes))
         if positive:
             values = np.exp(0.3 * values)
         return [ScalarField(traj.grid, v) for v in values]
 
-    def same(batched, singles):
-        assert [r.to_dict() for r in batched] == [r.to_dict() for r in singles]
+    def same(check, *lists):
+        batched = [r.to_dict() for r in check(plan, *lists)]
+        singles = [r.to_dict() for one in zip(*lists) for r in check(plan, *([f] for f in one))]
+        assert batched == singles
 
-    gs, psis = fields(), fields()
-    same(check_duality(plan, gs, psis), map(check_duality, [plan] * 3, gs, psis))
-    same(
-        check_contraction(plan, gs, (1, 2, math.inf)),
-        [check_contraction(plan, g, p) for g in gs for p in (1, 2, math.inf)],
-    )
-    same(
-        check_cauchy_schwarz(plan, gs, psis),
-        map(check_cauchy_schwarz, [plan] * 3, gs, psis),
-    )
-    pos = fields(positive=True)
-    same(check_positivity(plan, pos), [check_positivity(plan, g) for g in pos])
-    lows = [float(np.min(g.values)) for g in pos]
-    highs = [float(np.max(g.values)) for g in pos]
-    same(
-        check_order_and_bounds(plan, pos, lows, highs),
-        map(check_order_and_bounds, [plan] * 3, pos, lows, highs),
-    )
+    gs, psis, pos = fields(), fields(), fields(positive=True)
     x = traj.grid.coordinates()[:, 0]
-    smooth = [ScalarField(traj.grid, np.cos(2 * math.pi * k * x + 0.4)) for k in (1, 2)]
-    same(variance_identity(plan, smooth), [variance_identity(plan, f) for f in smooth])
+    smooth = [ScalarField(traj.grid, np.cos(2 * math.pi * k * x + 0.4)) for k in (1, 2, 3)]
+    same(check_duality, gs, psis)
+    same(check_contraction, gs)
+    same(check_cauchy_schwarz, gs, psis)
+    same(check_positivity, pos)
+    same(check_order_and_bounds, pos)
+    same(variance_identity, smooth)
 
 
 def test_semigroup_law_needs_interior_mid(euclid_traj):
@@ -236,7 +228,7 @@ def test_semigroup_law_needs_interior_mid(euclid_traj):
 
 
 def test_positivity_preserved(euclid_traj):
-    rep = check_positivity(full_plan(euclid_traj), positive_sine(euclid_traj.grid))
+    (rep,) = check_positivity(full_plan(euclid_traj), [positive_sine(euclid_traj.grid)])
     assert rep.passed
     assert rep.n_violations == 0
 
@@ -245,7 +237,7 @@ def test_positivity_rejects_nonpositive_input(euclid_traj):
     x = euclid_traj.grid.coordinates()[:, 0]
     g = ScalarField(euclid_traj.grid, np.sin(2 * math.pi * x))
     with pytest.raises(DomainError):
-        check_positivity(full_plan(euclid_traj), g)
+        check_positivity(full_plan(euclid_traj), [g])
 
 
 @pytest.mark.parametrize("p", [1, 2, math.inf])
@@ -255,24 +247,18 @@ def test_contraction(weighted_traj, p):
     rng = np.random.default_rng(int(13 if p == math.inf else p))
     for _ in range(3):
         g = ScalarField(traj.grid, rng.standard_normal(traj.grid.n_nodes))
-        rep = check_contraction(plan, g, p)
+        reports = check_contraction(plan, [g])
+        names = [r.name for r in reports]
+        assert names == ["contraction-l1", "contraction-l2", "contraction-linf"]
+        rep = reports[(1, 2, math.inf).index(p)]
         assert rep.passed, (p, rep.worst_residual)
 
 
-def test_contraction_rejects_other_exponents(euclid_traj):
-    g = positive_sine(euclid_traj.grid)
-    with pytest.raises(ValueError):
-        check_contraction(full_plan(euclid_traj), g, 3)
-
-
 def test_order_and_bounds(euclid_traj):
-    g = positive_sine(euclid_traj.grid)  # values in [0.5, 1.5]
-    rep = check_order_and_bounds(full_plan(euclid_traj), g, 0.5, 1.5)
+    # the bounds are the field's own range, about [0.5, 1.5] here
+    g = positive_sine(euclid_traj.grid)
+    (rep,) = check_order_and_bounds(full_plan(euclid_traj), [g])
     assert rep.passed
-    with pytest.raises(ValueError):
-        check_order_and_bounds(full_plan(euclid_traj), g, 1.5, 0.5)
-    with pytest.raises(DomainError):
-        check_order_and_bounds(full_plan(euclid_traj), g, 0.9, 1.5)
 
 
 def test_cauchy_schwarz_random_pairs(randers_traj):
@@ -281,13 +267,13 @@ def test_cauchy_schwarz_random_pairs(randers_traj):
     for _ in range(4):
         f = ScalarField(randers_traj.grid, rng.standard_normal(randers_traj.grid.n_nodes))
         g = ScalarField(randers_traj.grid, rng.standard_normal(randers_traj.grid.n_nodes))
-        rep = check_cauchy_schwarz(plan, f, g)
+        (rep,) = check_cauchy_schwarz(plan, [f], [g])
         assert rep.passed, rep.worst_residual
 
 
 def test_cauchy_schwarz_equality_when_equal(euclid_traj):
     f = positive_sine(euclid_traj.grid)
-    rep = check_cauchy_schwarz(full_plan(euclid_traj), f, f)
+    (rep,) = check_cauchy_schwarz(full_plan(euclid_traj), [f], [f])
     assert rep.passed
     assert rep.worst_residual == 0.0
 
@@ -296,7 +282,7 @@ def test_cauchy_schwarz_unit_reduction(euclid_traj):
     # against g = 1 this is the variance inequality (Pf)^2 <= P(f^2)
     f = positive_sine(euclid_traj.grid, amp=0.7)
     ones = ScalarField(euclid_traj.grid, np.ones(euclid_traj.grid.n_nodes))
-    rep = check_cauchy_schwarz(full_plan(euclid_traj), f, ones)
+    (rep,) = check_cauchy_schwarz(full_plan(euclid_traj), [f], [ones])
     assert rep.passed
 
 
@@ -307,7 +293,7 @@ def test_cauchy_schwarz_unit_reduction(euclid_traj):
 
 def test_variance_identity_constant_field(euclid_traj):
     c = ScalarField(euclid_traj.grid, np.full(euclid_traj.grid.n_nodes, 2.5))
-    rep = variance_identity(full_plan(euclid_traj), c)
+    (rep,) = variance_identity(full_plan(euclid_traj), [c])
     assert rep.passed
     assert abs(rep.worst_residual) <= 1e-10
 
@@ -318,7 +304,7 @@ def test_variance_identity_resolved_field(euclid_traj):
         euclid_traj.grid,
         np.sin(2 * math.pi * x) + 0.4 * np.cos(4 * math.pi * x + 0.7),
     )
-    rep = variance_identity(full_plan(euclid_traj), f)
+    (rep,) = variance_identity(full_plan(euclid_traj), [f])
     assert rep.passed, rep.worst_residual
 
 
@@ -333,7 +319,7 @@ def test_variance_gap_halves_with_dt():
     gaps = []
     for dt in (2e-3, 1e-3, 5e-4):
         traj = solve_heat_flow(metric, measure, positive_sine(grid), 0.04, dt)
-        rep = variance_identity(full_plan(traj), f, c_dt=600.0)
+        (rep,) = variance_identity(full_plan(traj), [f], c_dt=600.0)
         assert rep.passed
         gaps.append(abs(rep.worst_residual))
     for coarse, fine in zip(gaps, gaps[1:]):
