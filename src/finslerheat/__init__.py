@@ -74,7 +74,6 @@ from .metrics import (
 )
 from .reporting import InequalityReport, compare, compare_discretized
 from .semigroup import (
-    TransportPlan,
     check_cauchy_schwarz,
     check_conservative,
     check_contraction,

@@ -323,7 +323,7 @@ def load_config(path: str) -> ExperimentConfig:
     k_text = str(checks_sec.get("K", "auto")).strip().lower()
     k_val = None if k_text == "auto" else _finite("[checks] K", k_text)
     profile = str(checks_sec.get("profile", "quadratic")).strip()
-    LiYauProfile.parse(profile)
+    LiYauProfile.parse(profile, 1.0)  # the spelling: lixu takes the run's K later
     seed = _number("[checks] seed", str(checks_sec.get("seed", "1234")), int)
     if seed < 0:
         raise ConfigError(f"[checks] seed must be non-negative, got {seed}")

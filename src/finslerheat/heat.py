@@ -47,7 +47,7 @@ from numpy import fft
 from scipy.linalg import cholesky_banded
 from scipy.linalg.lapack import dpbtrs
 
-from .errors import IndexRange, UnsupportedFamily
+from .errors import DomainError, IndexRange, UnsupportedFamily
 from .geometry import (
     CovectorField,
     MeasureField,
@@ -58,7 +58,7 @@ from .geometry import (
     differential_field,
 )
 from .metrics import MetricField
-from .numerics import cg_measure
+from .numerics import cg_measure, overflow_is_domain_error
 from .reporting import InequalityReport, compare
 
 #: the one time scheme, as ``trajectory.json`` and the run manifest name it
@@ -344,11 +344,19 @@ def heat_step(
     dt: float,
     time: float = 0.0,
 ) -> tuple[ScalarField, DiffusionAssembly]:
-    """Advance the nonlinear flow by one frozen-coefficient step."""
+    """Advance the nonlinear flow by one frozen-coefficient step. A step too
+    long for double precision raises DomainError: where the solve
+    overflows, or where its CG reductions overflow unflagged and leave a
+    non-finite field."""
     if dt <= 0:
         raise ValueError("step size must be positive")
-    assembly = weighted_laplacian(metric, measure, differential_field(u), time, dt)
-    return ScalarField(u.grid, assembly.advance(u.values)), assembly
+    what = f"the step at t = {time:g} with dt = {dt:g}"
+    with overflow_is_domain_error(what):
+        assembly = weighted_laplacian(metric, measure, differential_field(u), time, dt)
+        values = assembly.advance(u.values)
+    if not np.isfinite(values).all():
+        raise DomainError(f"{what} gives a non-finite field")
+    return ScalarField(u.grid, values), assembly
 
 
 @dataclass
@@ -405,19 +413,16 @@ class Trajectory:
         """Apply the recorded steps start, ..., end - 1 (in reverse order
         when ``adjoint``) to one field (n,) or a block (n, m) of fields as
         columns, every field moving through each step in one call. This is
-        the one transport loop: P_{start,end}, or its adjoint."""
-        self.check_span(start, end)
+        the one transport loop: P_{start,end}, or its adjoint. The span must
+        satisfy 0 <= start < end < n_times: recorded steps only, which a
+        lazily built final-time assembly is not."""
+        if not 0 <= start < end < self.n_times:
+            raise IndexRange(f"span ({start}, {end}) needs 0 <= start < end < {self.n_times}")
         steps = range(start, end)
         x = np.array(values, dtype=float)
         for k in reversed(steps) if adjoint else steps:
             x = self.assemblies[k].advance(x)
         return x
-
-    def check_span(self, start: int, end: int) -> None:
-        """Raise unless 0 <= start < end < n_times: a span of recorded
-        steps, which a lazily built final-time assembly is not."""
-        if not 0 <= start < end < self.n_times:
-            raise IndexRange(f"span ({start}, {end}) needs 0 <= start < end < {self.n_times}")
 
     def grid_meta(self, **extra) -> dict:
         """The grid, step and metric family, then ``extra``, for reports."""
@@ -451,8 +456,11 @@ class Trajectory:
             ",".join(map(repr, [i, *xs])) + ","
             for i, xs in enumerate(self.grid.coordinates().tolist())
         ]
-        for k in (0, self.n_times - 1):
-            path = os.path.join(out_dir, f"field_{self.times[k]:.6f}.csv")
+        names = {k: f"field_{self.times[k]:.6f}.csv" for k in (0, self.n_times - 1)}
+        if max(map(len, names.values())) > 255:  # NAME_MAX of common file systems
+            raise DomainError(f"time {self.times[-1]:g} is too large for a snapshot file name")
+        for k, name in names.items():
+            path = os.path.join(out_dir, name)
             rows = map(str.__add__, prefixes, map(repr, self.fields[k].tolist()))
             with open(path, "w", newline="") as fh:
                 fh.write("\r\n".join([header, *rows, ""]))

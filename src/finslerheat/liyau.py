@@ -45,6 +45,10 @@ SERIES_WINDOW = 1e-4
 #: outside this radius coth saturates to 1 in double precision
 _COTH_SATURATION = 350.0
 
+#: below this |x|, sinh(x) - x and x - sin(x) come from their series,
+#: summed to round-off; the differences keep only about eps / x^2 of it
+_CUBIC_SERIES = 1.0
+
 #: 8-point Gauss-Legendre rule on [0, 1], used on every coefficient panel
 _GL_NODES, _GL_WEIGHTS = gauss_legendre(8)
 
@@ -93,6 +97,18 @@ def _s_kernel(w: float) -> float:
         return math.sin(s) / s
     r = math.sqrt(-w)
     return math.sinh(r) / r
+
+
+def _cubic_tail(x: float, sign: float) -> float:
+    """sinh(x) - x for sign = 1 and x - sin(x) for sign = -1, by the series
+    x^3/3! + sign x^5/5! + ... where the difference would cancel."""
+    if abs(x) >= _CUBIC_SERIES:
+        return math.sinh(x) - x if sign > 0 else x - math.sin(x)
+    term, total = x**3 / 6.0, 0.0
+    for k in range(2, 12):
+        total += term
+        term *= sign * x * x / (2 * k * (2 * k + 1))
+    return total
 
 
 def _running_integral(fn, edges: np.ndarray) -> Callable[[float], float]:
@@ -156,11 +172,12 @@ class LiYauProfile:
         return cls("lixu", tau=abs(K))
 
     @classmethod
-    def parse(cls, text: str) -> "LiYauProfile":
-        """Preset from its config spelling: quadratic | sine:<c> | sinh:<c> | lixu."""
+    def parse(cls, text: str, K: float) -> "LiYauProfile":
+        """Preset from its config spelling: quadratic | sine:<c> | sinh:<c> |
+        lixu, the last at the curvature bound ``K``."""
         name, colon, arg = text.partition(":")
         if not colon and name in ("quadratic", "lixu"):
-            return cls.quadratic() if name == "quadratic" else cls.lixu(-1.0)
+            return cls.quadratic() if name == "quadratic" else cls.lixu(K)
         if colon and name in ("sine", "sinh"):
             try:
                 return (cls.sine if name == "sine" else cls.sinh_profile)(float(arg))
@@ -196,9 +213,7 @@ class LiYauProfile:
         """Closed-form running integral of a."""
         if self.variant == "quadratic":
             return t**3 / 3.0
-        if self.variant == "sine":
-            return 2.0 * self.tau * t - math.sin(2.0 * self.tau * t)
-        return math.sinh(2.0 * self.tau * t) - 2.0 * self.tau * t
+        return _cubic_tail(2.0 * self.tau * t, -1.0 if self.variant == "sine" else 1.0)
 
     def integral_quotient(self, t: float) -> float:
         """Closed-form running integral of a'(s)^2 / a(s)."""
@@ -321,16 +336,19 @@ def alpha_phi(
         int_a = profile.integral
         int_q = profile.integral_quotient
 
+    # the running integrals overflow first (t^3 / 3, sinh) where t is huge
     def alpha(t: float) -> float:
         if not 0.0 < t <= horizon:
             raise DomainError(f"time {t} outside (0, {horizon}]")
-        return 1.0 - 2.0 * K * int_a(t) / float(profile.value(t))
+        with overflow_is_domain_error(f"a {profile.variant} coefficient at t = {t:g}"):
+            return 1.0 - 2.0 * K * int_a(t) / float(profile.value(t))
 
     def phi(t: float) -> float:
         if not 0.0 < t <= horizon:
             raise DomainError(f"time {t} outside (0, {horizon}]")
-        a = float(profile.value(t))
-        return -N * K / 2.0 + N * K * K * int_a(t) / (2.0 * a) + N * int_q(t) / (8.0 * a)
+        with overflow_is_domain_error(f"a {profile.variant} coefficient at t = {t:g}"):
+            a = float(profile.value(t))
+            return -N * K / 2.0 + N * K * K * int_a(t) / (2.0 * a) + N * int_q(t) / (8.0 * a)
 
     coeffs = LiYauCoefficients(
         alpha=alpha,
@@ -342,7 +360,8 @@ def alpha_phi(
         zero=profile.horizon(),
         alpha_zero=_alpha_zero(profile, K, horizon),
     )
-    _verify_coefficient_odes(profile, coeffs, K, N, horizon)
+    with overflow_is_domain_error(f"a {profile.variant} profile on (0, {horizon:g}]"):
+        _verify_coefficient_odes(profile, coeffs, K, N, horizon)
     return coeffs
 
 

@@ -23,7 +23,6 @@ from finslerheat import (
     RiemannianNorm,
     ScalarField,
     TorusGrid,
-    TransportPlan,
     alpha_phi,
     bochner_residual,
     check_cauchy_schwarz,
@@ -280,24 +279,23 @@ def test_criterion_07_semigroup_structural_suite():
     x = grid.coordinates()[:, 0]
     u0 = ScalarField(grid, 1.0 + 0.5 * np.sin(2 * math.pi * x + 0.3))
     traj = solve_heat_flow(metric, measure, u0, 0.01, 5e-4)
-    plan = TransportPlan(traj, 0, traj.n_times - 1)
     rng = np.random.default_rng(SEED)
 
     def field():
         return ScalarField(grid, rng.standard_normal(grid.n_nodes))
 
-    ones = check_conservative(plan)
-    dual = check_duality(plan, [field()], [field()])[0]
-    law = check_semigroup_law(plan, (plan.start + plan.end) // 2, field())
+    ones = check_conservative(traj)
+    dual = check_duality(traj, [field()], [field()])[0]
+    law = check_semigroup_law(traj, field())
     for rep in (ones, dual, law):
         assert rep.passed and rep.worst_residual <= 1e-12, (rep.name, rep.worst_residual)
 
     for _ in range(100):
         g = field()
-        assert all(r.passed for r in check_contraction(plan, [g]))
+        assert all(r.passed for r in check_contraction(traj, [g]))
         pos = ScalarField(grid, np.exp(0.3 * rng.standard_normal(grid.n_nodes)))
-        assert check_order_and_bounds(plan, [pos])[0].passed
-        assert check_cauchy_schwarz(plan, [field()], [field()])[0].passed
+        assert check_order_and_bounds(traj, [pos])[0].passed
+        assert check_cauchy_schwarz(traj, [field()], [field()])[0].passed
     _verdict(
         7,
         started,
@@ -318,8 +316,7 @@ def test_criterion_08_variance_identity_gap_halves():
     gaps = []
     for dt in (2e-3, 1e-3, 5e-4):
         traj = solve_heat_flow(metric, measure, u0, 0.04, dt)
-        plan = TransportPlan(traj, 0, traj.n_times - 1)
-        rep = variance_identity(plan, [f], c_dt=600.0)[0]
+        rep = variance_identity(traj, [f])[0]
         assert rep.passed
         gaps.append(rep.worst_residual)
     assert all(g > 0 for g in gaps)
@@ -344,8 +341,7 @@ def test_criterion_09_li_yau_on_solved_flows(randers_ladder, weighted_ladder):
     k_inf, k_eight = _weighted_curvature_bounds()
     psi_worsts = []
     for traj in weighted_ladder:
-        plan = TransportPlan(traj, 0, traj.n_times - 1)
-        assert gradient_estimate_check(plan, k_inf).passed
+        assert gradient_estimate_check(traj, k_inf).passed
         rep = residual_psi(traj, T_SOLVE, 8.0, k_eight)
         assert rep.passed, (rep.worst_residual, rep.tolerance)
         psi_worsts.append(rep.worst_residual)
@@ -365,10 +361,9 @@ def test_criterion_10_gradient_logsob_lipschitz_suite(randers_ladder, weighted_l
     for trajs, K in ((randers_ladder, 0.0), (weighted_ladder, k_inf)):
         magnitudes = {"gradient": [], "logsob": [], "lipschitz": []}
         for traj in trajs:
-            plan = TransportPlan(traj, 0, traj.n_times - 1)
             reports = {
-                "gradient": gradient_estimate_check(plan, K),
-                "logsob": local_logsob_check(plan, K),
+                "gradient": gradient_estimate_check(traj, K),
+                "logsob": local_logsob_check(traj, K),
                 "lipschitz": lipschitz_decay(traj, K),
             }
             for name, rep in reports.items():

@@ -24,6 +24,7 @@ from finslerheat.config import (
 )
 from finslerheat.errors import ConfigError
 from finslerheat.heat import DiffusionAssembly, solve_heat_flow
+from finslerheat.liyau import LiYauProfile, alpha_phi, residual_linear
 from finslerheat.metrics import RandersNorm
 from finslerheat.semigroup import ROUNDOFF_CHECKS
 from finslerheat.runner import (
@@ -555,6 +556,30 @@ def test_semigroup_law_needs_two_steps(tmp_path):
         run(config, out_dir=str(tmp_path / "out"))
 
 
+def test_lixu_profile_takes_the_run_curvature(tmp_path):
+    # the lixu pair is sinh at tau = |K| of the run; it once took K = -1
+    config = checked_config(
+        tmp_path, "[checks]\nnames = liyau_linear\nN = 8\nK = -0.5\nprofile = lixu\n"
+    )
+    out = tmp_path / "out"
+    run(config, out_dir=str(out))
+    written = json.loads((out / "check_liyau_linear.json").read_text())["reports"]
+    _, metric, measure, u0 = build_problem(config)
+    traj = solve_heat_flow(metric, measure, u0, config.t_final, config.dt)
+    t_end = traj.times[-1]
+    coeffs = alpha_phi(LiYauProfile.lixu(-0.5), -0.5, 8.0, t_end)
+    expected = residual_linear(traj, t_end, coeffs).to_dict()
+    assert written == [json.loads(json.dumps(expected, default=float))]
+
+
+def test_lixu_profile_at_zero_curvature_exits_two(tmp_path, capsys):
+    path = write_ini(tmp_path, GOOD, "[checks]\nnames = liyau_linear\nN = 8\nK = 0\nprofile = lixu\n")
+    assert main(["check", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "lixu profile needs K != 0" in err
+
+
 def test_run_ladder_places_levels_and_halves_h(tmp_path):
     config = checked_config(
         tmp_path,
@@ -843,6 +868,32 @@ def test_cli_non_finite_grid_or_time_exits_two(tmp_path, capsys, old, new, named
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a second line
+@pytest.mark.parametrize(
+    "dim, period, dt, message",
+    [
+        # corner^2 / gamma of the 1-d banded factor overflowed: once a
+        # ValueError traceback from cholesky_banded
+        (1, 1.0, 1e200, "the step at t = 0 with dt = 1e+200 overflows double precision"),
+        # the 2-d solve overflows; once it went through and its snapshot
+        # name field_<t>.csv ended in an OSError (file name too long)
+        (2, 1.0, 1e300, "the step at t = 0 with dt = 1e+300 overflows double precision"),
+        # the CG reductions overflow without a flag: once NaN fields, exit 0
+        (2, 1.0, 1e150, "the step at t = 0 with dt = 1e+150 gives a non-finite field"),
+        # a huge torus keeps the step finite, but not the snapshot name
+        (2, 1e150, 1e300, "time 1e+300 is too large for a snapshot file name"),
+    ],
+)
+def test_cli_step_or_time_past_double_range_exits_two(tmp_path, capsys, dim, period, dt, message):
+    if dim == 1:
+        path = write_ini(tmp_path, GOOD.replace("1e-3", str(dt)).replace("5e-3", str(dt)))
+    else:
+        grid = RANDERS_32.replace("nodes = 32", f"nodes = 16\n    period = {period}")
+        path = write_ini(tmp_path, grid.replace("1e-3", str(dt)), f"t_final = {dt}\n")
+    assert main(["solve", path, "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -1211,6 +1262,22 @@ def test_cli_harnack_bounds_window_past_double_range_exits_two(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a second line
+@pytest.mark.parametrize("K", ["0", "-0.5"])
+def test_cli_harnack_bounds_integral_coefficients_past_double_range_exit_two(capsys, K):
+    # the quadratic profile's t^3 / 3 (K = 0) and the lixu profile's sinh
+    # (K = -0.5) overflow at t2 = 1e200: once an OverflowError traceback
+    rc = main(
+        ["harnack-bounds", "--mode", "integral", "--N", "2", "--K", K,
+         "--d", "1", "--t1", "1e-3", "--t2", "1e200"]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "overflows double precision" in captured.err
 
 
 def test_cli_import_leaves_out_scipy_interpolate():

@@ -239,7 +239,7 @@ def test_integral_bound_grades_panels_toward_the_profile_zero(K, t1, t2):
     # alpha and phi of sine:1.3 blow up at its zero pi / 1.3 = 2.42; on
     # panels graded only toward t = 0 the 8- and 12-point rules stayed
     # 2.4e-8 apart here and the bound raised NoConvergence
-    coeffs = alpha_phi(LiYauProfile.parse("sine:1.3"), K, 2.0, 2.0)
+    coeffs = alpha_phi(LiYauProfile.parse("sine:1.3", K), K, 2.0, 2.0)
     assert coeffs.zero == math.pi / 1.3
     d = 0.3
 
@@ -256,7 +256,7 @@ def test_integral_bound_grades_panels_toward_the_zero_of_alpha():
     # with K = 0.2, N = 2 alpha of sine:1.3 vanishes at t = 1.853, before the
     # profile's zero: phi / alpha has a pole there, and on panels graded only
     # toward the profile's zero the rules gave 6.51569245 vs 6.51589971
-    coeffs = alpha_phi(LiYauProfile.parse("sine:1.3"), 0.2, 2.0, 2.0)
+    coeffs = alpha_phi(LiYauProfile.parse("sine:1.3", 0.2), 0.2, 2.0, 2.0)
     assert coeffs.alpha_zero == pytest.approx(1.8532010896802766, rel=1e-12)
     assert abs(coeffs.alpha(coeffs.alpha_zero)) < 1e-12
     t1, t2, d = 0.01, 1.8, 0.3
@@ -283,7 +283,7 @@ def test_integral_bound_grades_panels_toward_the_zero_of_alpha():
     ],
 )
 def test_alpha_zero_of_each_profile(profile, K, horizon, zero):
-    coeffs = alpha_phi(LiYauProfile.parse(profile), K, 2.0, horizon)
+    coeffs = alpha_phi(LiYauProfile.parse(profile, K), K, 2.0, horizon)
     assert coeffs.alpha_zero == pytest.approx(zero, rel=1e-12)
 
 
