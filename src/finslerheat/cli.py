@@ -26,7 +26,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import load_config
-from .errors import FinslerHeatError
+from .errors import DomainError, FinslerHeatError
 from .harnack import harnack_bound_integral, harnack_bound_lf, theta_descriptor
 from .liyau import LiYauProfile, PsiEvaluator, alpha_phi
 from .reporting import json_safe
@@ -101,6 +101,8 @@ def _cmd_convergence(args) -> int:
 def _cmd_psi(args) -> int:
     ev = PsiEvaluator(args.N, args.K, args.t)
     hi = args.x_hi if args.x_hi is not None else ev.x_max - 1e-6 * abs(ev.x_max)
+    if not (math.isfinite(args.x_lo) and math.isfinite(hi) and args.count >= 1):
+        raise DomainError("psi needs a finite --x-lo and --x-hi and --count >= 1")
     xs = np.linspace(args.x_lo, hi, args.count)
     lines = ["x,psi,psi_prime,psi_tilde"]
     for x in xs:

@@ -21,7 +21,7 @@ from .errors import AlphaSignChange, DomainError, NoConvergence, Unbounded
 from .geometry import finsler_distance
 from .liyau import LiYauCoefficients, _envelope_g, _t_kernel_second, envelope_zeros
 from .metrics import MetricField
-from .numerics import elementwise, gauss_legendre, newton_root
+from .numerics import gauss_legendre, newton_root
 from .reporting import InequalityReport, compare, compare_discretized
 
 #: time integrals: 8-point Gauss-Legendre per panel, checked against 12 points
@@ -88,8 +88,8 @@ class ThetaDescriptor:
     xi_hi: float
 
     def __post_init__(self):
-        if self.N <= 0 or self.t <= 0:
-            raise DomainError("need N > 0 and t > 0")
+        if not (0.0 < self.N < math.inf and 0.0 < self.t < math.inf):
+            raise DomainError("need finite N > 0 and t > 0")
 
 
 def theta_descriptor(N: float, K: float, t: float) -> ThetaDescriptor:
@@ -108,7 +108,6 @@ def _inner(N: float, K: float, t: float, xi: float) -> tuple[float, float]:
     return N / (2.0 * t) * value, 2.0 * slope / (K * t)
 
 
-@elementwise
 def theta(desc: ThetaDescriptor, xi: float) -> float:
     """Square-root transform of the envelope on the feasible interval.
 
@@ -169,17 +168,17 @@ def harnack_bound_integral(
     """Integral-form bound from a coefficient pair.
 
     exp of d^2/(4 (t2-t1)^2) times the alpha integral plus the integral of
-    phi/alpha, on the panels of :func:`_panel_integral`. Valid only while
-    alpha keeps one sign; a crossing on [t1, t2] aborts with AlphaSignChange
-    since the quadratic completion behind the formula fails there.
+    phi/alpha, on the panels of :func:`_panel_integral`. The quadratic
+    completion behind it needs alpha > 0, so alpha(t2) <= 0 aborts with
+    AlphaSignChange: exact for pairs from :func:`alpha_phi`, as alpha -> 1 at
+    t -> 0 and at a zero alpha' = a'/a - 2K with a'/a strictly decreasing
+    (2/t, 2c cot ct, 2c coth ct), so alpha crosses zero once at most, downward.
     """
     if not 0.0 < t1 < t2:
         raise DomainError("need 0 < t1 < t2")
-    if d < 0.0:
-        raise DomainError("distance must be nonnegative")
-    samples = np.linspace(t1, t2, 201)
-    alpha_vals = np.asarray([coeffs.alpha(float(s)) for s in samples])
-    if np.any(alpha_vals <= 0.0):
+    if not 0.0 <= d < math.inf:
+        raise DomainError("distance must be finite and nonnegative")
+    if not coeffs.alpha(t2) > 0.0:
         raise AlphaSignChange("alpha loses positivity inside the time window")
 
     def integrand(times: np.ndarray) -> np.ndarray:
@@ -198,8 +197,8 @@ def harnack_bound_lf(desc: ThetaDescriptor, d: float, t1: float, t2: float) -> f
     its interval from the envelope zeros at s and its conjugate from Newton
     started at the previous node's maximiser. At d = 0 the conjugate at
     slope -inf degenerates to minus the lower interval endpoint."""
-    if d < 0.0:
-        raise DomainError("distance must be nonnegative")
+    if not 0.0 <= d < math.inf:
+        raise DomainError("distance must be finite and nonnegative")
     N, K, delta = desc.N, desc.K, t2 - t1
 
     def integrand(times: np.ndarray) -> np.ndarray:

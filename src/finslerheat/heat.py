@@ -439,6 +439,16 @@ class Trajectory:
         """Spatial-operator value A_t u_t at a recorded index."""
         return self.assembly_at(index).apply(self.fields[self._check(index)])
 
+    def log_state(self, index: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(u, A u, Gamma(log u)) at a recorded index, for a positive
+        solution: dt log u is A u / u and F^2(grad log u) the assembly's
+        carre du champ of log u. The one read of the log-based checks."""
+        u = self.fields[self._check(index)]
+        if not np.min(u) > 0.0:
+            raise DomainError("solution must stay strictly positive")
+        assembly = self.assembly_at(index)
+        return u, assembly.apply(u), assembly.carre_du_champ(np.log(u))
+
     def _check(self, index: int) -> int:
         if not 0 <= index < self.n_times:
             raise IndexRange(f"index {index} outside [0, {self.n_times})")

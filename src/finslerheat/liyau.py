@@ -7,10 +7,8 @@ built on them.
 
 Numerical conventions shared by the module:
 
-* the time derivative of log u is always the frozen spatial operator
-  applied to u divided by u, never a time difference;
-* squared gradients on trajectories come from the recorded assemblies'
-  carre du champ;
+* dt log u and F^2(grad log u) on trajectories come from
+  :meth:`Trajectory.log_state`, never from a time difference;
 * the trigonometric kernels T(w) = sqrt(w) cot(sqrt(w)) and
   S(w) = sin(sqrt(w))/sqrt(w) are evaluated through a single signed
   argument w, which makes every formula branch-free in the sign of the
@@ -35,7 +33,7 @@ from .errors import (
 from .geometry import ZERO_CURVATURE, ScalarField
 from .heat import Trajectory
 from .metrics import EuclideanNorm
-from .numerics import elementwise, gauss_legendre, newton_root, overflow_is_domain_error
+from .numerics import gauss_legendre, newton_root, overflow_is_domain_error
 from .reporting import InequalityReport, compare, compare_discretized
 
 #: half-width of the Taylor window on w; cot/coth cancellation is
@@ -319,12 +317,12 @@ def alpha_phi(
     identities are verified at 20 sample times before the evaluators are
     handed out.
     """
-    if horizon <= 0:
-        raise DomainError("horizon must be positive")
+    if not 0.0 < horizon < math.inf:
+        raise DomainError("horizon must be finite and positive")
     if horizon >= profile.horizon():
         raise ProfileInadmissible("profile degenerates before the requested horizon")
-    if N <= 0:
-        raise DomainError("dimension parameter must be positive")
+    if not (0.0 < N < math.inf and math.isfinite(K)):
+        raise DomainError("need a finite dimension parameter N > 0 and a finite K")
 
     if force_quadrature:
         edges = np.linspace(0.0, horizon, _GL_PANELS + 1)
@@ -385,8 +383,8 @@ class PsiEvaluator:
     def __post_init__(self):
         if self.K == 0.0:
             raise DomainError("zero curvature bound has no envelope; use the limit forms")
-        if self.t <= 0 or self.N <= 0:
-            raise DomainError("need t > 0 and N > 0")
+        if not (0.0 < self.t < math.inf and 0.0 < self.N < math.inf and math.isfinite(self.K)):
+            raise DomainError("need finite t > 0, N > 0 and K")
         with overflow_is_domain_error(f"(K t)^2 at K = {self.K:g}, t = {self.t:g}"):
             if (self.K * self.t) ** 2 == 0.0:
                 raise DomainError("the envelope needs (K t)^2 > 0 in double precision")
@@ -403,15 +401,12 @@ class PsiEvaluator:
         self._check_domain(x)
         return (self.K * self.t) ** 2 * (x - 1.0)
 
-    @elementwise
     def psi(self, x: float) -> float:
         return 0.5 * self.K * (x - 2.0) + _t_kernel(self._w(x)) / self.t
 
-    @elementwise
     def psi_prime(self, x: float) -> float:
         return 0.5 * self.K + self.K**2 * self.t * _t_kernel_prime(self._w(x))
 
-    @elementwise
     def psi_tilde(self, x: float) -> float:
         return self.psi(x) - self.K * x + 2.0 * self.K
 
@@ -454,8 +449,8 @@ def envelope_zeros(K: float, t: float) -> tuple[float, ...]:
     and -sqrt(2 kappa q(r)) iterated from r = 0 stays right of chi2.
     """
     kappa = K * t
-    if t <= 0.0 or kappa * kappa == 0.0:
-        raise DomainError("envelope zeros need t > 0 and (K t)^2 > 0 in double precision")
+    if not (0.0 < t < math.inf and math.isfinite(kappa)) or kappa * kappa == 0.0:
+        raise DomainError("envelope zeros need finite t > 0 and K, and (K t)^2 > 0")
 
     def zero(lo: float, hi: float, start: float, sign: float) -> float:
         def g(x: float) -> tuple[float, float]:
@@ -507,22 +502,12 @@ def linearize_psi(evaluator: PsiEvaluator, x_bar: float):
 # residuals on trajectories
 
 
-def _log_state(traj: Trajectory, index: int):
-    u = traj.fields[index]
-    if np.min(u) <= 0.0:
-        raise DomainError("solution must stay strictly positive")
-    assembly = traj.assembly_at(index)
-    f2 = assembly.carre_du_champ(np.log(u))
-    dt_log = assembly.apply(u) / u
-    return u, f2, dt_log
-
-
 def residual_linear(
     traj: Trajectory, t: float, coeffs: LiYauCoefficients
 ) -> InequalityReport:
     """Pointwise linear-form residual at a recorded time."""
-    index = traj.index_of(t)
-    _, f2, dt_log = _log_state(traj, index)
+    u, lap, f2 = traj.log_state(traj.index_of(t))
+    dt_log = lap / u
     lhs = f2 - coeffs.alpha(t) * dt_log
     rhs = np.full_like(lhs, coeffs.phi(t))
     scale = max(1.0, float(np.max(np.abs(lhs))), abs(coeffs.phi(t)))
@@ -539,8 +524,8 @@ def residual_psi(traj: Trajectory, t: float, N: float, K: float) -> InequalityRe
     violation is itself reported as a failing check rather than raising,
     since it falsifies the same theorem.
     """
-    index = traj.index_of(t)
-    _, f2, dt_log = _log_state(traj, index)
+    u, lap, f2 = traj.log_state(traj.index_of(t))
+    dt_log = lap / u
     meta = traj.grid_meta(t=t, N=N, K=K)
     if abs(K) < ZERO_CURVATURE:
         lhs = f2 - dt_log
@@ -562,7 +547,7 @@ def residual_psi(traj: Trajectory, t: float, N: float, K: float) -> InequalityRe
             grid_meta=meta,
         )
     lhs = f2
-    rhs = (N / 2.0) * ev.psi(x_field)
+    rhs = (N / 2.0) * np.array([ev.psi(x) for x in x_field.tolist()])
     scale = max(1.0, float(np.max(np.abs(rhs))))
     return compare_discretized(
         "li-yau-envelope", lhs, rhs, traj.grid.h, traj.dt, scale, "residual", meta
@@ -592,14 +577,6 @@ def kernel_equality_residual(dim: int, t: float, points: np.ndarray) -> np.ndarr
 # entropy-gap and log-Sobolev checks
 
 
-def _u_lap_log(traj: Trajectory, index: int) -> np.ndarray:
-    """u times the frozen operator acting on log u, through the identity
-    with the time derivative and the squared gradient."""
-    u = traj.fields[index]
-    assembly = traj.assembly_at(index)
-    return assembly.apply(u) - u * assembly.carre_du_champ(np.log(u))
-
-
 def moved_integrals(
     traj: Trajectory, phi: np.ndarray, fields: Iterable[np.ndarray], src: int, dst: int
 ) -> list[float]:
@@ -609,6 +586,17 @@ def moved_integrals(
     after one residual check."""
     weight = traj.transport(phi, src, dst, adjoint=True)
     return [float(np.sum(weight * f * traj.measure.sigma)) for f in fields]
+
+
+def _phi_mass(traj: Trajectory, phi: np.ndarray, u_t: np.ndarray) -> float:
+    """The integral of phi u_t that normalises zeta; phi is a nonnegative
+    test field, and the integral must be positive."""
+    if not np.min(phi) >= 0.0:
+        raise DomainError("phi must be nonnegative at every node")
+    mass = float(np.sum(phi * u_t * traj.measure.sigma))
+    if not mass > 0.0:
+        raise DomainError(f"the integral of phi u_t must be positive, got {mass:g}")
+    return mass
 
 
 def check_exp_uu(
@@ -626,19 +614,16 @@ def check_exp_uu(
     dst = traj.index_of(t)
     if src >= dst:
         raise DomainError("need s < t")
-    u_s = traj.fields[src]
-    u_t = traj.fields[dst]
-    if np.min(u_s) <= 0.0 or np.min(u_t) <= 0.0:
-        raise DomainError("needs strictly positive solutions")
+    u_s, lap_s, f2_s = traj.log_state(src)
+    u_t, lap_t, f2_t = traj.log_state(dst)
     sig = traj.measure.sigma
     w = phi.values
     delta = t - s
-    mass_t = float(np.sum(w * u_t * sig))
-    zeta = 2.0 / (N * mass_t)
-    lap_t = traj.assembly_at(dst).apply(u_t)
-    int_t = float(np.sum(w * _u_lap_log(traj, dst) * sig))
+    zeta = 2.0 / (N * _phi_mass(traj, w, u_t))
+    # u A log u = A u - u F^2(grad log u), at t and at s
+    int_t = float(np.sum(w * (lap_t - u_t * f2_t) * sig))
     int_s, ent_moved = moved_integrals(
-        traj, w, (_u_lap_log(traj, src), u_s * np.log(u_s)), src, dst
+        traj, w, (lap_s - u_s * f2_s, u_s * np.log(u_s)), src, dst
     )
     exponent = zeta * (
         float(np.sum(w * (u_t * np.log(u_t) + delta * lap_t) * sig)) - ent_moved
@@ -679,15 +664,12 @@ def check_log_sob_weak(
     dst = traj.index_of(t)
     if dst == 0:
         raise DomainError("need t > 0 on the recorded grid")
-    u_t = traj.fields[dst]
-    u_0 = traj.fields[0]
-    if np.min(u_t) <= 0.0 or np.min(u_0) <= 0.0:
-        raise DomainError("needs strictly positive solutions")
+    u_t, ddt, f2_t = traj.log_state(dst)
+    u_0, _, f2_0 = traj.log_state(0)
     sig = traj.measure.sigma
     w = phi.values
-    mass_t = float(np.sum(w * u_t * sig))
+    mass_t = _phi_mass(traj, w, u_t)
     zeta = 2.0 / (N * mass_t)
-    ddt = traj.assembly_at(dst).apply(u_t)
     chi = 4.0 / (N * K) * float(np.sum(w * ddt * sig)) / mass_t
     ev = PsiEvaluator(N, K, t)
     meta = traj.grid_meta(t=t, K=K, N=N, chi=chi, zeta=zeta)
@@ -700,14 +682,9 @@ def check_log_sob_weak(
             "branch parameter must stay below the domain end",
             grid_meta=meta,
         )
-    grad_0 = traj.fields[0] * traj.assembly_at(0).carre_du_champ(np.log(u_0))
-    ent_moved, grad_0_moved = moved_integrals(
-        traj, w, (u_0 * np.log(u_0), grad_0), 0, dst
-    )
+    ent_moved, grad_0_moved = moved_integrals(traj, w, (u_0 * np.log(u_0), u_0 * f2_0), 0, dst)
     ent_gap = float(np.sum(w * u_t * np.log(u_t) * sig)) - ent_moved
-    grad_t = float(
-        np.sum(w * u_t * traj.assembly_at(dst).carre_du_champ(np.log(u_t)) * sig)
-    )
+    grad_t = float(np.sum(w * u_t * f2_t * sig))
 
     with overflow_is_domain_error(f"exp(K t) at K = {K:g}, t = {t:g}"):
         prefactor = t * _s_kernel((K * t) ** 2 * (chi - 1.0))

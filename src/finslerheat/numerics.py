@@ -8,31 +8,12 @@ beyond that is delegated to numpy/scipy by the callers.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NoConvergence, SolverDivergence
-
-
-def elementwise(formula: Callable) -> Callable:
-    """Extend a formula written on floats (its last argument) to arrays.
-
-    A float goes straight through; anything else is mapped element by
-    element through the same formula, so an array entry equals the float
-    result bit for bit.
-    """
-
-    @functools.wraps(formula)
-    def call(*args):
-        if isinstance(args[-1], (float, int)):
-            return formula(*args)
-        mapped = np.vectorize(functools.partial(formula, *args[:-1]), otypes=[float])
-        return mapped(args[-1])
-
-    return call
 
 
 @contextlib.contextmanager

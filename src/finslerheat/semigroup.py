@@ -9,9 +9,10 @@ Trajectory and spans its whole record: P_{0,t} from its first time to its
 last.
 
 All estimate checks follow one rule: quantities like F^2(grad u) are taken
-from the recorded assemblies (their carre du champ), never by
-re-differentiating transported fields in time or space. Discretization
-tolerances are reported alongside every result.
+from the recorded assemblies (their carre du champ), those of log u through
+:meth:`Trajectory.log_state`, never by re-differentiating transported
+fields in time or space. Discretization tolerances are reported alongside
+every result.
 """
 
 from __future__ import annotations
@@ -65,12 +66,6 @@ def _lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     if p == math.inf:
         return float(np.max(np.abs(values)))
     return float(np.sum(np.abs(values) ** p * weights) ** (1.0 / p))
-
-
-def _log_carre(assembly, u: np.ndarray) -> np.ndarray:
-    if np.min(u) <= 0.0:
-        raise DomainError("field must be strictly positive for log-based checks")
-    return assembly.carre_du_champ(np.log(u))
 
 
 def check_conservative(traj: Trajectory) -> InequalityReport:
@@ -243,16 +238,15 @@ def gradient_estimate_check(traj: Trajectory, K: float) -> InequalityReport:
     and the same for the plain squared gradient. Squared gradients come
     from the recorded assemblies' carre du champ.
     """
-    u_s, u_t = traj.fields[0], traj.fields[-1]
-    asm_s, asm_t = traj.assembly_at(0), traj.assembly_at(traj.n_times - 1)
     elapsed = traj.times[-1] - traj.times[0]
     with overflow_is_domain_error(f"exp(-2K t) at K = {K:g}, t = {elapsed:g}"):
         factor = finite_exp(-2.0 * K * elapsed)
 
-    log_s = u_s * _log_carre(asm_s, u_s)
-    log_t = u_t * _log_carre(asm_t, u_t)
-    raw_s = asm_s.carre_du_champ(u_s)
-    raw_t = asm_t.carre_du_champ(u_t)
+    u_s, _, f2_s = traj.log_state(0)
+    u_t, _, f2_t = traj.log_state(traj.n_times - 1)
+    log_s, log_t = u_s * f2_s, u_t * f2_t
+    raw_s = traj.assembly_at(0).carre_du_champ(u_s)
+    raw_t = traj.assembly_at(traj.n_times - 1).carre_du_champ(u_t)
     moved = _moved(traj, np.column_stack([log_s, raw_s]))
 
     lhs = np.concatenate([log_t, raw_t])
@@ -281,17 +275,13 @@ def local_logsob_check(traj: Trajectory, K: float) -> InequalityReport:
     Direction one bounds the entropy gap by the endpoint gradient term;
     direction two bounds it from below by the transported source term.
     """
-    u_s, u_t = traj.fields[0], traj.fields[-1]
-    if np.min(u_s) <= 0.0 or np.min(u_t) <= 0.0:
-        raise DomainError("log-Sobolev checks need strictly positive fields")
-    asm_s, asm_t = traj.assembly_at(0), traj.assembly_at(traj.n_times - 1)
+    u_s, _, f2_s = traj.log_state(0)
+    u_t, _, f2_t = traj.log_state(traj.n_times - 1)
     c_fwd, c_rev = _logsob_coefficients(K, traj.times[-1] - traj.times[0])
 
-    ent_s_moved, grad_s_moved = _moved(
-        traj, np.column_stack([u_s * np.log(u_s), u_s * _log_carre(asm_s, u_s)])
-    ).T
+    ent_s_moved, grad_s_moved = _moved(traj, np.column_stack([u_s * np.log(u_s), u_s * f2_s])).T
     gap = u_t * np.log(u_t) - ent_s_moved
-    grad_t = u_t * _log_carre(asm_t, u_t)
+    grad_t = u_t * f2_t
 
     lhs = np.concatenate([gap - c_fwd * grad_t, c_rev * grad_s_moved - gap])
     scale = max(

@@ -969,6 +969,27 @@ def test_cli_huge_finite_entropy_time_exits_two(tmp_path, capsys):
     assert err == "error: check exp_entropy: time 1e+308 not on the recorded grid\n"
 
 
+@pytest.mark.parametrize("check, K", [("exp_entropy", "0"), ("weak_logsob", "-0.5")])
+@pytest.mark.parametrize(
+    "phi, message",
+    [
+        ("0", "the integral of phi u_t must be positive, got 0"),
+        ("-1", "phi must be nonnegative at every node"),
+        ("0.5*cos(1)", "phi must be nonnegative at every node"),
+    ],
+    ids=["zero", "negative", "sign_changing"],
+)
+def test_cli_entropy_checks_reject_a_test_field_outside_their_domain(
+    tmp_path, capsys, check, K, phi, message
+):
+    # phi = 0 once divided by zero (traceback, exit 1); a phi with negative
+    # nodes got a verdict on inputs the entropy inequalities do not cover
+    block = f"[checks]\nnames = {check}\nN = 2\nK = {K}\ns = 2e-3\nphi = {phi}\n"
+    path = write_ini(tmp_path, GOOD, block, f"[output]\ndir = {tmp_path / 'runs'}\n")
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == f"error: check {check}: {message}\n"
+
+
 def test_cli_integral_harnack_with_sine_profile_runs(tmp_path, capsys):
     # the window [0.2, 1.6] runs toward the zero of sine:1.3 at 2.42, which
     # made the integral bound's quadrature exit 2
@@ -1278,6 +1299,55 @@ def test_cli_harnack_bounds_integral_coefficients_past_double_range_exit_two(cap
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "overflows double precision" in captured.err
+
+
+PSI = ["psi", "--N", "3", "--K", "-1", "--t", "1"]
+BOUNDS = ["harnack-bounds", "--N", "2", "--K", "0", "--d", "0.5", "--t1", "0.1", "--t2", "0.2"]
+
+
+def with_arg(argv, flag, value):
+    out = list(argv)
+    if flag in out:
+        out[out.index(flag) + 1] = value
+    else:
+        out += [flag, value]
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning would be a second line
+@pytest.mark.parametrize(
+    "argv",
+    [
+        with_arg(PSI, "--count", "-1"),
+        with_arg(PSI, "--count", "0"),
+        with_arg(PSI, "--K", "inf"),
+        with_arg(PSI, "--N", "nan"),
+        with_arg(PSI, "--t", "nan"),
+        with_arg(PSI, "--x-lo", "nan"),
+        with_arg(PSI, "--x-hi", "inf"),
+        *(
+            with_arg(BOUNDS, flag, value)
+            for flag in ("--N", "--K", "--d")
+            for value in ("nan", "inf")
+        ),
+        with_arg(BOUNDS, "--t1", "nan"),
+        with_arg(BOUNDS, "--t2", "nan"),
+        *(
+            with_arg(with_arg(BOUNDS, "--mode", "integral"), flag, value)
+            for flag in ("--N", "--K", "--d")
+            for value in ("nan", "inf")
+        ),
+    ],
+    ids=" ".join,
+)
+def test_cli_utility_verbs_reject_non_finite_arguments(capsys, argv):
+    # psi once wrote NaN rows (exit 0) or raised a ValueError traceback, and
+    # harnack-bounds blamed the quadrature ("rules disagree: nan vs nan")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "disagree" not in captured.err
 
 
 def test_cli_import_leaves_out_scipy_interpolate():

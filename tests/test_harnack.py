@@ -95,7 +95,7 @@ def test_theta_flat_closed_form():
 def test_theta_is_negative_inside_and_zero_at_endpoints():
     desc = theta_descriptor(3.0, 1.0, 2.5)
     xs = np.linspace(desc.xi_lo, desc.xi_hi, 41)
-    vals = theta(desc, xs)
+    vals = np.array([theta(desc, x) for x in xs.tolist()])
     assert np.all(vals <= 0.0)
     assert abs(vals[0]) <= 1e-6
     assert abs(vals[-1]) <= 1e-6
@@ -155,7 +155,7 @@ def test_conjugate_compact_case_attains_grid_sup():
     desc = theta_descriptor(3.0, 1.0, 2.5)
     k = -0.7
     xs = np.linspace(desc.xi_lo, desc.xi_hi, 20001)
-    grid_sup = float(np.max(k * xs - theta(desc, xs)))
+    grid_sup = max(k * x - theta(desc, x) for x in xs.tolist())
     star = theta_conjugate(desc, k)
     assert grid_sup <= star + 1e-8
     assert star - grid_sup <= 1e-6
@@ -205,6 +205,28 @@ def test_integral_bound_rejects_alpha_crossing():
     # alpha(t) = 1 - 2t crosses zero at t = 0.5
     with pytest.raises(AlphaSignChange):
         harnack_bound_integral(coeffs, 0.1, 0.3, 0.7)
+
+
+@pytest.mark.parametrize("K", [-1.0, 0.2, 3.0])
+@pytest.mark.parametrize("profile", ["quadratic", "sine:1.3", "sinh:0.5", "lixu"])
+def test_alpha_sign_test_at_t2_matches_a_dense_scan(profile, K):
+    # alpha crosses zero at most once, downward, so its sign at t2 decides
+    # the window; a 401-point scan of [t1, t2] must agree on every window
+    coeffs = alpha_phi(LiYauProfile.parse(profile, K), K, 2.0, 2.0)
+    verdicts = []
+    for t2 in np.linspace(0.25, 2.0, 8).tolist():
+        for t1 in (0.1 * t2, 0.5 * t2, 0.9 * t2):
+            scan = np.linspace(t1, t2, 401).tolist()
+            crossed = min(coeffs.alpha(s) for s in scan) <= 0.0
+            try:
+                harnack_bound_integral(coeffs, 0.3, t1, t2)
+                raised = False
+            except AlphaSignChange:
+                raised = True
+            assert raised == crossed, (t1, t2)
+            verdicts.append(raised)
+    if K == 3.0 and profile != "lixu":
+        assert any(verdicts) and not all(verdicts)
 
 
 def test_bound_guards_and_overflow():

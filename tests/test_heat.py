@@ -13,8 +13,10 @@ import scipy.sparse as sp
 from finslerheat import (
     Asym1DNorm,
     CovectorField,
+    DomainError,
     EuclideanNorm,
     IndexRange,
+    LiYauProfile,
     MeasureField,
     MetricField,
     RandersNorm,
@@ -22,9 +24,16 @@ from finslerheat import (
     ScalarField,
     TorusGrid,
     UnsupportedFamily,
+    alpha_phi,
     bochner_residual,
+    check_exp_uu,
+    check_log_sob_weak,
+    gradient_estimate_check,
     gradient_field,
     heat_step,
+    local_logsob_check,
+    residual_linear,
+    residual_psi,
     solve_heat_flow,
     weighted_laplacian,
 )
@@ -684,6 +693,50 @@ def test_export_writes_the_csv_writer_bytes(tmp_path, dim):
             writer.writerow([i, *coords[i], traj.fields[k][i]])
         path = tmp_path / f"field_{traj.times[k]:.6f}.csv"
         assert path.read_bytes() == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_log_state_is_the_assembly_read_of_u(last):
+    grid = TorusGrid(1, 32)
+    metric = MetricField(grid, RandersNorm(np.eye(1), np.array([0.3])))
+    measure = MeasureField.from_log_density(grid, lambda x: 0.2 * math.cos(2 * math.pi * x))
+    traj = solve_heat_flow(metric, measure, shifted_sine(grid), 0.01, 1e-3)
+    k = traj.n_times - 1 if last else 0
+    u, lap, f2 = traj.log_state(k)
+    assembly = traj.assembly_at(k)
+    assert u is traj.fields[k]
+    assert lap.tobytes() == assembly.apply(u).tobytes()
+    assert f2.tobytes() == assembly.carre_du_champ(np.log(u)).tobytes()
+
+
+@pytest.fixture(scope="module")
+def sign_changing_traj():
+    # u0 = 0.5 sin(2 pi x) is negative on half the nodes at every recorded time
+    grid, metric, measure = euclid_setup(32)
+    u0 = ScalarField(grid, 0.5 * np.sin(2 * math.pi * grid.coordinates()[:, 0]))
+    return solve_heat_flow(metric, measure, u0, 0.01, 1e-3)
+
+
+def ones(traj):
+    return ScalarField(traj.grid, np.ones(traj.grid.n_nodes))
+
+
+LOG_CHECKS = {
+    "residual_linear": lambda traj: residual_linear(
+        traj, 0.01, alpha_phi(LiYauProfile.quadratic(), 0.0, 2.0, 0.01)
+    ),
+    "residual_psi": lambda traj: residual_psi(traj, 0.01, 2.0, -0.5),
+    "check_exp_uu": lambda traj: check_exp_uu(traj, 0.004, 0.01, ones(traj), 2.0),
+    "check_log_sob_weak": lambda traj: check_log_sob_weak(traj, 0.01, ones(traj), -0.5, 2.0),
+    "gradient_estimate_check": lambda traj: gradient_estimate_check(traj, 0.0),
+    "local_logsob_check": lambda traj: local_logsob_check(traj, 0.0),
+}
+
+
+@pytest.mark.parametrize("check", LOG_CHECKS)
+def test_log_based_checks_share_the_one_positivity_guard(sign_changing_traj, check):
+    with pytest.raises(DomainError, match="^solution must stay strictly positive$"):
+        LOG_CHECKS[check](sign_changing_traj)
 
 
 def test_time_derivative_commutes_with_gradient_energy():

@@ -32,7 +32,6 @@ from finslerheat import (
     solve_heat_flow,
 )
 from finslerheat import heat, liyau
-from finslerheat.harnack import theta, theta_descriptor
 from finslerheat.liyau import (
     _s_kernel,
     _t_kernel,
@@ -289,27 +288,13 @@ def test_envelope_is_smooth_across_one():
 def test_envelope_concavity_and_derivative():
     ev = PsiEvaluator(2.0, -1.0, 1.0)
     xs = np.linspace(-6.0, ev.x_max - 0.05, 300)
-    vals = ev.psi(xs)
+    vals = np.array([ev.psi(x) for x in xs.tolist()])
     second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
     assert np.max(second) <= 1e-10
     for x in (-3.0, 0.2, 1.0, ev.x_max - 0.1):
         d = 1e-6
         fd = (ev.psi(x + d) - ev.psi(x - d)) / (2.0 * d)
         assert ev.psi_prime(x) == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-
-def test_envelope_vectorized_matches_scalar():
-    ev = PsiEvaluator(4.0, 0.8, 1.2)
-    xs = np.array([-2.0, 0.0, 0.5, 1.0])
-    desc = theta_descriptor(4.0, -0.8, 1.2)
-    for fn, args in (
-        (ev.psi, xs),
-        (ev.psi_prime, xs),
-        (lambda xi: theta(desc, xi), desc.xi_lo + xs + 2.0),
-    ):
-        vec = fn(args)
-        for x, v in zip(args, vec):
-            assert fn(float(x)) == v
 
 
 def test_psi_tilde_identity():
