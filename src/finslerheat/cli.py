@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -26,10 +25,10 @@ import numpy as np
 
 from ._version import __version__
 from .config import load_config
-from .errors import DomainError, FinslerHeatError
+from .errors import ConfigError, DomainError, FinslerHeatError
 from .harnack import harnack_bound_integral, harnack_bound_lf, theta_descriptor
 from .liyau import LiYauProfile, PsiEvaluator, alpha_phi
-from .reporting import json_safe
+from .reporting import json_text, write_json
 from .runner import (
     build_problem,
     convergence_table,
@@ -65,12 +64,13 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check(args) -> int:
     config = load_config(args.config)
-    if args.only:
+    if args.only is not None:
         wanted = tuple(n.strip() for n in args.only.split(",") if n.strip())
         missing = [n for n in wanted if n not in config.checks]
         if missing:
-            print(f"checks not in config: {missing}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"checks not in config: {missing}")
+        if not wanted:
+            raise ConfigError("--only names no check")
         config = dataclasses.replace(config, checks=wanted)
     out = _resolve_out(args.out, config.out_dir)
     manifest = run(config, out_dir=out)
@@ -86,9 +86,7 @@ def _cmd_convergence(args) -> int:
     out = _resolve_out(args.out, config.out_dir)
     manifests = run_ladder(config, out_dir=out)
     table = convergence_table(manifests)
-    json_path = os.path.join(out, "convergence.json")
-    with open(json_path, "w") as fh:
-        json.dump(json_safe(table), fh, indent=2, sort_keys=True, default=float, allow_nan=False)
+    write_json(os.path.join(out, "convergence.json"), table)
     write_convergence_csv(table, os.path.join(out, "convergence.csv"))
     for row in table["rows"]:
         order = row["fitted_order"]
@@ -134,7 +132,7 @@ def _cmd_harnack_bounds(args) -> int:
             coeffs, args.d, args.t1, args.t2
         )
         payload["integral_profile"] = profile.variant
-    print(json.dumps(json_safe(payload), indent=2, sort_keys=True, default=float, allow_nan=False))
+    print(json_text(payload))
     return 0
 
 

@@ -202,6 +202,15 @@ class ExperimentConfig:
     ladder: tuple[tuple[int, float], ...]
     digest: str
 
+    def __post_init__(self):
+        # dataclasses.replace runs this too, so --only is held to it: a check
+        # named twice would run twice, its second report overwriting the first
+        for name in self.checks:
+            if name not in CHECKS:
+                raise ConfigError(f"unknown check {name!r}; known: {tuple(CHECKS)}")
+            if self.checks.count(name) > 1:
+                raise ConfigError(f"check {name!r} named twice")
+
     def build_grid(self, nodes: int | None = None) -> TorusGrid:
         return TorusGrid(self.dim, nodes or self.nodes, self.period)
 
@@ -304,13 +313,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"[time] scheme must be {SCHEME}, got {scheme!r}")
 
     checks_sec = parser["checks"] if "checks" in parser else {}
-    names_raw = checks_sec.get("names", "").strip()
-    checks = tuple(
-        n.strip() for n in names_raw.split(",") if n.strip()
-    ) if names_raw else ()
-    for name in checks:
-        if name not in CHECKS:
-            raise ConfigError(f"unknown check {name!r}; known: {tuple(CHECKS)}")
+    checks = tuple(n.strip() for n in checks_sec.get("names", "").split(",") if n.strip())
     n_text = str(checks_sec.get("N", "inf")).strip().lower()
     if n_text in ("inf", "infinity", "auto"):
         n_eff = math.inf

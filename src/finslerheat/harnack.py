@@ -29,6 +29,8 @@ from .reporting import InequalityReport, compare, compare_discretized
 #: below 1e-15.
 _RULES = (gauss_legendre(8), gauss_legendre(12))
 _RULE_AGREEMENT = 1e-10
+#: relative tolerance of a sample pair on an exact kernel (a CallableFlow)
+EXACT_KERNEL_TOL = 1e-8
 
 
 def _geometric_edges(near: float, far: float) -> np.ndarray:
@@ -293,6 +295,6 @@ def verify_harnack(
     dt = getattr(flow, "dt", None)
     if dt is not None:
         return compare_discretized("harnack", lhs, rhs, grid.h, dt, scale, "sample", meta)
-    rule = "1e-8 * sample scale (exact kernel)"
-    return compare("harnack", lhs, rhs, 1e-8 * scale, rule, grid_meta=meta)
+    rule = f"{EXACT_KERNEL_TOL:g} * sample scale (exact kernel)"
+    return compare("harnack", lhs, rhs, EXACT_KERNEL_TOL * scale, rule, grid_meta=meta)
 

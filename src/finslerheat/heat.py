@@ -35,7 +35,6 @@ verb keeps only u0 and the latest field.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from collections.abc import Iterator
@@ -59,7 +58,7 @@ from .geometry import (
 )
 from .metrics import MetricField
 from .numerics import cg_measure, overflow_is_domain_error
-from .reporting import InequalityReport, compare
+from .reporting import DISCRETIZATION_C, InequalityReport, compare, write_json
 
 #: the one time scheme, as ``trajectory.json`` and the run manifest name it
 SCHEME = "implicit_euler"
@@ -127,8 +126,10 @@ class DiffusionAssembly:
         solve and only verifies it; in 2-d it starts at the right-hand side.
         """
         rows = np.asarray(values, dtype=float).T
-        diag = 1.0 + self.dt * self.degree / self.sigma
+        # W x and degree take the one rounded dt / sigma, so the residual of a
+        # constant is the rounding of 1 + scale * degree and CG accepts it
         scale = self.dt / self.sigma
+        diag = 1.0 + scale * self.degree
 
         def op(x):
             return diag * x - scale * self._w(x)
@@ -484,8 +485,7 @@ class Trajectory:
             "metric_family": self.metric.descriptor.family,
             "violations": self.violations,
         }
-        with open(os.path.join(out_dir, "trajectory.json"), "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
+        write_json(os.path.join(out_dir, "trajectory.json"), meta)
 
 
 def heat_flow(
@@ -610,7 +610,8 @@ def bochner_report(
     metric: MetricField, measure: MeasureField, u: ScalarField, N: float
 ) -> InequalityReport:
     """The ``bochner-slack`` check: the N-form slack of
-    :func:`bochner_residual` stays above -10 h^2 times the residual scale.
+    :func:`bochner_residual` stays above -DISCRETIZATION_C h^2 times the
+    residual scale.
     """
     result = bochner_residual(metric, measure, u, N)
     slack = result.n_form_slack.values
@@ -619,7 +620,7 @@ def bochner_report(
         "bochner-slack",
         -slack,
         np.zeros_like(slack),
-        10.0 * u.grid.h**2 * max(1.0, res_max),
-        "10 h^2 * residual scale",
+        DISCRETIZATION_C * u.grid.h**2 * max(1.0, res_max),
+        f"{DISCRETIZATION_C:g} h^2 * residual scale",
         grid_meta={"h": u.grid.h, "max_abs_residual": res_max, "dim": u.grid.dim},
     )

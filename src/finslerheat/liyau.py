@@ -502,6 +502,14 @@ def linearize_psi(evaluator: PsiEvaluator, x_bar: float):
 # residuals on trajectories
 
 
+def _domain_report(check: str, excess: float, what: str, meta: dict) -> InequalityReport:
+    """The failing ``<check>-domain`` report of ``what``, ``excess`` past the domain end."""
+    return compare(
+        f"{check}-domain", np.asarray([excess]), np.asarray([0.0]), 0.0,
+        f"{what} must stay below the domain end", grid_meta=meta,
+    )
+
+
 def residual_linear(
     traj: Trajectory, t: float, coeffs: LiYauCoefficients
 ) -> InequalityReport:
@@ -531,24 +539,15 @@ def residual_psi(traj: Trajectory, t: float, N: float, K: float) -> InequalityRe
         lhs = f2 - dt_log
         rhs = np.full_like(lhs, N / (2.0 * t))
         scale = max(1.0, float(np.max(np.abs(lhs))), N / (2.0 * t))
-        return compare_discretized(
-            "li-yau-envelope", lhs, rhs, traj.grid.h, traj.dt, scale, "residual", meta
-        )
-    ev = PsiEvaluator(N, K, t)
-    x_field = 4.0 / (N * K) * dt_log
-    margin = float(np.max(x_field) - ev.x_max)
-    if margin >= 0.0:
-        return compare(
-            "li-yau-envelope-domain",
-            np.asarray([margin]),
-            np.asarray([0.0]),
-            0.0,
-            "envelope argument must stay below the domain end",
-            grid_meta=meta,
-        )
-    lhs = f2
-    rhs = (N / 2.0) * np.array([ev.psi(x) for x in x_field.tolist()])
-    scale = max(1.0, float(np.max(np.abs(rhs))))
+    else:
+        ev = PsiEvaluator(N, K, t)
+        x_field = 4.0 / (N * K) * dt_log
+        margin = float(np.max(x_field) - ev.x_max)
+        if margin >= 0.0:
+            return _domain_report("li-yau-envelope", margin, "envelope argument", meta)
+        lhs = f2
+        rhs = (N / 2.0) * np.array([ev.psi(x) for x in x_field.tolist()])
+        scale = max(1.0, float(np.max(np.abs(rhs))))
     return compare_discretized(
         "li-yau-envelope", lhs, rhs, traj.grid.h, traj.dt, scale, "residual", meta
     )
@@ -674,14 +673,7 @@ def check_log_sob_weak(
     ev = PsiEvaluator(N, K, t)
     meta = traj.grid_meta(t=t, K=K, N=N, chi=chi, zeta=zeta)
     if chi >= ev.x_max:
-        return compare(
-            "weak-log-sobolev-domain",
-            np.asarray([chi - ev.x_max]),
-            np.asarray([0.0]),
-            0.0,
-            "branch parameter must stay below the domain end",
-            grid_meta=meta,
-        )
+        return _domain_report("weak-log-sobolev", chi - ev.x_max, "branch parameter", meta)
     ent_moved, grad_0_moved = moved_integrals(traj, w, (u_0 * np.log(u_0), u_0 * f2_0), 0, dst)
     ent_gap = float(np.sum(w * u_t * np.log(u_t) * sig)) - ent_moved
     grad_t = float(np.sum(w * u_t * f2_t * sig))

@@ -15,6 +15,9 @@ import numpy as np
 
 from .errors import DomainError, NoConvergence, SolverDivergence
 
+#: relative accuracy that cg_measure's contract guarantees for a step solve
+SOLVER_TOL = 1e-10
+
 
 @contextlib.contextmanager
 def overflow_is_domain_error(what: str):
@@ -79,7 +82,7 @@ def cg_measure(
     sigma: np.ndarray,
     precond: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    # the contract ceiling is 1e-10; the tighter default keeps adjoint
+    # the contract ceiling is SOLVER_TOL; the tighter default keeps adjoint
     # duality near 1e-12
     rel_tol: float = 1e-13,
 ) -> np.ndarray:
@@ -118,10 +121,9 @@ def cg_measure(
     p = precond(r)
     rz = np.einsum("ij,ij,j->i", r, p, sigma)
     # best residual and the iteration that reached it; best_rr is updated in
-    # place and must never alias rr. No row can stall before stall_check.
+    # place and must never alias rr
     best_rr = rr.copy()
     best_it = np.full(rows.size, -1)
-    stall_check = 19
     for it in range(max_iter):
         ap = apply_op(p)
         alpha = (rz / np.einsum("ij,ij,j->i", p, ap, sigma))[:, None]
@@ -131,18 +133,14 @@ def cg_measure(
         improved = rr < best_rr
         np.copyto(best_rr, rr, where=improved)
         np.copyto(best_it, it, where=improved)
-        done = rr <= target
-        if it >= stall_check:
-            # 20 iterations without a new best: round-off floor reached
-            done |= best_it <= it - 20
-            stall_check = int(np.min(best_it)) + 20
+        # converged, or 20 iterations without a new best: round-off floor
+        done = (rr <= target) | (best_it <= it - 20)
         if np.count_nonzero(done):
             x[rows[done]] = xa[done]
             keep = ~done
             rows, xa, r, p = rows[keep], xa[keep], r[keep], p[keep]
             rr, rz, target = rr[keep], rz[keep], target[keep]
             best_rr, best_it = best_rr[keep], best_it[keep]
-            stall_check = it + 1
             if rows.size == 0:
                 return x.reshape(shape)
         z = precond(r)

@@ -2,17 +2,22 @@
 
 Every checker returns an InequalityReport: the two compared sides, the worst
 signed residual (positive means violated), where it happened, and the
-tolerance that was applied together with how it was derived. Reports
-serialize to strict JSON with sorted keys so repeated runs produce identical
-bytes; a NaN or an infinity is written as the string "nan", "inf" or "-inf".
+tolerance that was applied together with how it was derived. Reports, like
+every JSON file the package writes, serialize by :func:`json_text` to strict
+JSON with sorted keys, so repeated runs produce identical bytes; a NaN or an
+infinity is written as the string "nan", "inf" or "-inf".
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+#: C of the discretization tolerances: max(C h^2, C dt), and C h^2 for Bochner
+DISCRETIZATION_C = 10.0
 
 
 def json_safe(value):
@@ -26,6 +31,19 @@ def json_safe(value):
     if isinstance(value, (float, np.floating)) and not math.isfinite(value):
         return repr(float(value))
     return value
+
+
+def json_text(payload) -> str:
+    """``payload`` as strict JSON with sorted keys, by :func:`json_safe`: the
+    one JSON encoder of the package."""
+    return json.dumps(json_safe(payload), indent=2, sort_keys=True, default=float, allow_nan=False)
+
+
+def write_json(path: str, payload) -> str:
+    """Write :func:`json_text` of ``payload`` to ``path`` and return the path."""
+    with open(path, "w") as fh:
+        fh.write(json_text(payload))
+    return path
 
 
 @dataclass(frozen=True)
@@ -45,20 +63,7 @@ class InequalityReport:
     grid_meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "worst_residual": float(self.worst_residual),
-            "worst_location": self.worst_location,
-            "tolerance": float(self.tolerance),
-            "tolerance_rule": self.tolerance_rule,
-            "n_checked": int(self.n_checked),
-            "n_violations": int(self.n_violations),
-            "lhs_range": [float(v) for v in self.lhs_range],
-            "rhs_range": [float(v) for v in self.rhs_range],
-            "grid_meta": self.grid_meta,
-        }
-        return json_safe(out)
+        return json_safe(asdict(self))
 
 
 def compare(
@@ -101,10 +106,11 @@ def compare_discretized(
     name: str, lhs: np.ndarray, rhs: np.ndarray, h: float, dt: float, scale: float,
     what: str, grid_meta: dict,
 ) -> InequalityReport:
-    """:func:`compare` at the discretization tolerance
-    max(10 h^2, 10 dt) * max(1, scale), under the rule text that names
+    """:func:`compare` at the discretization tolerance max(C h^2, C dt) *
+    max(1, scale), C = :data:`DISCRETIZATION_C`, under the rule text that names
     ``what`` scale; the one place that rule is applied and written. A NaN
     scale gives the factor 1, an infinite one an infinite tolerance."""
-    tolerance = max(10.0 * h * h, 10.0 * dt) * max(1.0, scale)
-    rule = f"max(10h^2, 10dt) * {what} scale"
+    c = DISCRETIZATION_C
+    tolerance = max(c * h * h, c * dt) * max(1.0, scale)
+    rule = f"max({c:g}h^2, {c:g}dt) * {what} scale"
     return compare(name, lhs, rhs, tolerance, rule, grid_meta=grid_meta)

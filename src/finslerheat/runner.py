@@ -26,7 +26,7 @@ from ._version import __version__
 from .errors import ConfigError, FinslerHeatError
 from .geometry import ZERO_CURVATURE, ScalarField, ricci_lower_bound
 from .heat import SCHEME, Trajectory, bochner_report, solve_heat_flow
-from .reporting import InequalityReport, json_safe
+from .reporting import InequalityReport, write_json
 
 if TYPE_CHECKING:  # config validates check names against CHECKS
     from .config import ExperimentConfig
@@ -57,17 +57,9 @@ class RunManifest:
     def n_failed(self) -> int:
         return len(self.failed_checks)
 
-    def to_dict(self) -> dict:
-        return json_safe({"schema_version": SCHEMA_VERSION, **dataclasses.asdict(self)})
-
     def write(self) -> str:
-        path = os.path.join(self.out_dir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(
-                self.to_dict(), fh, indent=2, sort_keys=True, default=float,
-                allow_nan=False,
-            )
-        return path
+        payload = {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(self)}
+        return write_json(os.path.join(self.out_dir, "manifest.json"), payload)
 
 
 def build_problem(config: ExperimentConfig, nodes: int | None = None):
@@ -205,10 +197,7 @@ def _write_check(out_dir: str, name: str, reports: list[InequalityReport]) -> tu
         "passed": passed,
         "reports": [r.to_dict() for r in reports],
     }
-    path = os.path.join(out_dir, f"check_{name}.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float, allow_nan=False)
-    return path, passed
+    return write_json(os.path.join(out_dir, f"check_{name}.json"), payload), passed
 
 
 def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
@@ -237,11 +226,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
         k_provenance=prov,
         grid_meta=traj.grid_meta(scheme=SCHEME, n_violations_solve=len(traj.violations)),
         solver_steps=[
-            {
-                "time": a.time,
-                "kappa_max": a.kappa_max,
-                "degenerate_nodes": a.degenerate_nodes,
-            }
+            {"time": a.time, "kappa_max": a.kappa_max, "degenerate_nodes": a.degenerate_nodes}
             for a in traj.assemblies
         ],
     )
@@ -319,16 +304,8 @@ def convergence_table(
             lo, hi = expected_orders[name]
             passed = passed and order is not None and lo <= order <= hi
         all_pass = all_pass and passed
-        rows.append(
-            {
-                "check": name,
-                "levels": [
-                    {"h": h, "dt": dt, "worst_residual": r} for h, dt, r in triples
-                ],
-                "fitted_order": order,
-                "passed": passed,
-            }
-        )
+        levels = [{"h": h, "dt": dt, "worst_residual": r} for h, dt, r in triples]
+        rows.append({"check": name, "levels": levels, "fitted_order": order, "passed": passed})
     return {"schema_version": SCHEMA_VERSION, "rows": rows, "passed": all_pass}
 
 

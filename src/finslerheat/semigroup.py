@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .geometry import ZERO_CURVATURE, ScalarField, differential_field
 from .heat import Trajectory
-from .numerics import finite_exp, overflow_is_domain_error
+from .numerics import SOLVER_TOL, finite_exp, overflow_is_domain_error
 from .reporting import InequalityReport, compare, compare_discretized
 
 #: tolerance of the round-off checks: structural identities of the steps,
@@ -153,9 +153,9 @@ def check_contraction(traj: Trajectory, g: list[ScalarField]) -> list[Inequality
     for before, after in zip(block.T, _moved(traj, block).T):
         for q in (1, 2, math.inf):
             lhs, rhs = _lp_norm(after, sig, q), _lp_norm(before, sig, q)
-            tol = 1e-10 * max(1.0, rhs)
+            tol = SOLVER_TOL * max(1.0, rhs)
             cases.append((f"contraction-l{q}", np.array([lhs]), np.array([rhs]), tol))
-    return _reports(traj, "1e-10 * norm scale", cases)
+    return _reports(traj, f"{SOLVER_TOL:g} * norm scale", cases)
 
 
 def check_order_and_bounds(traj: Trajectory, g: list[ScalarField]) -> list[InequalityReport]:
@@ -167,9 +167,9 @@ def check_order_and_bounds(traj: Trajectory, g: list[ScalarField]) -> list[Inequ
     for out, lo, hi in zip(_moved(traj, block).T, block.min(axis=0), block.max(axis=0)):
         # one-sided residuals against both bounds, stacked
         lhs = np.concatenate([lo - out, out - hi])
-        tol = 1e-10 * max(1.0, abs(lo), abs(hi))
+        tol = SOLVER_TOL * max(1.0, abs(lo), abs(hi))
         cases.append(("order-bounds", lhs, np.zeros_like(lhs), tol))
-    return _reports(traj, "1e-10 * bound scale", cases)
+    return _reports(traj, f"{SOLVER_TOL:g} * bound scale", cases)
 
 
 def check_cauchy_schwarz(
@@ -184,8 +184,8 @@ def check_cauchy_schwarz(
     for pf, p2f, p2g in zip(*(block.T for block in moved)):
         lhs, rhs = pf**2, p2f * p2g
         scale = max(1.0, float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))
-        cases.append(("cauchy-schwarz", lhs, rhs, 1e-10 * scale))
-    return _reports(traj, "1e-10 * field scale", cases)
+        cases.append(("cauchy-schwarz", lhs, rhs, SOLVER_TOL * scale))
+    return _reports(traj, f"{SOLVER_TOL:g} * field scale", cases)
 
 
 def variance_identity(traj: Trajectory, f: list[ScalarField]) -> list[InequalityReport]:

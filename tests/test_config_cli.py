@@ -835,14 +835,30 @@ BAD_VALUES = {
     "checks_key_typo": ("[checks]\nnames = duality\nn_field = 5\n", "[checks] n_field"),
     "section_typo": ("[outptu]\ndir = x\n", "[outptu]"),
     "default_section": ("[DEFAULT]\nnodes = 16\n", "[DEFAULT]"),
+    # a repeated check once ran twice, the second report overwriting the first
+    "names_twice": ("[checks]\nnames = conservative, conservative\n", "'conservative' named twice"),
 }
+#: --only values on a config that names duality and positivity: a check named
+#: twice, no check at all, or a check the config does not run
+BAD_ONLY = {
+    "only_twice": ("duality,positivity,duality", "check 'duality' named twice"),
+    "only_empty": ("", "--only names no check"),
+    "only_commas": (" , ", "--only names no check"),
+    "only_not_in_config": ("duality,variance", "checks not in config: ['variance']"),
+}
+CHECKS_BLOCK = "[checks]\nnames = duality, positivity\n"
 
 
-@pytest.mark.parametrize("block, named", BAD_VALUES.values(), ids=BAD_VALUES.keys())
-def test_cli_malformed_or_non_finite_value_exits_two(tmp_path, capsys, block, named):
+@pytest.mark.parametrize(
+    "block, named, only",
+    [(block, named, ()) for block, named in BAD_VALUES.values()]
+    + [(CHECKS_BLOCK, named, ("--only", only)) for only, named in BAD_ONLY.values()],
+    ids=[*BAD_VALUES, *BAD_ONLY],
+)
+def test_cli_malformed_or_non_finite_value_exits_two(tmp_path, capsys, block, named, only):
     # one error line that names the key, before any solve
     path = write_ini(tmp_path, GOOD, block, f"[output]\ndir = {tmp_path / 'runs'}\n")
-    assert main(["check", path]) == 2
+    assert main(["check", path, *only]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err

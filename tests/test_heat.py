@@ -673,6 +673,61 @@ def test_trajectory_export_roundtrip(tmp_path):
     assert len(first) == grid.n_nodes + 1  # header plus one row per node
 
 
+def test_trajectory_json_is_strict(tmp_path):
+    # trajectory.json once bypassed the strict writer: a NaN monitor
+    # magnitude came out as a bare NaN token
+    grid, metric, measure = euclid_setup(32)
+    traj = solve_heat_flow(metric, measure, shifted_sine(grid), 2e-3, 1e-3)
+    traj.violations.append({"time": 2e-3, "kind": "range", "magnitude": math.nan})
+    traj.export(str(tmp_path))
+
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    meta = json.loads((tmp_path / "trajectory.json").read_text(), parse_constant=reject)
+    assert meta["violations"][-1]["magnitude"] == "nan"
+
+
+A_2D = [[1.0, 0.2], [0.2, 0.8]]
+#: each family with its reverse metric F_rev(v) = F(-v): b -> -b for Randers,
+#: the slopes swapped for asym1d; a symmetric metric is its own reverse
+REVERSIBLE_PAIRS = {
+    "euclidean-1d": (EuclideanNorm(1), EuclideanNorm(1)),
+    "riemannian-2d": (RiemannianNorm(A_2D), RiemannianNorm(A_2D)),
+    "randers-1d": (RandersNorm(np.eye(1), [0.3]), RandersNorm(np.eye(1), [-0.3])),
+    "randers-2d": (RandersNorm(A_2D, [0.3, 0.1]), RandersNorm(A_2D, [-0.3, -0.1])),
+    "asym1d": (Asym1DNorm(2.0, 1.0), Asym1DNorm(1.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("norm, reverse", REVERSIBLE_PAIRS.values(), ids=REVERSIBLE_PAIRS.keys())
+def test_flow_is_exactly_homogeneous_and_odd_under_the_reverse_metric(norm, reverse):
+    # g*(du) is 0-homogeneous and g*_rev(-du) = g*(du), so the flow of 2 u0
+    # is twice the flow of u0, and the flow of -u0 under the reverse metric
+    # is minus it: every step is linear in u for frozen coefficients, and
+    # scaling by 2 or -1 is exact in floating point
+    grid = TorusGrid(norm.dim, 32 if norm.dim == 1 else 16)
+    x = grid.coordinates()
+    measure = MeasureField(grid, 0.3 * np.cos(2 * math.pi * x[:, -1]))
+    u0 = 1.0 + 0.4 * np.sin(2 * math.pi * (x[:, 0] + 0.3)) + 0.2 * np.cos(2 * math.pi * x.sum(1))
+
+    def flow(desc, values):
+        metric = MetricField(grid, desc)
+        run = solve_heat_flow(metric, measure, ScalarField(grid, values), 5e-3, 5e-4)
+        assert run.n_times == 11
+        return run.fields
+
+    base = flow(norm, u0)
+    for doubled, u in zip(flow(norm, 2.0 * u0), base):
+        assert doubled.tobytes() == (2.0 * u).tobytes()
+    for negated, u in zip(flow(reverse, -u0), base):
+        assert negated.tobytes() == (-u).tobytes()
+    if norm.b.any():
+        # negative control: under the same asymmetric metric -u0 flows elsewhere
+        gap = max(float(np.max(np.abs(v + u))) for v, u in zip(flow(norm, -u0), base))
+        assert gap > 1e-2
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_export_writes_the_csv_writer_bytes(tmp_path, dim):
     grid = TorusGrid(dim, 8)

@@ -612,3 +612,20 @@ def test_constant_phi_is_a_fixed_point_of_the_2d_adjoint_transport(
     # a non-constant field does iterate, so the counter sees the solver
     traj.transport(bump_phi(traj).values, 0, 1, adjoint=True)
     assert applied
+    # on small, short or weighted tori sigma is not a power of two; the step's
+    # diagonal once rounded dt * degree / sigma apart from the dt / sigma that
+    # scales W, and CG then moved constants by up to 8e-12
+    for nodes in (12, 16, 24, 32):
+        for period in (1.0, 0.3, 0.01):
+            for weighted in (False, True):
+                grid = TorusGrid(2, nodes, period)
+                x, y = grid.coordinates().T / period
+                f = 0.3 * np.cos(2 * math.pi * y) if weighted else np.zeros(grid.n_nodes)
+                wave = 0.4 * np.sin(2 * math.pi * (x + 0.3)) + 0.2 * np.cos(2 * math.pi * (x + y))
+                u0 = ScalarField(grid, 1.0 + wave)
+                metric = MetricField(grid, traj.metric.descriptor)
+                run = solve_heat_flow(metric, MeasureField(grid, f), u0, 5e-3, 1e-3)
+                ones = np.ones(grid.n_nodes)
+                for adjoint in (False, True):
+                    moved = run.transport(ones, 0, run.n_times - 1, adjoint)
+                    assert moved.tobytes() == ones.tobytes(), (nodes, period, weighted, adjoint)

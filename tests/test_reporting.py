@@ -2,12 +2,26 @@
 strict JSON."""
 
 import json
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from finslerheat import (
+    EuclideanNorm,
+    MeasureField,
+    MetricField,
+    ScalarField,
+    TorusGrid,
+    harnack,
+    heat,
+    reporting,
+    semigroup,
+    solve_heat_flow,
+)
 from finslerheat.reporting import compare, compare_discretized
 from finslerheat.runner import _write_check
 
@@ -108,3 +122,79 @@ def test_discretized_compare_applies_and_states_one_rule():
         assert rep.tolerance_rule == "max(10h^2, 10dt) * residual scale"
         plain = compare("c", lhs, rhs, rep.tolerance, rep.tolerance_rule, grid_meta={"h": h})
         assert rep == plain
+
+
+@pytest.fixture(scope="module")
+def weighted_run():
+    grid = TorusGrid(1, 16)
+    x = grid.coordinates()[:, 0]
+    measure = MeasureField(grid, 0.3 * np.cos(2 * math.pi * x))
+    u0 = ScalarField(grid, 1.0 + 0.5 * np.sin(2 * math.pi * x + 0.3))
+    return solve_heat_flow(MetricField(grid, EuclideanNorm(1)), measure, u0, 4e-3, 1e-3)
+
+
+def _fields(traj, count=2, seed=3):
+    rng = np.random.default_rng(seed)
+    return [ScalarField(traj.grid, np.exp(0.3 * rng.standard_normal(traj.grid.n_nodes)))
+            for _ in range(count)]
+
+
+def _exact_kernel_report(_traj):
+    grid = TorusGrid(1, 16)
+    flow = harnack.CallableFlow(
+        MetricField(grid, EuclideanNorm(1)),
+        lambda points, t: 1.0 + np.exp(-4 * math.pi**2 * t) * np.cos(2 * math.pi * points[:, 0]),
+    )
+    return harnack.verify_harnack(flow, 0, 0.02, 5, 0.05, "lf", N=1.0, K=0.0)
+
+
+#: (module, constant, check): every tolerance constant with a check it sets
+TOLERANCE_CONSTANTS = {
+    "roundoff-conservative": (semigroup, "ROUNDOFF", semigroup.check_conservative),
+    "roundoff-duality": (
+        semigroup, "ROUNDOFF", lambda traj: semigroup.check_duality(traj, *[_fields(traj)] * 2)
+    ),
+    "roundoff-law": (
+        semigroup, "ROUNDOFF", lambda traj: semigroup.check_semigroup_law(traj, _fields(traj)[0])
+    ),
+    "solver-contraction": (
+        semigroup, "SOLVER_TOL", lambda traj: semigroup.check_contraction(traj, _fields(traj))
+    ),
+    "solver-order": (
+        semigroup, "SOLVER_TOL", lambda traj: semigroup.check_order_and_bounds(traj, _fields(traj))
+    ),
+    "solver-cauchy-schwarz": (
+        semigroup, "SOLVER_TOL",
+        lambda traj: semigroup.check_cauchy_schwarz(traj, *[_fields(traj)] * 2),
+    ),
+    "variance": (
+        semigroup, "VARIANCE_C", lambda traj: semigroup.variance_identity(traj, _fields(traj))
+    ),
+    "discretization": (reporting, "DISCRETIZATION_C", semigroup.laplacian_commutation),
+    "discretization-bochner": (
+        heat, "DISCRETIZATION_C",
+        lambda traj: heat.bochner_report(traj.metric, traj.measure, traj.field_at(0), 4.0),
+    ),
+    "exact-kernel": (harnack, "EXACT_KERNEL_TOL", _exact_kernel_report),
+}
+
+
+@pytest.mark.parametrize(
+    "module, constant, check", TOLERANCE_CONSTANTS.values(), ids=TOLERANCE_CONSTANTS.keys()
+)
+def test_each_tolerance_rule_is_formatted_from_its_constant(
+    weighted_run, monkeypatch, module, constant, check
+):
+    # a rule text that types its number would keep it when the constant moves
+    def first():
+        reports = check(weighted_run)
+        return reports[0] if isinstance(reports, list) else reports
+
+    old = getattr(module, constant)
+    before = first()
+    monkeypatch.setattr(module, constant, 3.0 * old)
+    after = first()
+    assert f"{old:g}" in before.tolerance_rule
+    assert after.tolerance_rule == before.tolerance_rule.replace(f"{old:g}", f"{3.0 * old:g}")
+    assert after.tolerance == pytest.approx(3.0 * before.tolerance, rel=1e-12)
+    assert after.worst_residual == before.worst_residual
