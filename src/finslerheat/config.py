@@ -49,13 +49,21 @@ _TERM_RE = re.compile(
 )
 
 
+def _finite_term(term: str, *numbers: float) -> float:
+    """The first of ``numbers``, or a ConfigError naming ``term`` unless each
+    is finite: ``nan``, ``inf`` and ``1e999`` all read as floats."""
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"term {term!r}: every number must be finite")
+    return numbers[0]
+
+
 def _parse_term(term: str, dim: int):
     """One whitelist term -> (kind, payload). Raises ConfigError."""
     term = term.strip()
     if not term:
         raise ConfigError("empty term in expression")
     try:
-        return "const", float(term)
+        return "const", _finite_term(term, float(term))
     except ValueError:
         pass
     m = _TERM_RE.match(term.replace(" ", ""))
@@ -67,6 +75,7 @@ def _parse_term(term: str, dim: int):
         args = [float(a) for a in m.group("args").split(",")]
     except ValueError:
         raise ConfigError(f"bad arguments in term {term!r}")
+    _finite_term(term, coef, *args)
     if dim == 1:
         if len(args) == 1:
             modes, phase = args, 0.0
@@ -217,18 +226,29 @@ class ExperimentConfig:
     def build_metric(self, grid: TorusGrid) -> MetricField:
         return MetricField(grid, self.descriptor)
 
-    def _nodal(self, expr: str, grid: TorusGrid) -> np.ndarray:
-        """The values of expression ``expr`` at the nodes of ``grid``."""
-        return parse_expression(expr, self.dim, self.period)(grid.coordinates())
+    def _nodal(self, key: str, expr: str, grid: TorusGrid) -> np.ndarray:
+        """The values of expression ``expr`` at the nodes of ``grid``, which
+        must be finite: finite terms can still overflow in their sum."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = parse_expression(expr, self.dim, self.period)(grid.coordinates())
+        if not np.isfinite(values).all():
+            raise ConfigError(f"{key}: {expr!r} is not finite at every node")
+        return values
 
     def build_measure(self, grid: TorusGrid) -> MeasureField:
-        return MeasureField(grid, self._nodal(self.f_expr, grid))
+        """The measure e^-f dx. Its node weights e^-f h^dim must be finite and
+        positive: f = 745 makes each 0, and then every CG residual is 0."""
+        measure = MeasureField(grid, self._nodal("[measure] f", self.f_expr, grid))
+        with np.errstate(over="ignore"):
+            if not np.all((measure.sigma > 0.0) & (measure.sigma < math.inf)):
+                raise ConfigError("[measure] f: node weights e^-f h^dim must be finite and > 0")
+        return measure
 
     def build_initial(self, grid: TorusGrid) -> ScalarField:
-        return ScalarField(grid, self._nodal(self.u0_expr, grid))
+        return ScalarField(grid, self._nodal("[initial] u", self.u0_expr, grid))
 
     def build_phi(self, grid: TorusGrid) -> ScalarField:
-        return ScalarField(grid, self._nodal(self.phi_expr, grid))
+        return ScalarField(grid, self._nodal("[checks] phi", self.phi_expr, grid))
 
 
 def config_hash(text: str) -> str:

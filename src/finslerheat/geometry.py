@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexRange, UnsupportedFamily
-from .metrics import EPS_DEGENERATE, MetricField, reversibility
+from .metrics import MetricField, reversibility
 
 
 @dataclass(frozen=True)
@@ -226,15 +226,10 @@ def ricci_lower_bound(
     f = measure.f
     f_constant = float(np.ptp(f)) <= 1e-13 * max(1.0, float(np.max(np.abs(f))))
 
-    if desc.family in ("randers", "asym1d"):
-        if not f_constant:
-            raise UnsupportedFamily(
-                "asymmetric families support constant-density measures only"
-            )
-        return CurvatureBound(N, 0.0, "analytic")
-
     if f_constant:
         return CurvatureBound(N, 0.0, "analytic")
+    if desc.family in ("randers", "asym1d"):
+        raise UnsupportedFamily("asymmetric families support constant-density measures only")
     if N == n:
         # nonvanishing drift with no room in the dimension term
         return CurvatureBound(N, -math.inf, "analytic")
@@ -242,7 +237,7 @@ def ricci_lower_bound(
     inv_gap = 0.0 if math.isinf(N) else 1.0 / (N - n)
     df = _differential(grid, f)
     m = _hessian_fields(grid, f) - inv_gap * (df[:, :, None] * df[:, None, :])
-    c = np.linalg.inv(np.linalg.cholesky(desc.riemannian_part()))
+    c = np.linalg.inv(np.linalg.cholesky(desc.a))
     return CurvatureBound(N, float(np.linalg.eigvalsh(c @ m @ c.T).min()), "sampled")
 
 
@@ -270,7 +265,7 @@ def finsler_distance(
     goal = np.arange(grid.n_nodes) if target is None else grid.flat_index(target)
     delta = multi(goal) - multi(grid.flat_index(source))
     wrapped = (delta + n_ax // 2) % n_ax - n_ax // 2  # per axis in [-n/2, n/2)
-    eig = np.linalg.eigvalsh(desc.riemannian_part())
+    eig = np.linalg.eigvalsh(desc.a)
     ratio = math.sqrt(eig[-1] / eig[0]) * reversibility(desc)
     radius = math.ceil(ratio * math.sqrt(grid.dim) / 2.0 + 0.5)
     k = np.arange(-radius, radius + 1)
@@ -285,19 +280,7 @@ def differential_field(u: ScalarField) -> CovectorField:
     return CovectorField(u.grid, _differential(u.grid, u.values))
 
 
-def degenerate_covectors(metric: MetricField, du: np.ndarray) -> np.ndarray:
-    """True where the differential ``du`` is degenerate relative to the field
-    scale: |du| <= EPS_DEGENERATE * length scale * max(1, max |du|)."""
-    mag = np.linalg.norm(du, axis=-1)
-    scale = max(1.0, float(np.max(mag, initial=0.0)))
-    return mag <= EPS_DEGENERATE * metric.descriptor.length_scale * scale
-
-
 def gradient_field(metric: MetricField, u: ScalarField) -> VectorField:
-    """Metric gradient: Legendre transform of the centered differential,
-    zero where it is degenerate (:func:`degenerate_covectors`)."""
-    du = _differential(u.grid, u.values)
-    grad = metric.descriptor.legendre(du)
-    grad[degenerate_covectors(metric, du)] = 0.0
-    return VectorField(u.grid, grad)
-
+    """Metric gradient: the Legendre map of the centered differential, zero
+    where it is degenerate."""
+    return VectorField(u.grid, metric.descriptor.legendre(_differential(u.grid, u.values)))

@@ -257,7 +257,8 @@ def verify_harnack(
 
     ``flow`` is either a recorded trajectory or a :class:`CallableFlow`;
     ``x1``/``x2`` are node indices (flat or per-axis). The separation is
-    the exact distance d_F(x2, x1), from x2 to x1 in that order.
+    the exact distance d_F(x2, x1), from x2 to x1 in that order. A bound
+    beyond double precision is a DomainError, not a failed pair.
     """
     if t2 <= t1:
         raise DomainError("need t1 < t2; equal-time pairs are vacuous")
@@ -275,11 +276,15 @@ def verify_harnack(
         bound = harnack_bound_lf(theta_descriptor(N, K, t1), d, t1, t2)
     else:
         raise DomainError(f"unknown mode {mode!r}")
+    if not math.isfinite(bound):
+        raise DomainError(
+            f"the {mode} Harnack bound at d = {d:g} on [{t1:g}, {t2:g}] overflows double precision"
+        )
     u1 = _sample(flow, f1, t1)
     u2 = _sample(flow, f2, t2)
     lhs = np.asarray([u1])
     rhs = np.asarray([bound * u2])
-    scale = max(abs(u1), abs(bound * u2) if math.isfinite(bound) else abs(u1), 1e-300)
+    scale = max(abs(u1), abs(bound * u2), 1e-300)
     meta = {
         "mode": mode,
         "x1": int(f1),

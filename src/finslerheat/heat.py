@@ -53,7 +53,6 @@ from .geometry import (
     ScalarField,
     _differential,
     _hessian_fields,
-    degenerate_covectors,
     differential_field,
 )
 from .metrics import MetricField
@@ -289,13 +288,14 @@ def weighted_laplacian(
     dt: float = 0.0,
 ) -> DiffusionAssembly:
     """Assemble the diffusion operator with the dual tensor g*(du) of the
-    frozen differential du. Degenerate nodes (``degenerate_covectors``) take
-    a^-1, the inverse of the Riemannian part; the assembly records their count.
+    frozen differential du. Degenerate nodes (``RandersNorm.degenerate_mask``)
+    take a^-1, the inverse of the Riemannian part; the assembly records their
+    count.
     """
     grid = metric.grid
     if measure.grid != grid or differential.grid != grid:
         raise ValueError("metric, measure and differential live on different grids")
-    mask = degenerate_covectors(metric, differential.values)
+    mask = metric.descriptor.degenerate_mask(differential.values)
     ginv = metric.descriptor.dual_tensor(differential.values, mask)
     rho = measure.density
     h_pow = grid.h ** (grid.dim - 2)
@@ -560,49 +560,40 @@ def bochner_residual(
     residual = A(F^2(grad u)/2) - d(Au)(grad u) - Hess f(grad u, grad u)
                - |Hess u|^2_HS
 
-    which is O(h^2) for smooth data. The slack field replaces the Hessian
-    norm by (Au)^2 / N and the drift term by its N-dimensional version; it
-    is bounded below by -O(h^2). Critical points of u need no guard: a
-    quadratic metric has g*(du) = a^-1 for every du, which is also what
-    the assembly uses where the differential vanishes.
+    which is O(h^2) for smooth data. F^2(grad u) = F*(du)^2 and grad u, the
+    Legendre map of du, come from the norm; the operator is applied to
+    F*(du)^2/2 once. The slack field replaces the Hessian norm by (Au)^2 / N
+    and the drift term by its N-dimensional version; it is bounded below by
+    -O(h^2). Critical points of u need no guard: a quadratic metric has
+    g*(du) = a^-1 for every du, which is also what the assembly uses where
+    the differential vanishes. N = dim with a varying weight is a
+    DomainError.
     """
     desc = metric.descriptor
     if desc.family not in ("euclidean", "riemannian"):
         raise UnsupportedFamily("commutation residual needs a quadratic metric")
     grid = u.grid
     n = grid.dim
-    if not (N >= n or math.isinf(N)):
+    if not N >= n:  # NaN fails too
         raise ValueError(f"need N >= dim = {n}")
-    a = desc.riemannian_part()
-    a_inv = np.linalg.inv(a)
-
     du = _differential(grid, u.values)
-    grad = du @ a_inv
-    fnorm = np.sqrt(np.einsum("ni,ij,nj->n", grad, a, grad))
-    scale = max(1.0, float(np.max(fnorm)))
-
+    fstar = desc.dual_norm(du)
+    grad = desc.legendre(du)
     assembly = weighted_laplacian(metric, measure, CovectorField(grid, du))
-    energy = 0.5 * np.einsum("ni,ij,nj->n", du, a_inv, du)
+    lap_energy = assembly.apply(0.5 * fstar**2)
     lap_u = assembly.apply(u.values)
     term_transport = np.einsum("ni,ni->n", _differential(grid, lap_u), grad)
-    hess_f = _hessian_fields(grid, measure.f)
-    ric_inf = np.einsum("nij,ni,nj->n", hess_f, grad, grad)
+    ric_inf = np.einsum("nij,ni,nj->n", _hessian_fields(grid, measure.f), grad, grad)
     hess_u = _hessian_fields(grid, u.values)
-    hs = np.einsum("ik,nkl,lj,nji->n", a_inv, hess_u, a_inv, hess_u)
-    residual = assembly.apply(energy) - term_transport - ric_inf - hs
+    hs = np.einsum("ik,nkl,lj,nji->n", desc.a_inv, hess_u, desc.a_inv, hess_u)
+    residual = lap_energy - term_transport - ric_inf - hs
 
     df_grad = np.einsum("ni,ni->n", _differential(grid, measure.f), grad)
-    if math.isinf(N):
-        inv_gap = 0.0
-    elif N == n:
-        if np.max(np.abs(df_grad)) > 1e-8 * scale:
-            raise ValueError("N equal to the dimension needs a constant weight")
-        inv_gap = 0.0
-    else:
-        inv_gap = 1.0 / (N - n)
-    ric_n = ric_inf - inv_gap * df_grad**2
-    lap_sq = 0.0 if math.isinf(N) else lap_u**2 / N
-    slack = assembly.apply(energy) - term_transport - ric_n - lap_sq
+    if N == n and np.max(np.abs(df_grad)) > 1e-8 * max(1.0, float(np.max(fstar))):
+        raise DomainError("N equal to the dimension needs a constant weight")
+    # both drift and dimension terms vanish at N = inf
+    ric_n = ric_inf - (0.0 if N == n else 1.0 / (N - n)) * df_grad**2
+    slack = lap_energy - term_transport - ric_n - lap_u**2 / N
     return BochnerResult(ScalarField(grid, residual), ScalarField(grid, slack))
 
 

@@ -371,9 +371,8 @@ def alpha_phi(
 class PsiEvaluator:
     """Concave envelope at fixed (N, K, t), K nonzero.
 
-    Defined on (-inf, x_max) with x_max = 1 + pi^2/(K t)^2; evaluation is
-    branch-free in the sign of K through the signed argument
-    w = (K t)^2 (x - 1).
+    Defined on (-inf, x_max) with x_max = 1 + pi^2/(K t)^2; psi and psi'
+    are G / t and G' / t for G, G' of :func:`_envelope_g` at kappa = K t.
     """
 
     N: float
@@ -397,15 +396,13 @@ class PsiEvaluator:
         if x >= self.x_max:
             raise DomainError(f"argument at or beyond the domain end {self.x_max:.6g}")
 
-    def _w(self, x: float) -> float:
-        self._check_domain(x)
-        return (self.K * self.t) ** 2 * (x - 1.0)
-
     def psi(self, x: float) -> float:
-        return 0.5 * self.K * (x - 2.0) + _t_kernel(self._w(x)) / self.t
+        self._check_domain(x)
+        return _envelope_g(self.K * self.t, x)[0] / self.t
 
     def psi_prime(self, x: float) -> float:
-        return 0.5 * self.K + self.K**2 * self.t * _t_kernel_prime(self._w(x))
+        self._check_domain(x)
+        return _envelope_g(self.K * self.t, x)[1] / self.t
 
     def psi_tilde(self, x: float) -> float:
         return self.psi(x) - self.K * x + 2.0 * self.K

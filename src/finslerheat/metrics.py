@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import UnsupportedFamily
 
-#: degeneracy threshold, scaled by the descriptor's length scale
+#: degeneracy threshold, relative to the length scale of ``a`` and the field
+#: scale (:meth:`RandersNorm.degenerate_mask`)
 EPS_DEGENERATE = 1e-12
 
 
@@ -69,14 +70,13 @@ class RandersNorm:
     def dim(self):
         return self.a.shape[0]
 
-    @property
-    def length_scale(self) -> float:
-        return float(np.sqrt(np.trace(self.a) / self.dim))
-
-    def degenerate_mask(self, y: np.ndarray) -> np.ndarray:
-        """True where ``y`` is numerically indistinguishable from zero."""
-        mag = np.linalg.norm(np.atleast_2d(y), axis=-1)
-        return (mag <= EPS_DEGENERATE * self.length_scale).reshape(np.shape(y)[:-1])
+    def degenerate_mask(self, xi: np.ndarray) -> np.ndarray:
+        """True where a covector of ``xi`` is degenerate relative to the field
+        scale: |xi| <= EPS_DEGENERATE * sqrt(tr a / dim) * max(1, max |xi|).
+        The one degeneracy rule, of the assembly and the Legendre map alike."""
+        mag = np.linalg.norm(xi, axis=-1)
+        length = float(np.sqrt(np.trace(self.a) / self.dim))
+        return mag <= EPS_DEGENERATE * length * max(1.0, float(np.max(mag, initial=0.0)))
 
     def norm(self, y):
         y = np.asarray(y, float)
@@ -100,20 +100,30 @@ class RandersNorm:
         r = np.sqrt(lam * q + m * m)
         return (r - m) / lam, r, m, xa
 
+    def _dual_gradient(self, xi):
+        """(F*(xi), r, s, grad F*(xi)), s and grad F* as lists of components.
+        With lam, m, r of :meth:`_dual_parts`, u = a^-1 xi and beta = a^-1 b,
+        grad r = s = (lam u + m beta)/r and grad F* = (s - beta)/lam: the one
+        expression for grad F*. NaN where xi = 0 (r = 0), without a warning."""
+        dim, lam, beta = self.dim, 1.0 - self.b_norm_sq, self.a_inv @ self.b
+        with np.errstate(invalid="ignore", divide="ignore"):
+            fstar, r, m, xa = self._dual_parts(xi)
+            # a^-1 is symmetric: u_i = sum_j xi_j a^-1_ji
+            s = [(lam * sum(xa[j, i] for j in range(dim)) + m * beta[i]) / r for i in range(dim)]
+            grad = [(s_i - beta_i) / lam for s_i, beta_i in zip(s, beta)]
+        return fstar, r, s, grad
+
     def dual_tensor(self, xi, mask) -> tuple[np.ndarray, ...]:
         """Components g*^ij(xi), i <= j in row-major order, of the Hessian of
         F*^2/2 at ``xi``: the inverse fundamental tensor at legendre(xi). With
-        lam, m, r of :meth:`_dual_parts`, u = a^-1 xi and beta = a^-1 b,
-        grad r = s = (lam u + m beta)/r and grad F* = (s - beta)/lam, so
-        g* = F*/(lam r) (lam a^-1 + beta beta^T - s s^T) + grad F* grad F*^T.
+        s and d = grad F* of :meth:`_dual_gradient`,
+        g* = F*/(lam r) (lam a^-1 + beta beta^T - s s^T) + d d^T.
         Rows flagged by ``mask`` get a^-1."""
-        dim, a_inv, lam, beta = self.dim, self.a_inv, 1.0 - self.b_norm_sq, self.a_inv @ self.b
-        upper = [(i, j) for i in range(dim) for j in range(i, dim)]
+        a_inv, lam, beta = self.a_inv, 1.0 - self.b_norm_sq, self.a_inv @ self.b
+        upper = [(i, j) for i in range(self.dim) for j in range(i, self.dim)]
+        fstar, r, s, d = self._dual_gradient(np.asarray(xi, float))
         with np.errstate(invalid="ignore", divide="ignore"):  # r = 0 where xi = 0
-            fstar, r, m, xa = self._dual_parts(np.asarray(xi, float))
-            # a^-1 is symmetric: u_i = sum_j xi_j a^-1_ji
-            s = [(lam * sum(xa[j, i] for j in range(dim)) + m * beta[i]) / r for i in range(dim)]
-            c, d = fstar / (lam * r), [(s_i - beta_i) / lam for s_i, beta_i in zip(s, beta)]
+            c = fstar / (lam * r)
             comps = [
                 c * ((lam * a_inv[i, j] + beta[i] * beta[j]) - s[i] * s[j]) + d[i] * d[j]
                 for i, j in upper
@@ -123,23 +133,12 @@ class RandersNorm:
         return tuple(comps)
 
     def legendre(self, xi):
-        """Closed form y = F*(xi) grad F*(xi), the gradient of F*^2/2.
-
-        With r = sqrt(lam q + m^2) from :meth:`_dual_parts`, grad F*(xi) =
-        ((lam a^-1 xi + m a^-1 b)/r - a^-1 b)/lam, which reduces to
-        a^-1 (xi - F*(xi) b)/r. Degenerate covectors map to 0.
-        """
+        """y = F*(xi) grad F*(xi), the gradient of F*^2/2, with grad F* from
+        :meth:`_dual_gradient`; 0 where :meth:`degenerate_mask` flags xi."""
         xi = np.asarray(xi, float)
-        fstar, r = self._dual_parts(xi)[:2]
-        tilted = np.einsum("ij,...j->...i", self.a_inv, xi - fstar[..., None] * self.b)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            y = (fstar / r)[..., None] * tilted
+        fstar, _, _, grad = self._dual_gradient(xi)
+        y = np.stack([fstar * g for g in grad], axis=-1)
         return np.where(self.degenerate_mask(xi)[..., None], 0.0, y)
-
-    def riemannian_part(self):
-        """The quadratic part ``a``; the assembly uses its inverse at
-        degenerate nodes."""
-        return self.a.copy()
 
 
 def RiemannianNorm(a) -> RandersNorm:
@@ -219,7 +218,3 @@ class MetricField:
             raise UnsupportedFamily(
                 f"descriptor dim {self.descriptor.dim} != grid dim {self.grid.dim}"
             )
-
-    @property
-    def dim(self) -> int:
-        return self.grid.dim

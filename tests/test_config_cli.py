@@ -865,6 +865,97 @@ def test_cli_malformed_or_non_finite_value_exits_two(tmp_path, capsys, block, na
     assert not (tmp_path / "runs").exists()
 
 
+#: GOOD on a 16^2 grid, where f = 745 (every node weight 0) once passed
+#: conservative and duality with a flow that never moved
+GOOD_2D = GOOD.replace("dim = 1", "dim = 2").replace("nodes = 32", "nodes = 16").replace(
+    "f = 0.2*cos(1)", "f = 0.2*cos(1, 0)"
+).replace("sin(1)", "sin(1, 1)")
+
+
+#: (grid dim, old, new, what the error line names): a non-finite number in
+#: a term, a sum that overflows, or node weights e^-f h^dim that vanish or
+#: overflow
+NON_FINITE_EXPRESSIONS = {
+    "u_nan": (1, "u = 1 + 0.5*sin(1)", "u = nan", "term 'nan'"),
+    "u_inf": (1, "u = 1 + 0.5*sin(1)", "u = inf", "term 'inf'"),
+    "u_sum_overflows": (1, "u = 1 + 0.5*sin(1)", "u = 1e308 + 1e308", "[initial] u"),
+    "f_inf": (1, "f = 0.2*cos(1)", "f = inf", "term 'inf'"),
+    "f_745": (1, "f = 0.2*cos(1)", "f = 745", "[measure] f"),
+    "f_minus_746": (1, "f = 0.2*cos(1)", "f = -746", "[measure] f"),
+    "f_coef_1e999": (1, "f = 0.2*cos(1)", "f = 1e999*cos(1)", "term '1e999*cos(1)'"),
+    "f_phase_1e999": (1, "f = 0.2*cos(1)", "f = cos(1, 1e999)", "term 'cos(1, 1e999)'"),
+    "f_mode_1e999": (1, "f = 0.2*cos(1)", "f = cos(1e999)", "term 'cos(1e999)'"),
+    "f_745_2d": (2, "f = 0.2*cos(1, 0)", "f = 745", "[measure] f"),
+    "f_nan_2d": (2, "f = 0.2*cos(1, 0)", "f = nan", "term 'nan'"),
+}
+
+
+@pytest.mark.parametrize(
+    "dim, old, new, named", NON_FINITE_EXPRESSIONS.values(), ids=list(NON_FINITE_EXPRESSIONS)
+)
+def test_cli_non_finite_expression_or_zero_weight_exits_two(
+    tmp_path, capsys, dim, old, new, named
+):
+    # a traceback from the banded factor in 1-d, and in 2-d a run whose node
+    # weights vanish or are NaN, which passed conservative and duality
+    path = write_ini(
+        tmp_path,
+        (GOOD if dim == 1 else GOOD_2D).replace(old, new),
+        f"[checks]\nnames = conservative, duality\n[output]\ndir = {tmp_path / 'runs'}\n",
+    )
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_cli_overflowing_harnack_bound_exits_two(tmp_path, capsys):
+    # the lf bound at d = 0.5 over [1e-5, 2e-5] is exp of about 6e3: once a
+    # FAIL with bound inf and worst residual -inf
+    path = write_ini(
+        tmp_path,
+        GOOD.replace("nodes = 32", "nodes = 64").replace(
+            "dt = 1e-3\n    t_final = 5e-3", "dt = 1e-5\n    t_final = 1e-4"
+        ),
+        f"""\
+        [checks]
+        names = harnack
+        N = 1
+        K = 0
+        harnack_pairs = 0,1e-5,32,2e-5
+        [output]
+        dir = {tmp_path / "runs"}
+        """,
+    )
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: check harnack: ") and err.count("\n") == 1
+    assert err.endswith("overflows double precision\n")
+
+
+def test_cli_bochner_at_n_equal_to_the_dimension_with_a_weight_exits_two(tmp_path, capsys):
+    # the drift term df(grad u)^2/(N - dim) has no room at N = dim: once an
+    # uncaught ValueError, exit 1
+    path = write_ini(
+        tmp_path,
+        GOOD_2D.replace("f = 0.2*cos(1, 0)", "f = 0.3*cos(1, 1)"),
+        f"""\
+        [metric]
+        family = riemannian
+        a = 1.0, 0.2, 0.8
+        [checks]
+        names = bochner
+        N = 2
+        K = 0
+        [output]
+        dir = {tmp_path / "runs"}
+        """,
+    )
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: check bochner: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "old, new, named",
     [
@@ -1086,6 +1177,17 @@ def test_readme_config_example_loads(tmp_path):
     assert config.harnack_pairs == ((3, 0.01, 20, 0.03), (5, 0.02, 9, 0.04))
     assert isinstance(config.descriptor, RandersNorm)
     assert config.descriptor.b == pytest.approx([0.3])
+
+
+def test_readme_config_example_passes_check(tmp_path, capsys):
+    # every value the docs show is accepted: the example's K = auto once
+    # exited 2, since auto refuses randers with a varying f
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        example = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+    path = write_ini(tmp_path, example)
+    assert main(["check", path, "--out", str(tmp_path / "out")]) == 0
+    assert "0 of 4 checks failed" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Profiles, coefficient pairs, the concave envelope, entropy checks."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -339,6 +340,33 @@ def test_positive_roots_stay_accurate_where_they_merge(kappa):
         r = kappa + gap
         assert gap * gap == pytest.approx(2.0 * kappa * 2.0 * r / math.expm1(2.0 * r), rel=1e-12)
     assert chi1 < 0.0 < chi2
+
+
+def _psi_reference(K: float, t: float, x: float) -> Decimal:
+    """psi = K (x - 2)/2 + r coth(r)/t, r = K t sqrt(1 - x), for K > 0 and
+    x < 1, in 80-digit decimal arithmetic from the exact binary inputs."""
+    K, t, x = Decimal(K), Decimal(t), Decimal(x)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        r = K * t * (1 - x).sqrt()
+        e = (2 * r).exp()
+        return K * (x - 2) / 2 + r * (e + 1) / (e - 1) / t
+
+
+@pytest.mark.parametrize("K", [3.0, 5.0, 20.0])
+@pytest.mark.parametrize("t", [1.0, 2.0])
+def test_psi_keeps_its_relative_accuracy_near_the_positive_zeros(K, t):
+    # between and beside the two zeros, which close in on 0 like e^-Kt, the
+    # value cancels three O(K) terms; psi reads the cancellation-free G of
+    # _envelope_g, and psi' its slope
+    ev = PsiEvaluator(3.0, K, t)
+    for chi in envelope_zeros(K, t):
+        for x in (0.5 * chi, 2.0 * chi, -3.0 * chi):
+            assert x < 1.0
+            want = _psi_reference(K, t, x)
+            assert abs(Decimal(ev.psi(x)) - want) <= Decimal(1e-12) * abs(want)
+            g, slope = liyau._envelope_g(K * t, x)
+            assert (ev.psi(x), ev.psi_prime(x)) == (g / t, slope / t)
 
 
 def test_linearize_rejects_out_of_domain_tangent():

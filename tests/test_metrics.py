@@ -341,6 +341,34 @@ def test_dual_tensor_is_the_inverse_tensor_at_the_legendre_image(desc, angle, ex
         assert comps[0].tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("desc", EINSUM_FAMILIES + PROPERTY_FAMILIES[-2:], ids=lambda d: d.family)
+def test_legendre_is_the_dual_tensor_applied_to_the_covector(desc):
+    # Euler: F*^2/2 is 2-homogeneous, so its gradient, the Legendre map, is
+    # its Hessian g* applied to xi
+    xi = random_vectors(desc, np.random.default_rng(23), count=50)
+    g_star = dual_matrix(desc.dual_tensor(xi, np.zeros(len(xi), bool)), desc.dim)
+    want = np.einsum("nij,nj->ni", g_star, xi)
+    got = desc.legendre(xi)
+    assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1))
+
+
+@pytest.mark.parametrize("desc", ALL_FAMILIES, ids=lambda d: d.family)
+def test_degenerate_mask_is_relative_to_the_field_scale(desc):
+    rng = np.random.default_rng(29)
+    xi = rng.standard_normal((6, desc.dim)) + 0.5
+    xi[0] *= 1e6
+    xi[[2, 4]] *= 1e-9  # far below the largest row, not below 1e-12
+    xi[5] = 0.0
+    mask = desc.degenerate_mask(xi)
+    assert np.flatnonzero(mask).tolist() == [2, 4, 5]
+    y = desc.legendre(xi)
+    assert np.all(y[mask] == 0.0) and np.all(np.linalg.norm(y[~mask], axis=1) > 0.0)
+    # one covector alone is its own scale: only |xi| <= 1e-12 length scale
+    for row in xi[[2, 4]]:
+        assert not desc.degenerate_mask(row) and np.any(desc.legendre(row) != 0.0)
+    assert desc.degenerate_mask(np.zeros(desc.dim))
+
+
 # ---------------------------------------------------------------------------
 # reversibility
 # ---------------------------------------------------------------------------
