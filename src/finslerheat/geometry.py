@@ -180,7 +180,7 @@ class CurvatureBound:
     provenance: str  # "analytic" or "sampled"
 
     def __post_init__(self):
-        if not (self.N >= 1 or math.isinf(self.N)):
+        if not self.N >= 1:  # NaN and -inf fail too
             raise ValueError("effective dimension must be >= 1 or inf")
 
 
@@ -221,7 +221,7 @@ def ricci_lower_bound(
     desc = metric.descriptor
     grid = metric.grid
     n = grid.dim
-    if not (N >= n or math.isinf(N)):
+    if not N >= n:  # NaN and -inf fail too
         raise ValueError(f"need N >= dim = {n}")
     f = measure.f
     f_constant = float(np.ptp(f)) <= 1e-13 * max(1.0, float(np.max(np.abs(f))))

@@ -18,7 +18,9 @@ are logged, never clamped.
 
 With non-negative edge weights the step (Sigma + dt L)^-1 Sigma is the inverse
 of an M-matrix: like the paper's linearised semigroup it is positive and
-conserves mass. Every step, in the solver and in transport alike, is one
+conserves mass. :attr:`Trajectory.certificate` reads that sign test from
+each recorded step's weights, and :attr:`Trajectory.kernel_floor` probes a
+step that fails it. Every step, in the solver and in transport alike, is one
 preconditioned measure-CG solve (see DiffusionAssembly.advance). In 1-d the
 preconditioner is the exact inverse of the step, from a banded Cholesky
 factor built once per assembly, and CG starts at its solution: one operator
@@ -61,6 +63,9 @@ from .reporting import DISCRETIZATION_C, InequalityReport, compare, write_json
 
 #: the one time scheme, as ``trajectory.json`` and the run manifest name it
 SCHEME = "implicit_euler"
+#: a step with a negative edge weight is probed by unit spikes at the
+#: endpoints of its this many most negative edges (Trajectory.kernel_floor)
+PROBE_EDGES = 16
 
 
 @dataclass
@@ -360,6 +365,27 @@ def heat_step(
     return ScalarField(u.grid, values), assembly
 
 
+@dataclass(frozen=True)
+class StepCertificate:
+    """The sign test of one recorded step's edge weights W.
+
+    ``negative_weights`` counts the negative stored entries of W, where each
+    edge is stored twice, and ``min_weight`` is its smallest entry, on the
+    edge between ``nodes``; ``time`` is the step's start.
+    """
+
+    step: int
+    time: float
+    negative_weights: int
+    min_weight: float
+    nodes: tuple[int, int]
+
+    @property
+    def certified(self) -> bool:
+        """W >= 0 on this step; a NaN weight certifies nothing."""
+        return self.min_weight >= 0.0
+
+
 @dataclass
 class Trajectory:
     """Recorded nonlinear flow: times, solution fields, step assemblies.
@@ -424,6 +450,52 @@ class Trajectory:
         for k in reversed(steps) if adjoint else steps:
             x = self.assemblies[k].advance(x)
         return x
+
+    @functools.cached_property
+    def certificate(self) -> list[StepCertificate]:
+        """One :class:`StepCertificate` per recorded step, read once from
+        its weights.
+
+        A step is S = (I + dt Sigma^-1 (D - W))^-1 with D = W 1. Where
+        W >= 0, the matrix inverted is a strictly diagonally dominant
+        Z-matrix, so S >= 0 entrywise, and S 1 = 1. With Sigma S symmetric,
+        every product of certified steps is then a Markov kernel, symmetric
+        in the measure: positive, order preserving and an L^p contraction
+        on every field and every span.
+        """
+        out = []
+        for k, assembly in enumerate(self.assemblies[: self.n_times - 1]):
+            w = assembly.weights
+            e = int(np.argmin(w.data))
+            row = int(np.searchsorted(w.indptr, e, side="right")) - 1
+            negative = int(np.count_nonzero(w.data < 0.0))
+            nodes = (row, int(w.indices[e]))
+            out.append(StepCertificate(k, assembly.time, negative, float(w.data[e]), nodes))
+        return out
+
+    @functools.cached_property
+    def kernel_floor(self) -> list[tuple[float, tuple[int, int]]]:
+        """Per recorded step, the smallest one-step kernel entry S[i, j] known
+        and (i, j). A certified step has S >= 0: 0 is its floor, located at
+        its smallest weight. On another step, unit spikes at the endpoints of
+        its :data:`PROBE_EDGES` most negative edges move through that step
+        alone, and the smallest entry of their images is taken."""
+        return [
+            (0.0, cert.nodes) if cert.certified else self._probe(cert.step)
+            for cert in self.certificate
+        ]
+
+    def _probe(self, step: int) -> tuple[float, tuple[int, int]]:
+        assembly = self.assemblies[step]
+        w = assembly.weights.tocoo()
+        upper = w.row < w.col
+        worst = np.argsort(w.data[upper], kind="stable")[:PROBE_EDGES]
+        nodes = np.unique(np.concatenate([w.row[upper][worst], w.col[upper][worst]]))
+        spikes = np.zeros((self.grid.n_nodes, nodes.size))
+        spikes[nodes, np.arange(nodes.size)] = 1.0
+        kernel = assembly.advance(spikes)
+        i, j = np.unravel_index(np.argmin(kernel), kernel.shape)
+        return float(kernel[i, j]), (int(i), int(nodes[j]))
 
     def grid_meta(self, **extra) -> dict:
         """The grid, step and metric family, then ``extra``, for reports."""

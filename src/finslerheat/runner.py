@@ -50,7 +50,8 @@ class RunManifest:
     wall_clock: dict = field(default_factory=dict)
     grid_meta: dict = field(default_factory=dict)
     #: health of each solver step: its time, the largest eigenvalue of the
-    #: frozen tensor and the count of degenerate-gradient nodes
+    #: frozen tensor, the count of degenerate-gradient nodes, and the count
+    #: of negative edge weights and the smallest one (Trajectory.certificate)
     solver_steps: list = field(default_factory=list)
 
     @property
@@ -78,17 +79,18 @@ def _resolve_curvature(config, metric, measure):
 
 
 class CheckContext:
-    """What a check reads: the config, the recorded run, the resolved K and
-    the one generator every random field is drawn from. Checks execute in
-    config order, so the stream of random fields is reproducible."""
+    """What a check reads: the config, the recorded run, the resolved K, the
+    entropy checks' test field phi and the one generator every random field
+    is drawn from. Checks execute in config order, so the stream of random
+    fields is reproducible."""
 
-    def __init__(self, config: ExperimentConfig, traj: Trajectory, K: float, rng):
+    def __init__(self, config: ExperimentConfig, traj: Trajectory, K: float, phi, rng):
         self.config = config
         self.traj = traj
         self.K = K
+        self.phi = phi
         self.rng = rng
         self.grid = traj.grid
-        self.phi = config.build_phi(self.grid)
         self.t_end = traj.times[-1]
 
     def rand_field(self) -> ScalarField:
@@ -208,8 +210,10 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
     """
     out = out_dir or config.out_dir
     os.makedirs(out, exist_ok=True)
-    _, metric, measure, u0 = build_problem(config)
+    grid, metric, measure, u0 = build_problem(config)
     K, prov = _resolve_curvature(config, metric, measure)
+    # a phi that is not finite on the grid exits before the solve
+    phi = config.build_phi(grid)
     clock: dict[str, float] = {}
     t0 = time.perf_counter()
     traj = solve_heat_flow(metric, measure, u0, config.t_final, config.dt)
@@ -226,11 +230,12 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
         k_provenance=prov,
         grid_meta=traj.grid_meta(scheme=SCHEME, n_violations_solve=len(traj.violations)),
         solver_steps=[
-            {"time": a.time, "kappa_max": a.kappa_max, "degenerate_nodes": a.degenerate_nodes}
-            for a in traj.assemblies
+            {"time": a.time, "kappa_max": a.kappa_max, "degenerate_nodes": a.degenerate_nodes,
+             "negative_weights": cert.negative_weights, "min_weight": cert.min_weight}
+            for a, cert in zip(traj.assemblies, traj.certificate)
         ],
     )
-    ctx = CheckContext(config, traj, K, np.random.default_rng(config.seed))
+    ctx = CheckContext(config, traj, K, phi, np.random.default_rng(config.seed))
     for name in config.checks:
         t0 = time.perf_counter()
         try:

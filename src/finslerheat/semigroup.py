@@ -6,7 +6,10 @@ self-adjoint in the measure inner product, so the adjoint semigroup is the
 same steps applied in reverse order; duality and the semigroup law are
 structural identities here, not numerical accidents. Every check takes the
 Trajectory and spans its whole record: P_{0,t} from its first time to its
-last.
+last. The four Markov checks (positivity, order bounds, contraction and
+Cauchy-Schwarz) hold for every field and every span once each step's kernel
+is nonnegative, so they read that from :attr:`Trajectory.certificate` and
+transport no field.
 
 All estimate checks follow one rule: quantities like F^2(grad u) are taken
 from the recorded assemblies (their carre du champ), those of log u through
@@ -17,13 +20,14 @@ every result.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .geometry import ZERO_CURVATURE, ScalarField, differential_field
-from .heat import Trajectory
+from .heat import PROBE_EDGES, Trajectory
 from .numerics import SOLVER_TOL, finite_exp, overflow_is_domain_error
 from .reporting import InequalityReport, compare, compare_discretized
 
@@ -60,12 +64,6 @@ def _reports(traj: Trajectory, rule: str, cases) -> list[InequalityReport]:
         compare(name, lhs, rhs, tol, rule, grid_meta=_meta(traj))
         for name, lhs, rhs, tol in cases
     ]
-
-
-def _lp_norm(values: np.ndarray, weights: np.ndarray, p: float) -> float:
-    if p == math.inf:
-        return float(np.max(np.abs(values)))
-    return float(np.sum(np.abs(values) ** p * weights) ** (1.0 / p))
 
 
 def check_conservative(traj: Trajectory) -> InequalityReport:
@@ -127,65 +125,61 @@ def check_semigroup_law(traj: Trajectory, g: ScalarField) -> InequalityReport:
     )
 
 
+def _markov_reports(traj: Trajectory, names: list[str]) -> list[InequalityReport]:
+    """One report under each of ``names``, all of the one per-step test
+    0 <= S[i, j] + SOLVER_TOL on each recorded step's smallest known kernel
+    entry (:attr:`Trajectory.kernel_floor`). The worst point names its step,
+    time and the kernel entry's two nodes, with their coordinates."""
+    certs, floors = traj.certificate, traj.kernel_floor
+    entries = np.array([entry for entry, _ in floors])
+    rule = (
+        f"{SOLVER_TOL:g} on one-step kernel entries; W >= 0 certifies a step, "
+        f"unit spikes at the ends of its {PROBE_EDGES} most negative edges probe another"
+    )
+    meta = _meta(traj, uncertified_steps=sum(not cert.certified for cert in certs))
+    report = compare("markov", np.zeros_like(entries), entries, SOLVER_TOL, rule, meta)
+    k = report.worst_location["index"]
+    nodes = list(floors[k][1])
+    where = {
+        "step": k,
+        "time": certs[k].time,
+        "nodes": nodes,
+        "coordinates": traj.grid.coordinates()[nodes].tolist(),
+    }
+    return [dataclasses.replace(report, name=name, worst_location=where) for name in names]
+
+
 def check_positivity(traj: Trajectory, g: list[ScalarField]) -> list[InequalityReport]:
-    """Strictly positive input stays strictly positive after transport.
+    """Strictly positive input stays strictly positive after transport, from
+    the per-step kernel floor: one report per field of ``g``.
 
     Anisotropic stencils can break the discrete minimum principle; failures
-    are reported with magnitude rather than clamped. ``g`` is a list of
-    fields, moved as one block with one report each.
+    are reported with magnitude rather than clamped.
     """
-    block = _block(g)
-    if np.min(block) <= 0.0:
+    if not np.min(_block(g)) > 0.0:  # NaN fails too
         raise DomainError("positivity check needs g > 0")
-    cases = (("positivity", -out, np.zeros_like(out), 0.0) for out in _moved(traj, block).T)
-    return _reports(traj, "strict: transported field must stay positive", cases)
+    return _markov_reports(traj, ["positivity"] * len(g))
 
 
 def check_contraction(traj: Trajectory, g: list[ScalarField]) -> list[InequalityReport]:
-    """L^p contraction ||P g||_p <= ||g||_p for p = 1, 2, inf.
-
-    ``g`` is a list of fields: each is transported once, in one block, and
-    reported for every exponent, fields outer.
-    """
-    block = _block(g)
-    sig = traj.measure.sigma
-    cases = []
-    for before, after in zip(block.T, _moved(traj, block).T):
-        for q in (1, 2, math.inf):
-            lhs, rhs = _lp_norm(after, sig, q), _lp_norm(before, sig, q)
-            tol = SOLVER_TOL * max(1.0, rhs)
-            cases.append((f"contraction-l{q}", np.array([lhs]), np.array([rhs]), tol))
-    return _reports(traj, f"{SOLVER_TOL:g} * norm scale", cases)
+    """L^p contraction ||P g||_p <= ||g||_p for p = 1, 2, inf, from the
+    per-step kernel floor: a report for every exponent of every field of
+    ``g``, fields outer."""
+    return _markov_reports(traj, [f"contraction-l{q}" for _ in g for q in (1, 2, math.inf)])
 
 
 def check_order_and_bounds(traj: Trajectory, g: list[ScalarField]) -> list[InequalityReport]:
-    """Transport maps each field's range [min g, max g] into itself up to
-    tolerance. ``g`` is a list of fields, moved as one block with one
-    report each."""
-    block = _block(g)
-    cases = []
-    for out, lo, hi in zip(_moved(traj, block).T, block.min(axis=0), block.max(axis=0)):
-        # one-sided residuals against both bounds, stacked
-        lhs = np.concatenate([lo - out, out - hi])
-        tol = SOLVER_TOL * max(1.0, abs(lo), abs(hi))
-        cases.append(("order-bounds", lhs, np.zeros_like(lhs), tol))
-    return _reports(traj, f"{SOLVER_TOL:g} * bound scale", cases)
+    """Transport maps each field's range [min g, max g] into itself, from
+    the per-step kernel floor: one report per field of ``g``."""
+    return _markov_reports(traj, ["order-bounds"] * len(g))
 
 
 def check_cauchy_schwarz(
     traj: Trajectory, f: list[ScalarField], g: list[ScalarField]
 ) -> list[InequalityReport]:
-    """Pointwise (P fg)^2 <= P(f^2) P(g^2). ``f`` and ``g`` are equal-length
-    lists of fields; the three transported columns of every pair move as
-    one block, with one report per pair."""
-    fs, gs = _block(f), _block(g)
-    moved = np.hsplit(_moved(traj, np.hstack([fs * gs, fs**2, gs**2])), 3)
-    cases = []
-    for pf, p2f, p2g in zip(*(block.T for block in moved)):
-        lhs, rhs = pf**2, p2f * p2g
-        scale = max(1.0, float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))))
-        cases.append(("cauchy-schwarz", lhs, rhs, SOLVER_TOL * scale))
-    return _reports(traj, f"{SOLVER_TOL:g} * field scale", cases)
+    """Pointwise (P fg)^2 <= P(f^2) P(g^2), from the per-step kernel floor:
+    one report per pair of the equal-length lists ``f`` and ``g``."""
+    return _markov_reports(traj, ["cauchy-schwarz"] * len(f))
 
 
 def variance_identity(traj: Trajectory, f: list[ScalarField]) -> list[InequalityReport]:

@@ -432,6 +432,8 @@ def test_manifest_records_solver_health_per_step(tmp_path):
         assert step["time"] == pytest.approx(k * config.dt)
         assert step["degenerate_nodes"] >= 0
         assert math.isfinite(step["kappa_max"]) and step["kappa_max"] > 0.0
+        # every 1-d weight is positive: each step is certified
+        assert step["negative_weights"] == 0 and step["min_weight"] > 0.0
 
 
 def test_run_is_deterministic_for_a_fixed_config(tmp_path):
@@ -1074,6 +1076,19 @@ def test_cli_huge_finite_entropy_time_exits_two(tmp_path, capsys):
     assert main(["check", path]) == 2
     err = capsys.readouterr().err
     assert err == "error: check exp_entropy: time 1e+308 not on the recorded grid\n"
+
+
+def test_cli_non_finite_phi_exits_two_before_the_solve(tmp_path, capsys):
+    # phi was evaluated on the grid only when the checks started, after the
+    # solve had written fields/
+    out = tmp_path / "runs"
+    block = "[checks]\nnames = exp_entropy\nN = 2\nK = 0\nphi = 1e308 + 1e308\n"
+    path = write_ini(tmp_path, GOOD, block, f"[output]\ndir = {out}\n")
+    assert main(["check", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "[checks] phi" in err
+    assert not (out / "fields").exists()
 
 
 @pytest.mark.parametrize("check, K", [("exp_entropy", "0"), ("weak_logsob", "-0.5")])

@@ -247,6 +247,19 @@ def test_ricci_euclidean_1d_is_the_closed_form():
 def test_curvature_bound_type_guard():
     with pytest.raises(ValueError):
         CurvatureBound(0.5, 0.0, "analytic")
+    with pytest.raises(ValueError):
+        CurvatureBound(-math.inf, 0.0, "analytic")
+
+
+def test_ricci_rejects_minus_infinite_dimension():
+    # N = -inf once passed the guard and returned a sampled bound with
+    # N = -inf; N = +inf is the unbounded dimension and still works
+    metric = euclid_metric(64)
+    measure = MeasureField.from_log_density(metric.grid, lambda x: 0.3 * math.cos(2 * math.pi * x))
+    with pytest.raises(ValueError):
+        ricci_lower_bound(metric, measure, -math.inf)
+    out = ricci_lower_bound(metric, measure, math.inf)
+    assert out.N == math.inf and math.isfinite(out.K)
 
 
 # ---------------------------------------------------------------------------

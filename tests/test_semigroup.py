@@ -223,6 +223,8 @@ def test_positivity_rejects_nonpositive_input(euclid_traj):
     g = ScalarField(euclid_traj.grid, np.sin(2 * math.pi * x))
     with pytest.raises(DomainError):
         check_positivity(euclid_traj, [g])
+    with pytest.raises(DomainError):
+        check_positivity(euclid_traj, [ScalarField(euclid_traj.grid, np.full(64, np.nan))])
 
 
 def one_step_run(weight_78):
@@ -250,14 +252,102 @@ def one_step_run(weight_78):
 
 def test_positivity_fails_on_a_negative_edge_weight():
     # negative control: a negative edge weight breaks the minimum principle,
-    # and the check must say so; the same run with the weight positive passes
+    # and the check must say so; the same run with the weight positive passes.
+    # The probe finds the step's smallest kernel entry, between the ends of
+    # the negative edge
     traj, g = one_step_run(-0.2)
     (rep,) = check_positivity(traj, [g])
     assert not rep.passed
-    assert rep.worst_residual == pytest.approx(0.0104, abs=1e-4)
+    assert rep.worst_residual == pytest.approx(0.0114, abs=1e-4)
+    assert abs(rep.worst_residual + dense_step_kernel(traj.assemblies[0]).min()) <= 1e-15
+    assert rep.worst_location["step"] == 0 and sorted(rep.worst_location["nodes"]) == [7, 8]
     traj, g = one_step_run(1.0)
     (rep,) = check_positivity(traj, [g])
     assert rep.passed and rep.n_violations == 0
+
+
+def dense_step_kernel(assembly):
+    """The one-step kernel (I + dt Sigma^-1 (D - W))^-1 as a dense inverse,
+    independent of the CG solve."""
+    n = assembly.degree.size
+    lap = np.diag(assembly.degree) - assembly.weights.toarray()
+    return np.linalg.inv(np.eye(n) + (assembly.dt / assembly.sigma)[:, None] * lap)
+
+
+def randers_2d_run(nodes, a, b, dt, t_final):
+    """The 2-d workloads' initial field under the Randers metric (a, b)."""
+    grid = TorusGrid(2, nodes)
+    x, y = grid.coordinates().T
+    u0 = 1.0 + 0.4 * np.sin(2 * math.pi * x + 0.3) + 0.2 * np.cos(2 * math.pi * (x + y))
+    metric = MetricField(grid, RandersNorm(np.array(a), np.array(b)))
+    return solve_heat_flow(metric, MeasureField.lebesgue(grid), ScalarField(grid, u0), t_final, dt)
+
+
+def markov_reports(traj):
+    """Every report of the four Markov checks on two positive fields."""
+    rng = np.random.default_rng(17)
+    g = [ScalarField(traj.grid, np.exp(0.3 * rng.standard_normal(traj.grid.n_nodes)))
+         for _ in range(2)]
+    return [
+        *check_positivity(traj, g),
+        *check_order_and_bounds(traj, g),
+        *check_contraction(traj, g),
+        *check_cauchy_schwarz(traj, g, g),
+    ]
+
+
+def test_markov_checks_fail_on_an_anisotropic_step_at_its_kernel_minimum():
+    # a = (0.5, 0.9, 2.0), b = (0.1, 0.1) at 32^2: a quarter of the weights
+    # are negative, and one step's kernel has entries down to -7.5057e-4,
+    # which the probe finds to round-off and every Markov check names
+    traj = randers_2d_run(32, [[0.5, 0.9], [0.9, 2.0]], [0.1, 0.1], 5e-4, 5e-4)
+    (cert,) = traj.certificate
+    assert not cert.certified and cert.negative_weights == 2048
+    kernel = dense_step_kernel(traj.assemblies[0])
+    worst = np.unravel_index(np.argmin(kernel), kernel.shape)
+    assert kernel.min() == pytest.approx(-7.5057e-4, abs=1e-8)
+    reports = markov_reports(traj)
+    assert len(reports) == 2 + 2 + 6 + 2
+    coords = traj.grid.coordinates()
+    for rep in reports:
+        assert not rep.passed and rep.n_violations == 1
+        assert abs(rep.worst_residual + kernel.min()) <= 1e-14
+        where = rep.worst_location
+        assert where["step"] == 0 and where["time"] == 0.0
+        assert sorted(where["nodes"]) == sorted(map(int, worst))
+        assert where["coordinates"] == coords[where["nodes"]].tolist()
+
+
+def test_markov_checks_on_certified_steps_transport_nothing(monkeypatch):
+    # the workloads' Randers metric at 16^2: no negative weight, so every
+    # one-step kernel is nonnegative, and the checks pass from the
+    # certificate alone
+    traj = randers_2d_run(16, [[1.0, 0.2], [0.2, 0.8]], [0.3, 0.1], 1e-3, 5e-3)
+    assert all(c.certified and c.negative_weights == 0 for c in traj.certificate)
+    for assembly in traj.assemblies:
+        assert dense_step_kernel(assembly).min() >= 0.0
+
+    def no_transport(*_):
+        raise AssertionError("a certified step needs no transport")
+
+    monkeypatch.setattr(DiffusionAssembly, "advance", no_transport)
+    for rep in markov_reports(traj):
+        assert rep.passed and rep.worst_residual == 0.0
+        assert rep.grid_meta["uncertified_steps"] == 0
+
+
+def test_certificate_reads_each_recorded_step_once():
+    # every 1-d weight is a product of positive face averages; a final-time
+    # assembly built for a check is no recorded step
+    grid = TorusGrid(1, 16)
+    metric = MetricField(grid, EuclideanNorm(1))
+    traj = solve_heat_flow(metric, MeasureField.lebesgue(grid), positive_sine(grid), 5e-3, 1e-3)
+    traj.assembly_at(traj.n_times - 1)
+    certs = traj.certificate
+    assert [c.step for c in certs] == list(range(traj.n_times - 1))
+    assert all(c.certified and c.min_weight > 0.0 for c in certs)
+    assert [c.time for c in certs] == traj.times[:-1]
+    assert traj.certificate is certs
 
 
 @pytest.mark.parametrize("p", [1, 2, math.inf])
