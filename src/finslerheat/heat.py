@@ -19,7 +19,7 @@ are logged, never clamped.
 With non-negative edge weights the step (Sigma + dt L)^-1 Sigma is the inverse
 of an M-matrix: like the paper's linearised semigroup it is positive and
 conserves mass. :attr:`Trajectory.certificate` reads that sign test from
-each recorded step's weights, and :attr:`Trajectory.kernel_floor` probes a
+each recorded step's weights, and :attr:`Trajectory.kernel_probe` probes a
 step that fails it. Every step, in the solver and in transport alike, is one
 preconditioned measure-CG solve (see DiffusionAssembly.advance). In 1-d the
 preconditioner is the exact inverse of the step, from a banded Cholesky
@@ -64,8 +64,9 @@ from .reporting import DISCRETIZATION_C, InequalityReport, compare, write_json
 #: the one time scheme, as ``trajectory.json`` and the run manifest name it
 SCHEME = "implicit_euler"
 #: a step with a negative edge weight is probed by unit spikes at the
-#: endpoints of its this many most negative edges (Trajectory.kernel_floor)
-PROBE_EDGES = 16
+#: endpoints of its this many edges of most negative first-order kernel
+#: entry, dt W[i, j] / sigma_i (Trajectory.kernel_probe)
+PROBE_EDGES = 4
 
 
 @dataclass
@@ -369,9 +370,9 @@ def heat_step(
 class StepCertificate:
     """The sign test of one recorded step's edge weights W.
 
-    ``negative_weights`` counts the negative stored entries of W, where each
-    edge is stored twice, and ``min_weight`` is its smallest entry, on the
-    edge between ``nodes``; ``time`` is the step's start.
+    ``negative_weights`` counts the edges of negative weight, each once, and
+    ``min_weight`` is the smallest weight, on the edge between ``nodes``;
+    ``time`` is the step's start.
     """
 
     step: int
@@ -384,6 +385,26 @@ class StepCertificate:
     def certified(self) -> bool:
         """W >= 0 on this step; a NaN weight certifies nothing."""
         return self.min_weight >= 0.0
+
+
+@dataclass(frozen=True)
+class KernelProbe:
+    """What is known of one recorded step's kernel S: ``floor`` = S[nodes],
+    its smallest entry known, and ``gain`` = ||S e_j|| / ||e_j||, its
+    largest measure-L^2 gain known, on the unit spike e_j at node ``spike``.
+
+    A certified step is ``proven``: S >= 0, and as a Markov kernel symmetric
+    in the measure ||S|| <= 1, so the floor 0 and the gain 1 are bounds of
+    the whole kernel. On another step both are read from probed spikes: a
+    floor below 0 or a gain above 1 is a true violation, but a probe that
+    finds none proves nothing.
+    """
+
+    floor: float
+    nodes: tuple[int, int]
+    gain: float
+    spike: int
+    proven: bool
 
 
 @dataclass
@@ -468,34 +489,45 @@ class Trajectory:
             w = assembly.weights
             e = int(np.argmin(w.data))
             row = int(np.searchsorted(w.indptr, e, side="right")) - 1
-            negative = int(np.count_nonzero(w.data < 0.0))
+            rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
+            negative = int(np.count_nonzero((w.data < 0.0) & (rows < w.indices)))
             nodes = (row, int(w.indices[e]))
             out.append(StepCertificate(k, assembly.time, negative, float(w.data[e]), nodes))
         return out
 
     @functools.cached_property
-    def kernel_floor(self) -> list[tuple[float, tuple[int, int]]]:
-        """Per recorded step, the smallest one-step kernel entry S[i, j] known
-        and (i, j). A certified step has S >= 0: 0 is its floor, located at
-        its smallest weight. On another step, unit spikes at the endpoints of
-        its :data:`PROBE_EDGES` most negative edges move through that step
-        alone, and the smallest entry of their images is taken."""
+    def kernel_probe(self) -> list[KernelProbe]:
+        """One :class:`KernelProbe` per recorded step. A certified step is
+        proven, located at its smallest weight. On another step, unit spikes
+        at the endpoints of its :data:`PROBE_EDGES` edges of most negative
+        first-order kernel entry move through that step alone, and the
+        smallest entry and the largest gain of their images are taken."""
         return [
-            (0.0, cert.nodes) if cert.certified else self._probe(cert.step)
+            KernelProbe(0.0, cert.nodes, 1.0, cert.nodes[1], True)
+            if cert.certified
+            else self._probe(cert.step)
             for cert in self.certificate
         ]
 
-    def _probe(self, step: int) -> tuple[float, tuple[int, int]]:
+    def _probe(self, step: int) -> KernelProbe:
         assembly = self.assemblies[step]
-        w = assembly.weights.tocoo()
+        sigma, w = assembly.sigma, assembly.weights.tocoo()
         upper = w.row < w.col
-        worst = np.argsort(w.data[upper], kind="stable")[:PROBE_EDGES]
-        nodes = np.unique(np.concatenate([w.row[upper][worst], w.col[upper][worst]]))
+        rows, cols = w.row[upper], w.col[upper]
+        # S[i, j] = dt W[i, j] / sigma_i to first order in dt: of an edge's
+        # two entries, the one in the lighter node's row is the lower
+        first_order = w.data[upper] / np.minimum(sigma[rows], sigma[cols])
+        worst = np.argsort(first_order, kind="stable")[:PROBE_EDGES]
+        nodes = np.unique(np.concatenate([rows[worst], cols[worst]]))
         spikes = np.zeros((self.grid.n_nodes, nodes.size))
         spikes[nodes, np.arange(nodes.size)] = 1.0
         kernel = assembly.advance(spikes)
         i, j = np.unravel_index(np.argmin(kernel), kernel.shape)
-        return float(kernel[i, j]), (int(i), int(nodes[j]))
+        gains = np.sqrt(sigma @ kernel**2 / sigma[nodes])
+        g = int(np.argmax(gains))
+        return KernelProbe(
+            float(kernel[i, j]), (int(i), int(nodes[j])), float(gains[g]), int(nodes[g]), False
+        )
 
     def grid_meta(self, **extra) -> dict:
         """The grid, step and metric family, then ``extra``, for reports."""

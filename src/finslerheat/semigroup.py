@@ -8,7 +8,7 @@ structural identities here, not numerical accidents. Every check takes the
 Trajectory and spans its whole record: P_{0,t} from its first time to its
 last. The four Markov checks (positivity, order bounds, contraction and
 Cauchy-Schwarz) hold for every field and every span once each step's kernel
-is nonnegative, so they read that from :attr:`Trajectory.certificate` and
+is nonnegative, so they read that from :attr:`Trajectory.kernel_probe` and
 transport no field.
 
 All estimate checks follow one rule: quantities like F^2(grad u) are taken
@@ -125,28 +125,56 @@ def check_semigroup_law(traj: Trajectory, g: ScalarField) -> InequalityReport:
     )
 
 
-def _markov_reports(traj: Trajectory, names: list[str]) -> list[InequalityReport]:
-    """One report under each of ``names``, all of the one per-step test
-    0 <= S[i, j] + SOLVER_TOL on each recorded step's smallest known kernel
-    entry (:attr:`Trajectory.kernel_floor`). The worst point names its step,
-    time and the kernel entry's two nodes, with their coordinates."""
-    certs, floors = traj.certificate, traj.kernel_floor
-    entries = np.array([entry for entry, _ in floors])
-    rule = (
-        f"{SOLVER_TOL:g} on one-step kernel entries; W >= 0 certifies a step, "
-        f"unit spikes at the ends of its {PROBE_EDGES} most negative edges probe another"
+def _markov_report(traj: Trajectory, what: str, lhs, rhs, nodes) -> InequalityReport:
+    """The per-step test lhs <= rhs + SOLVER_TOL of :attr:`Trajectory.
+    kernel_probe`, stating ``what`` it tests. Its worst point names the step,
+    its time and that step's ``nodes``, with their coordinates; its meta
+    counts the uncertified steps and, of those, the unproven ones, whose
+    probe found no violation."""
+    certs, probes = traj.certificate, traj.kernel_probe
+    lhs, rhs = np.array(lhs), np.array(rhs)
+    with np.errstate(invalid="ignore"):
+        held = lhs - rhs <= SOLVER_TOL
+    meta = _meta(
+        traj,
+        uncertified_steps=sum(not p.proven for p in probes),
+        unproven_steps=int(sum(ok and not p.proven for ok, p in zip(held, probes))),
     )
-    meta = _meta(traj, uncertified_steps=sum(not cert.certified for cert in certs))
-    report = compare("markov", np.zeros_like(entries), entries, SOLVER_TOL, rule, meta)
+    rule = (
+        f"{SOLVER_TOL:g} on {what}; W >= 0 proves a step, and unit spikes at the ends "
+        f"of its {PROBE_EDGES} most negative first-order kernel entries test another, "
+        "which can find a violation but prove none (unproven_steps)"
+    )
+    report = compare("markov", lhs, rhs, SOLVER_TOL, rule, meta)
     k = report.worst_location["index"]
-    nodes = list(floors[k][1])
+    located = list(nodes[k])
     where = {
         "step": k,
         "time": certs[k].time,
-        "nodes": nodes,
-        "coordinates": traj.grid.coordinates()[nodes].tolist(),
+        "nodes": located,
+        "coordinates": traj.grid.coordinates()[located].tolist(),
     }
-    return [dataclasses.replace(report, name=name, worst_location=where) for name in names]
+    return dataclasses.replace(report, worst_location=where)
+
+
+def _markov_reports(traj: Trajectory, names: list[str]) -> list[InequalityReport]:
+    """One report under each of ``names``: ``contraction-l2`` bounds each
+    recorded step's measure-L^2 gain by 1; every other name, each a
+    property of a Markov kernel that one negative entry breaks, tests
+    0 <= S[i, j] on each step's smallest kernel entry known."""
+    probes = traj.kernel_probe
+    floors = [p.floor for p in probes]
+    gains = [p.gain for p in probes]
+    entry = _markov_report(
+        traj, "one-step kernel entries", np.zeros_like(floors), floors, [p.nodes for p in probes]
+    )
+    gain = _markov_report(
+        traj, "one-step L^2 gains", gains, np.ones_like(gains), [(p.spike,) for p in probes]
+    )
+    return [
+        dataclasses.replace(gain if name == "contraction-l2" else entry, name=name)
+        for name in names
+    ]
 
 
 def check_positivity(traj: Trajectory, g: list[ScalarField]) -> list[InequalityReport]:
@@ -162,9 +190,9 @@ def check_positivity(traj: Trajectory, g: list[ScalarField]) -> list[InequalityR
 
 
 def check_contraction(traj: Trajectory, g: list[ScalarField]) -> list[InequalityReport]:
-    """L^p contraction ||P g||_p <= ||g||_p for p = 1, 2, inf, from the
-    per-step kernel floor: a report for every exponent of every field of
-    ``g``, fields outer."""
+    """L^p contraction ||P g||_p <= ||g||_p for p = 1, 2, inf: p = 1 and inf
+    from the per-step kernel floor, p = 2 from the per-step L^2 gain. A
+    report for every exponent of every field of ``g``, fields outer."""
     return _markov_reports(traj, [f"contraction-l{q}" for _ in g for q in (1, 2, math.inf)])
 
 

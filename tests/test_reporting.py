@@ -158,7 +158,8 @@ def _uncertified_run():
     grid = TorusGrid(2, 16)
     x, y = grid.coordinates().T
     u0 = 1.0 + 0.4 * np.sin(2 * math.pi * x + 0.3) + 0.2 * np.cos(2 * math.pi * (x + y))
-    metric = MetricField(grid, RandersNorm(np.array([[0.5, 0.9], [0.9, 2.0]]), np.array([0.1, 0.1])))
+    norm = RandersNorm(np.array([[0.5, 0.9], [0.9, 2.0]]), np.array([0.1, 0.1]))
+    metric = MetricField(grid, norm)
     traj = solve_heat_flow(metric, MeasureField.lebesgue(grid), ScalarField(grid, u0), 2e-3, 1e-3)
     assert not any(cert.certified for cert in traj.certificate)
     return traj

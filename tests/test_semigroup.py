@@ -274,13 +274,15 @@ def dense_step_kernel(assembly):
     return np.linalg.inv(np.eye(n) + (assembly.dt / assembly.sigma)[:, None] * lap)
 
 
-def randers_2d_run(nodes, a, b, dt, t_final):
-    """The 2-d workloads' initial field under the Randers metric (a, b)."""
+def randers_2d_run(nodes, a, b, dt, t_final, f=None):
+    """The 2-d workloads' initial field under the Randers metric (a, b), on
+    the measure e^-f dx of the log-density f(x), Lebesgue by default."""
     grid = TorusGrid(2, nodes)
     x, y = grid.coordinates().T
     u0 = 1.0 + 0.4 * np.sin(2 * math.pi * x + 0.3) + 0.2 * np.cos(2 * math.pi * (x + y))
     metric = MetricField(grid, RandersNorm(np.array(a), np.array(b)))
-    return solve_heat_flow(metric, MeasureField.lebesgue(grid), ScalarField(grid, u0), t_final, dt)
+    measure = MeasureField.lebesgue(grid) if f is None else MeasureField(grid, f(x))
+    return solve_heat_flow(metric, measure, ScalarField(grid, u0), t_final, dt)
 
 
 def markov_reports(traj):
@@ -296,18 +298,28 @@ def markov_reports(traj):
     ]
 
 
+def measure_l2_norm(assembly, kernel):
+    """The operator norm of ``kernel`` in L^2 of the step's measure."""
+    root = np.sqrt(assembly.sigma)
+    return np.linalg.norm(root[:, None] * kernel / root[None, :], 2)
+
+
+ANISOTROPIC = [[0.5, 0.9], [0.9, 2.0]], [0.1, 0.1]
+
+
 def test_markov_checks_fail_on_an_anisotropic_step_at_its_kernel_minimum():
-    # a = (0.5, 0.9, 2.0), b = (0.1, 0.1) at 32^2: a quarter of the weights
-    # are negative, and one step's kernel has entries down to -7.5057e-4,
-    # which the probe finds to round-off and every Markov check names
-    traj = randers_2d_run(32, [[0.5, 0.9], [0.9, 2.0]], [0.1, 0.1], 5e-4, 5e-4)
+    # a = (0.5, 0.9, 2.0), b = (0.1, 0.1) at 32^2: a quarter of the edges
+    # have negative weight, and one step's kernel has entries down to
+    # -7.5057e-4, which the probe finds to round-off and every check of a
+    # Markov property that one negative entry breaks names
+    traj = randers_2d_run(32, *ANISOTROPIC, 5e-4, 5e-4)
     (cert,) = traj.certificate
-    assert not cert.certified and cert.negative_weights == 2048
+    assert not cert.certified and cert.negative_weights == 1024
     kernel = dense_step_kernel(traj.assemblies[0])
     worst = np.unravel_index(np.argmin(kernel), kernel.shape)
     assert kernel.min() == pytest.approx(-7.5057e-4, abs=1e-8)
-    reports = markov_reports(traj)
-    assert len(reports) == 2 + 2 + 6 + 2
+    reports = [rep for rep in markov_reports(traj) if rep.name != "contraction-l2"]
+    assert len(reports) == 2 + 2 + 4 + 2
     coords = traj.grid.coordinates()
     for rep in reports:
         assert not rep.passed and rep.n_violations == 1
@@ -316,6 +328,60 @@ def test_markov_checks_fail_on_an_anisotropic_step_at_its_kernel_minimum():
         assert where["step"] == 0 and where["time"] == 0.0
         assert sorted(where["nodes"]) == sorted(map(int, worst))
         assert where["coordinates"] == coords[where["nodes"]].tolist()
+        assert rep.grid_meta["uncertified_steps"] == 1 and rep.grid_meta["unproven_steps"] == 0
+
+
+def test_l2_contraction_holds_on_a_step_with_negative_kernel_entries():
+    # the step of the anisotropic negative control is self-adjoint in the
+    # measure with D - W positive semidefinite, so its L^2 norm is 1 although
+    # entries are negative: contraction-l2 passes there, on the spikes' gain,
+    # and says that the probe proved nothing
+    traj = randers_2d_run(32, *ANISOTROPIC, 5e-4, 5e-4)
+    assembly = traj.assemblies[0]
+    assert measure_l2_norm(assembly, dense_step_kernel(assembly)) <= 1.0 + 1e-12
+    (probe,) = traj.kernel_probe
+    assert not probe.proven and 0.0 < probe.gain < 1.0
+    l2 = [rep for rep in markov_reports(traj) if rep.name == "contraction-l2"]
+    assert len(l2) == 2
+    for rep in l2:
+        assert rep.passed and rep.worst_residual == probe.gain - 1.0
+        assert rep.worst_location["step"] == 0 and rep.worst_location["nodes"] == [probe.spike]
+        assert rep.grid_meta["unproven_steps"] == 1
+        assert "prove none" in rep.tolerance_rule
+
+
+def test_probe_finds_true_kernel_entries_on_variable_coefficient_steps():
+    # on the measure e^-f with f = 0.5 cos(2 pi x) the weights and the node
+    # weights vary; the probe ranks edges by their first-order kernel entry
+    # dt W[i, j] / sigma_i. At 32^2 it finds the dense kernel's minimum; at
+    # 16^2 the minimum sits off the probed columns, and the probe's floor is
+    # a true, negative entry above it
+    def f(x):
+        return 0.5 * np.cos(2 * math.pi * x)
+
+    for nodes, dt, gap in ((32, 5e-4, 0.0), (16, 1e-3, 7.508e-5)):
+        traj = randers_2d_run(nodes, *ANISOTROPIC, dt, dt, f)
+        (probe,) = traj.kernel_probe
+        kernel = dense_step_kernel(traj.assemblies[0])
+        assert abs(probe.floor - kernel[probe.nodes]) <= 1e-15
+        assert probe.floor < -1e-3 if nodes == 16 else probe.floor < -7e-4
+        assert probe.floor - kernel.min() == pytest.approx(gap, abs=1e-8)
+        (rep,) = check_positivity(traj, [ScalarField(traj.grid, np.ones(traj.grid.n_nodes))])
+        assert not rep.passed and rep.worst_residual == -probe.floor
+
+
+def test_a_probe_without_a_violation_proves_nothing():
+    # a = (0.5, 0.6, 2.0) at 16^2 makes a quarter of the edge weights
+    # negative, yet the step's dense kernel is positive: every check passes, and each
+    # report counts the step as unproven
+    traj = randers_2d_run(16, [[0.5, 0.6], [0.6, 2.0]], [0.1, 0.1], 1e-3, 1e-3)
+    (cert,) = traj.certificate
+    assert not cert.certified and cert.negative_weights == 252
+    kernel = dense_step_kernel(traj.assemblies[0])
+    assert kernel.min() > 0.0
+    for rep in markov_reports(traj):
+        assert rep.passed
+        assert rep.grid_meta["uncertified_steps"] == rep.grid_meta["unproven_steps"] == 1
 
 
 def test_markov_checks_on_certified_steps_transport_nothing(monkeypatch):
@@ -333,7 +399,7 @@ def test_markov_checks_on_certified_steps_transport_nothing(monkeypatch):
     monkeypatch.setattr(DiffusionAssembly, "advance", no_transport)
     for rep in markov_reports(traj):
         assert rep.passed and rep.worst_residual == 0.0
-        assert rep.grid_meta["uncertified_steps"] == 0
+        assert rep.grid_meta["uncertified_steps"] == rep.grid_meta["unproven_steps"] == 0
 
 
 def test_certificate_reads_each_recorded_step_once():
