@@ -22,7 +22,7 @@ conserves mass. :attr:`Trajectory.certificate` reads that sign test from
 each recorded step's weights, and :attr:`Trajectory.kernel_probe` probes a
 step that fails it. Every step, in the solver and in transport alike, is one
 preconditioned measure-CG solve (see DiffusionAssembly.advance). In 1-d the
-preconditioner is the exact inverse of the step, from a banded Cholesky
+preconditioner is the exact inverse of the step, from a tridiagonal LDL^T
 factor built once per assembly, and CG starts at its solution: one operator
 application checks the residual, and a field iterates only if that misses
 the tolerance. In 2-d the preconditioner is the FFT inverse of the same step
@@ -45,8 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from numpy import fft
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import DomainError, IndexRange, UnsupportedFamily
 from .geometry import (
@@ -127,7 +126,7 @@ class DiffusionAssembly:
         The same routine drives both the nonlinear solve and the linearized
         transport, so re-running it on recorded data reproduces the solver
         trajectory bit for bit. Column j of a block result is bitwise the
-        result for column j alone. In 1-d, CG starts at the exact banded
+        result for column j alone. In 1-d, CG starts at the exact LDL^T
         solve and only verifies it; in 2-d it starts at the right-hand side.
         """
         rows = np.asarray(values, dtype=float).T
@@ -159,30 +158,34 @@ class DiffusionAssembly:
         A is tridiagonal plus the two periodic corners c = A[0, n-1]. With
         gamma = -A[0, 0], u = (gamma, 0, ..., 0, c) and v = (1, 0, ..., 0,
         c / gamma), B = A - u v^T has no corners and B - A is positive
-        semi-definite, so B has a banded Cholesky factor; Sherman-Morrison
-        gives A^-1 y = x - z (v.x) / (1 + v.z) with x = B^-1 y, z = B^-1 u.
-        The factor and z are about 3n floats. LAPACK's dpbtrs solves each
-        right-hand side alone, so a row's result does not depend on its stack.
+        semi-definite, so B has an LDL^T factor (LAPACK dpttrf); Sherman-
+        Morrison gives A^-1 y = x - z (v.x) / (1 + v.z) with x = B^-1 y,
+        z = B^-1 u. The factor and z are about 3n floats. A non-finite or
+        indefinite B raises DomainError naming the step. LAPACK's dpttrs
+        solves each right-hand side alone, so a row's result does not depend
+        on its stack.
         """
         n, dt = self.shape[0], self.dt
-        full = self.sigma + dt * self.degree
+        diag = self.sigma + dt * self.degree
         corner = -dt * self.weights.diagonal(1 - n)[0]
-        gamma = -full[0]
-        band = np.zeros((2, n))
-        band[0, 1:] = -dt * self.weights.diagonal(1)
-        band[1] = full
-        band[1, 0] -= gamma
-        band[1, -1] -= corner * corner / gamma
-        chol = cholesky_banded(band)
+        gamma = -diag[0]
+        diag[0] -= gamma
+        diag[-1] -= corner * corner / gamma
+        d, e, info = dpttrf(diag, -dt * self.weights.diagonal(1))
+        if info or not np.isfinite(d).all():  # dpttrf lets NaN through
+            raise DomainError(
+                f"the step at t = {self.time:g} with dt = {dt:g} has no finite "
+                "positive-definite factor"
+            )
         u = np.zeros((n, 1))
         u[0], u[-1] = gamma, corner
-        z = dpbtrs(chol, u)[0][:, 0]
+        z = dpttrs(d, e, u)[0][:, 0]
         ratio = corner / gamma
         z /= 1.0 + z[0] + ratio * z[-1]
         sigma = self.sigma
 
         def precond(r):
-            x = dpbtrs(chol, (sigma * r).T, overwrite_b=1)[0].T
+            x = dpttrs(d, e, (sigma * r).T, overwrite_b=1)[0].T
             x -= (x[:, :1] + ratio * x[:, -1:]) * z
             return x
 
@@ -553,6 +556,18 @@ class Trajectory:
             raise DomainError("solution must stay strictly positive")
         assembly = self.assembly_at(index)
         return u, assembly.apply(u), assembly.carre_du_champ(np.log(u))
+
+    @functools.cached_property
+    def moved_log_sources(self) -> np.ndarray:
+        """The time-0 sources of the log-based checks, [u Gamma(log u),
+        Gamma(u), u log u] as the columns of one block, moved through the
+        whole record in one sweep: ``gradient_estimate`` and ``local_logsob``
+        both read it."""
+        u, _, f2 = self.log_state(0)
+        sources = [u * f2, self.assembly_at(0).carre_du_champ(u), u * np.log(u)]
+        moved = self.transport(np.column_stack(sources), 0, self.n_times - 1)
+        moved.flags.writeable = False  # both checks share it
+        return moved
 
     def _check(self, index: int) -> int:
         if not 0 <= index < self.n_times:

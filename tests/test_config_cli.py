@@ -898,7 +898,7 @@ NON_FINITE_EXPRESSIONS = {
 def test_cli_non_finite_expression_or_zero_weight_exits_two(
     tmp_path, capsys, dim, old, new, named
 ):
-    # a traceback from the banded factor in 1-d, and in 2-d a run whose node
+    # once a traceback from the 1-d step factor, and in 2-d a run whose node
     # weights vanish or are NaN, which passed conservative and duality
     path = write_ini(
         tmp_path,
@@ -983,8 +983,8 @@ def test_cli_non_finite_grid_or_time_exits_two(tmp_path, capsys, old, new, named
 @pytest.mark.parametrize(
     "dim, period, dt, message",
     [
-        # corner^2 / gamma of the 1-d banded factor overflowed: once a
-        # ValueError traceback from cholesky_banded
+        # corner^2 / gamma of the 1-d LDL^T factor overflows: once a
+        # ValueError traceback from the banded Cholesky factor it replaced
         (1, 1.0, 1e200, "the step at t = 0 with dt = 1e+200 overflows double precision"),
         # the 2-d solve overflows; once it went through and its snapshot
         # name field_<t>.csv ended in an OSError (file name too long)

@@ -504,11 +504,12 @@ def test_fft_preconditioner_is_built_at_first_application(monkeypatch):
     assert asm.advance(ones).tobytes() == ones.tobytes()
 
 
-def randers_1d_assembly(nodes, dt, weighted=True):
+def randers_1d_assembly(nodes, dt, weighted=True, norm=None):
     """1-d Randers (b = 0.3) step at the criterion-7 initial field, with the
-    weight f = 0.2 cos 2 pi x or the Lebesgue measure."""
+    weight f = 0.2 cos 2 pi x or the Lebesgue measure; ``norm`` replaces the
+    metric."""
     grid = TorusGrid(1, nodes)
-    metric = MetricField(grid, RandersNorm(np.eye(1), np.array([0.3])))
+    metric = MetricField(grid, norm or RandersNorm(np.eye(1), np.array([0.3])))
     x = grid.coordinates()[:, 0]
     measure = (
         MeasureField(grid, 0.2 * np.cos(2 * math.pi * x))
@@ -523,7 +524,8 @@ def randers_1d_assembly(nodes, dt, weighted=True):
 @pytest.mark.parametrize("dt", [1e-3], ids=[heat.SCHEME])
 @pytest.mark.parametrize("family", ["randers", "weighted_euclidean"])
 def test_advance_block_columns_match_single_fields_1d(family, dt, width):
-    # the 1-d step is preconditioned by its banded Cholesky factor
+    # the 1-d step is preconditioned by its tridiagonal LDL^T factor; widths
+    # 1, 3 and 200 reach LAPACK's solve with one, a few and many columns
     if family == "randers":
         asm = randers_1d_assembly(32, dt, weighted=False)
     else:
@@ -539,11 +541,13 @@ def test_advance_block_columns_match_single_fields_1d(family, dt, width):
         assert np.array_equal(out[:, j], asm.advance(block[:, j]))
 
 
+@pytest.mark.parametrize("norm", [None, Asym1DNorm(2.0, 1.0)], ids=["randers", "asym1d"])
 @pytest.mark.parametrize("nodes", [8, 9, 128, 512])
-def test_step_preconditioner_is_the_exact_step_inverse_in_1d(nodes):
-    # n = 8 is the smallest grid, where the periodic corners weigh most
+def test_step_preconditioner_is_the_exact_step_inverse_in_1d(nodes, norm):
+    # n = 8 is the smallest grid, where the periodic corners weigh most; the
+    # measure is weighted
     dt = 5e-4
-    asm = randers_1d_assembly(nodes, dt)
+    asm = randers_1d_assembly(nodes, dt, norm=norm)
     eye = np.eye(nodes)
     step = eye - dt * asm.apply(eye)  # column i: I + dt Sigma^-1 L on node i
     precond = asm._preconditioner()
@@ -554,9 +558,25 @@ def test_step_preconditioner_is_the_exact_step_inverse_in_1d(nodes):
     assert np.min(np.linalg.eigvalsh(0.5 * (gram + gram.T))) > 0.0
 
 
+@pytest.mark.parametrize("weight", [math.nan, -1e6], ids=["nan", "indefinite"])
+def test_1d_step_without_a_factor_raises_domain_error(weight):
+    # a NaN weight passes dpttrf, which tests only d_i <= 0, and a large
+    # negative one makes the step indefinite (info > 0): both once ended in
+    # a traceback from cholesky_banded, and neither factor may be used
+    asm = randers_1d_assembly(16, 1e-3)
+    weights = asm.weights.tolil()
+    weights[3, 4] = weights[4, 3] = weight
+    weights = weights.tocsr()
+    bad = heat.DiffusionAssembly(
+        **{**vars(asm), "weights": weights, "degree": weights @ np.ones(16)}
+    )
+    with pytest.raises(DomainError, match="the step at t = 0 with dt = 0.001 has no finite"):
+        bad.advance(np.ones(16))
+
+
 def test_1d_step_solve_takes_one_operator_application(monkeypatch):
     # one implicit step on the criterion-7 setup (1-d Randers, n = 128,
-    # dt = 5e-4) starts CG at the exact banded solve, so the only operator
+    # dt = 5e-4) starts CG at the exact LDL^T solve, so the only operator
     # application is the residual that verifies it; the FFT model took
     # about 22 here
     asm = randers_1d_assembly(128, 5e-4, weighted=False)
@@ -700,32 +720,66 @@ REVERSIBLE_PAIRS = {
 }
 
 
+def symmetry_data(dim):
+    """Grid, u0 and log-density f of the flow-symmetry tests: 32 nodes or
+    16^2, f = 0.3 cos(2 pi x_last)."""
+    grid = TorusGrid(dim, 32 if dim == 1 else 16)
+    x = grid.coordinates()
+    u0 = 1.0 + 0.4 * np.sin(2 * math.pi * (x[:, 0] + 0.3)) + 0.2 * np.cos(2 * math.pi * x.sum(1))
+    return grid, u0, 0.3 * np.cos(2 * math.pi * x[:, -1])
+
+
+def symmetry_flow(grid, desc, u0, f):
+    """Every recorded field of 10 steps of dt 5e-4 under ``desc``."""
+    metric = MetricField(grid, desc)
+    run = solve_heat_flow(metric, MeasureField(grid, f), ScalarField(grid, u0), 5e-3, 5e-4)
+    assert run.n_times == 11
+    return run.fields
+
+
 @pytest.mark.parametrize("norm, reverse", REVERSIBLE_PAIRS.values(), ids=REVERSIBLE_PAIRS.keys())
 def test_flow_is_exactly_homogeneous_and_odd_under_the_reverse_metric(norm, reverse):
     # g*(du) is 0-homogeneous and g*_rev(-du) = g*(du), so the flow of 2 u0
     # is twice the flow of u0, and the flow of -u0 under the reverse metric
     # is minus it: every step is linear in u for frozen coefficients, and
     # scaling by 2 or -1 is exact in floating point
-    grid = TorusGrid(norm.dim, 32 if norm.dim == 1 else 16)
-    x = grid.coordinates()
-    measure = MeasureField(grid, 0.3 * np.cos(2 * math.pi * x[:, -1]))
-    u0 = 1.0 + 0.4 * np.sin(2 * math.pi * (x[:, 0] + 0.3)) + 0.2 * np.cos(2 * math.pi * x.sum(1))
-
-    def flow(desc, values):
-        metric = MetricField(grid, desc)
-        run = solve_heat_flow(metric, measure, ScalarField(grid, values), 5e-3, 5e-4)
-        assert run.n_times == 11
-        return run.fields
-
-    base = flow(norm, u0)
-    for doubled, u in zip(flow(norm, 2.0 * u0), base):
+    grid, u0, f = symmetry_data(norm.dim)
+    base = symmetry_flow(grid, norm, u0, f)
+    for doubled, u in zip(symmetry_flow(grid, norm, 2.0 * u0, f), base):
         assert doubled.tobytes() == (2.0 * u).tobytes()
-    for negated, u in zip(flow(reverse, -u0), base):
+    for negated, u in zip(symmetry_flow(grid, reverse, -u0, f), base):
         assert negated.tobytes() == (-u).tobytes()
     if norm.b.any():
         # negative control: under the same asymmetric metric -u0 flows elsewhere
-        gap = max(float(np.max(np.abs(v + u))) for v, u in zip(flow(norm, -u0), base))
+        flipped = symmetry_flow(grid, norm, -u0, f)
+        gap = max(float(np.max(np.abs(v + u))) for v, u in zip(flipped, base))
         assert gap > 1e-2
+
+
+@pytest.mark.parametrize(
+    "norm", [norm for norm, _ in REVERSIBLE_PAIRS.values()], ids=REVERSIBLE_PAIRS.keys()
+)
+def test_flow_commutes_with_tripling_and_translation_at_round_off(norm):
+    # the flow of 3 u0 is three times the flow of u0, and translating u0 and
+    # f by 5 nodes along every axis translates the flow. Neither map is exact
+    # in floating point (3 u rounds; a translation moves the periodic
+    # corners of the 1-d factor and reorders sums), so each row is held to
+    # 64 eps of the field scale at every recorded field
+    grid, u0, f = symmetry_data(norm.dim)
+    axes = tuple(range(grid.dim))
+
+    def shift(values):
+        return np.roll(values.reshape(grid.shape), 5, axis=axes).ravel()
+
+    base = symmetry_flow(grid, norm, u0, f)
+    rows = {
+        "x3": (symmetry_flow(grid, norm, 3.0 * u0, f), [3.0 * u for u in base]),
+        "translate": (symmetry_flow(grid, norm, shift(u0), shift(f)), [shift(u) for u in base]),
+    }
+    for name, (fields, expected) in rows.items():
+        gap = max(float(np.max(np.abs(v - u))) for v, u in zip(fields, expected))
+        scale = max(float(np.max(np.abs(u))) for u in expected)
+        assert gap <= 64 * np.finfo(float).eps * scale, (name, gap / scale)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -32,6 +32,7 @@ from finslerheat import (
 )
 from finslerheat.geometry import differential_field
 from finslerheat.heat import DiffusionAssembly, Trajectory
+from finslerheat.reporting import json_text
 from finslerheat.semigroup import VARIANCE_C
 
 
@@ -588,6 +589,39 @@ def test_local_logsob_needs_positive_fields():
     traj = solve_heat_flow(metric, measure, u0, 0.01, 1e-3)
     with pytest.raises(DomainError):
         local_logsob_check(traj, 0.0)
+
+
+def weighted_1d_run():
+    grid = TorusGrid(1, 32)
+    metric = MetricField(grid, RandersNorm(np.eye(1), np.array([0.3])))
+    measure = MeasureField(grid, 0.2 * np.cos(2 * math.pi * grid.coordinates()[:, 0]))
+    return solve_heat_flow(metric, measure, positive_sine(grid), 0.01, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [weighted_1d_run, lambda: randers_2d_run(16, [[1.0, 0.2], [0.2, 0.8]], [0.3, 0.1], 1e-3, 5e-3)],
+    ids=["randers-1d-weighted", "randers-2d"],
+)
+def test_log_based_checks_share_one_sweep_of_their_sources(monkeypatch, run):
+    # gradient_estimate and local_logsob read one transport of their three
+    # time-0 sources [u Gamma(log u), Gamma(u), u log u], one block per step,
+    # and each report is the bytes of the same check alone on a fresh run
+    checks = (gradient_estimate_check, local_logsob_check)
+    alone = [json_text(check(run(), -0.5).to_dict()) for check in checks]
+    traj = run()
+    shapes = []
+    advance = DiffusionAssembly.advance
+
+    def counting(self, values):
+        shapes.append(np.shape(values))
+        return advance(self, values)
+
+    monkeypatch.setattr(DiffusionAssembly, "advance", counting)
+    shared = [json_text(check(traj, -0.5).to_dict()) for check in checks]
+    assert shapes == [(traj.grid.n_nodes, 3)] * (traj.n_times - 1)
+    assert shared == alone
+    assert not traj.moved_log_sources.flags.writeable
 
 
 def test_lipschitz_decay_flat(euclid_traj):
