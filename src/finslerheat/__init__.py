@@ -74,16 +74,13 @@ from .metrics import (
 )
 from .reporting import InequalityReport, compare, compare_discretized
 from .semigroup import (
-    check_cauchy_schwarz,
     check_conservative,
-    check_contraction,
     check_duality,
-    check_order_and_bounds,
-    check_positivity,
     check_semigroup_law,
     gradient_estimate_check,
     laplacian_commutation,
     lipschitz_decay,
     local_logsob_check,
+    markov_reports,
     variance_identity,
 )

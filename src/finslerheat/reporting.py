@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class InequalityReport:
     grid_meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return json_safe(asdict(self))
+        return json_safe(vars(self))
 
 
 def compare(

@@ -59,7 +59,7 @@ class RunManifest:
         return len(self.failed_checks)
 
     def write(self) -> str:
-        payload = {"schema_version": SCHEMA_VERSION, **dataclasses.asdict(self)}
+        payload = {"schema_version": SCHEMA_VERSION, **vars(self)}
         return write_json(os.path.join(self.out_dir, "manifest.json"), payload)
 
 
@@ -95,11 +95,6 @@ class CheckContext:
 
     def rand_field(self) -> ScalarField:
         return ScalarField(self.grid, self.rng.standard_normal(self.grid.n_nodes))
-
-    def rand_positive(self) -> ScalarField:
-        return ScalarField(
-            self.grid, np.exp(0.3 * self.rng.standard_normal(self.grid.n_nodes))
-        )
 
     def smooth_field(self) -> ScalarField:
         # band-limited: the variance identity gap is O(dt) only when the
@@ -161,12 +156,12 @@ CHECKS: dict[str, Callable[[CheckContext], list[InequalityReport]]] = {
     "conservative": lambda ctx: [semigroup.check_conservative(ctx.traj)],
     "duality": lambda ctx: semigroup.check_duality(ctx.traj, *ctx.random_pairs()),
     "semigroup_law": lambda ctx: [semigroup.check_semigroup_law(ctx.traj, ctx.rand_field())],
-    "positivity": lambda ctx: semigroup.check_positivity(ctx.traj, ctx.draws(ctx.rand_positive)),
-    "contraction": lambda ctx: semigroup.check_contraction(ctx.traj, ctx.draws(ctx.rand_field)),
-    "order_bounds": lambda ctx: semigroup.check_order_and_bounds(
-        ctx.traj, ctx.draws(ctx.rand_positive)
+    "positivity": lambda ctx: semigroup.markov_reports(ctx.traj, ["positivity"]),
+    "contraction": lambda ctx: semigroup.markov_reports(
+        ctx.traj, ["contraction-l1", "contraction-l2", "contraction-linf"]
     ),
-    "cauchy_schwarz": lambda ctx: semigroup.check_cauchy_schwarz(ctx.traj, *ctx.random_pairs()),
+    "order_bounds": lambda ctx: semigroup.markov_reports(ctx.traj, ["order-bounds"]),
+    "cauchy_schwarz": lambda ctx: semigroup.markov_reports(ctx.traj, ["cauchy-schwarz"]),
     "variance": lambda ctx: semigroup.variance_identity(ctx.traj, ctx.draws(ctx.smooth_field, 3)),
     "laplacian_commutation": lambda ctx: [semigroup.laplacian_commutation(ctx.traj)],
     "gradient_estimate": lambda ctx: [semigroup.gradient_estimate_check(ctx.traj, ctx.K)],

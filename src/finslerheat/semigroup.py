@@ -8,8 +8,8 @@ structural identities here, not numerical accidents. Every check takes the
 Trajectory and spans its whole record: P_{0,t} from its first time to its
 last. The four Markov checks (positivity, order bounds, contraction and
 Cauchy-Schwarz) hold for every field and every span once each step's kernel
-is nonnegative, so they read that from :attr:`Trajectory.kernel_probe` and
-transport no field.
+is nonnegative, so they read that from :attr:`Trajectory.kernel_probe`,
+take no field and transport none.
 
 All estimate checks follow one rule: quantities like F^2(grad u) are taken
 from the recorded assemblies (their carre du champ), those of log u through
@@ -21,11 +21,10 @@ every result.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .geometry import ZERO_CURVATURE, ScalarField, differential_field
 from .heat import PROBE_EDGES, Trajectory
 from .numerics import SOLVER_TOL, finite_exp, overflow_is_domain_error
@@ -35,10 +34,11 @@ from .reporting import InequalityReport, compare, compare_discretized
 #: by their config names
 ROUNDOFF = 1e-12
 ROUNDOFF_CHECKS = ("conservative", "duality", "semigroup_law")
-#: C of the variance identity's C*dt tolerance, calibrated against the band
-#: limit of the runner's smooth fields: the worst observed constant over
-#: seeded draws is about 175, so 600 keeps margin while staying well below
-#: any structural failure
+#: C of the variance identity's C*dt tolerance, scaled by field size. It is
+#: too tight for the runner's smooth fields on correct runs: over the 300
+#: seeds 1-300 of the 64^2 Randers check workload (dt 5e-4), the gap needs a
+#: constant of about 350 at the median and up to 620-630 (worst over
+#: tolerance up to 1.05), so 2 of the 300 seeded runs FAIL `variance`
 VARIANCE_C = 600.0
 
 
@@ -157,11 +157,19 @@ def _markov_report(traj: Trajectory, what: str, lhs, rhs, nodes) -> InequalityRe
     return dataclasses.replace(report, worst_location=where)
 
 
-def _markov_reports(traj: Trajectory, names: list[str]) -> list[InequalityReport]:
-    """One report under each of ``names``: ``contraction-l2`` bounds each
-    recorded step's measure-L^2 gain by 1; every other name, each a
-    property of a Markov kernel that one negative entry breaks, tests
-    0 <= S[i, j] on each step's smallest kernel entry known."""
+def markov_reports(traj: Trajectory, names: list[str]) -> list[InequalityReport]:
+    """One report under each of ``names``, from the recorded steps alone.
+
+    Each step S is self-adjoint in the measure with S 1 = 1, so once every
+    kernel entry is nonnegative each P_{s,t} is a Markov kernel, and for
+    every field and span: positivity (g > 0 gives P g > 0), order bounds (P
+    maps [min g, max g] into itself), L^p contraction ||P g||_p <= ||g||_p
+    for p = 1, 2, inf, and pointwise Cauchy-Schwarz (P fg)^2 <= P(f^2) P(g^2).
+    ``contraction-l2`` bounds each recorded step's measure-L^2 gain by 1;
+    every other name, a property that one negative entry breaks, tests
+    0 <= S[i, j] on each step's smallest kernel entry known. No field is
+    read, so a property has one report whatever the field count.
+    """
     probes = traj.kernel_probe
     floors = [p.floor for p in probes]
     gains = [p.gain for p in probes]
@@ -175,39 +183,6 @@ def _markov_reports(traj: Trajectory, names: list[str]) -> list[InequalityReport
         dataclasses.replace(gain if name == "contraction-l2" else entry, name=name)
         for name in names
     ]
-
-
-def check_positivity(traj: Trajectory, g: list[ScalarField]) -> list[InequalityReport]:
-    """Strictly positive input stays strictly positive after transport, from
-    the per-step kernel floor: one report per field of ``g``.
-
-    Anisotropic stencils can break the discrete minimum principle; failures
-    are reported with magnitude rather than clamped.
-    """
-    if not np.min(_block(g)) > 0.0:  # NaN fails too
-        raise DomainError("positivity check needs g > 0")
-    return _markov_reports(traj, ["positivity"] * len(g))
-
-
-def check_contraction(traj: Trajectory, g: list[ScalarField]) -> list[InequalityReport]:
-    """L^p contraction ||P g||_p <= ||g||_p for p = 1, 2, inf: p = 1 and inf
-    from the per-step kernel floor, p = 2 from the per-step L^2 gain. A
-    report for every exponent of every field of ``g``, fields outer."""
-    return _markov_reports(traj, [f"contraction-l{q}" for _ in g for q in (1, 2, math.inf)])
-
-
-def check_order_and_bounds(traj: Trajectory, g: list[ScalarField]) -> list[InequalityReport]:
-    """Transport maps each field's range [min g, max g] into itself, from
-    the per-step kernel floor: one report per field of ``g``."""
-    return _markov_reports(traj, ["order-bounds"] * len(g))
-
-
-def check_cauchy_schwarz(
-    traj: Trajectory, f: list[ScalarField], g: list[ScalarField]
-) -> list[InequalityReport]:
-    """Pointwise (P fg)^2 <= P(f^2) P(g^2), from the per-step kernel floor:
-    one report per pair of the equal-length lists ``f`` and ``g``."""
-    return _markov_reports(traj, ["cauchy-schwarz"] * len(f))
 
 
 def variance_identity(traj: Trajectory, f: list[ScalarField]) -> list[InequalityReport]:
@@ -312,7 +287,7 @@ def local_logsob_check(traj: Trajectory, K: float) -> InequalityReport:
     )
 
 
-def lipschitz_decay(trajectory: Trajectory, K: float) -> InequalityReport:
+def lipschitz_decay(traj: Trajectory, K: float) -> InequalityReport:
     """Sup-norm gradient decay (growth for K < 0) along the whole run.
 
     Two estimators of the same sup norm are tracked: the dual norm of the
@@ -320,28 +295,21 @@ def lipschitz_decay(trajectory: Trajectory, K: float) -> InequalityReport:
     champ. Each recorded time is compared against the decayed initial
     value of its own estimator.
     """
-    metric = trajectory.metric
-    desc = metric.descriptor
+    desc = traj.metric.descriptor
     lip, energy = [], []
-    for k in range(trajectory.n_times):
-        u = trajectory.field_at(k)
+    for k in range(traj.n_times):
+        u = traj.field_at(k)
         du = differential_field(u)
         lip.append(float(np.max(desc.dual_norm(du.values))))
-        gamma = trajectory.assembly_at(k).carre_du_champ(u.values)
+        gamma = traj.assembly_at(k).carre_du_champ(u.values)
         energy.append(float(np.sqrt(max(np.max(gamma), 0.0))))
-    elapsed = np.asarray(trajectory.times) - trajectory.times[0]
+    elapsed = np.asarray(traj.times) - traj.times[0]
     with overflow_is_domain_error(f"exp(-K t) at K = {K:g}, t = {elapsed[-1]:g}"):
         decay = np.exp(-K * elapsed)
     lhs = np.concatenate([np.asarray(lip), np.asarray(energy)])
     rhs = np.concatenate([decay * lip[0], decay * energy[0]])
     scale = max(1.0, float(np.max(rhs)))
-    meta = {
-        "h": trajectory.grid.h,
-        "dt": trajectory.dt,
-        "K": K,
-        "family": desc.family,
-        "n_times": trajectory.n_times,
-    }
     return compare_discretized(
-        "lipschitz-decay", lhs, rhs, trajectory.grid.h, trajectory.dt, scale, "gradient", meta
+        "lipschitz-decay", lhs, rhs, traj.grid.h, traj.dt, scale, "gradient",
+        _meta(traj, K=K, n_times=traj.n_times),
     )

@@ -502,6 +502,26 @@ def test_block_transport_reports_match_one_column_at_a_time(tmp_path, monkeypatc
             assert a.read() == b.read(), name
 
 
+def test_markov_checks_draw_no_field_and_write_one_report_per_property(tmp_path):
+    # the four Markov checks read the recorded steps alone: a check listed
+    # after them draws the fields it draws alone, and each writes one report
+    # per property it states, whatever n_fields is
+    counts = {"positivity": 1, "contraction": 3, "order_bounds": 1, "cauchy_schwarz": 1}
+    for n_fields in (1, 5):
+        variance = []
+        for names in ([*counts, "variance"], ["variance"]):
+            out = tmp_path / f"{n_fields}-{len(names)}"
+            out.mkdir()
+            block = f"[checks]\nnames = {', '.join(names)}\nn_fields = {n_fields}\n"
+            manifest = run(checked_config(out, block), out_dir=str(out))
+            with open(manifest.report_paths["variance"], "rb") as fh:
+                variance.append(fh.read())
+            for name in names[:-1]:
+                with open(manifest.report_paths[name]) as fh:
+                    assert len(json.load(fh)["reports"]) == counts[name], (name, n_fields)
+        assert variance[0] == variance[1], n_fields
+
+
 def test_overclaimed_curvature_is_recorded_not_raised(tmp_path):
     # euclidean flow has K = 0; demanding the K = 200 decay must fail
     config = checked_config(

@@ -165,15 +165,10 @@ def _uncertified_run():
     return traj
 
 
-def _on_uncertified(check, lists=1):
-    """``check`` on :func:`_uncertified_run`, in place of the given run, with
-    ``lists`` copies of one list of positive fields."""
-
-    def run(_traj):
-        traj = _uncertified_run()
-        return check(traj, *[_fields(traj)] * lists)
-
-    return run
+def _on_uncertified(*names):
+    """The Markov reports ``names`` on :func:`_uncertified_run`, in place of
+    the given run."""
+    return lambda _traj: semigroup.markov_reports(_uncertified_run(), list(names))
 
 
 #: (module, constant, check): every tolerance constant with a check it sets
@@ -185,12 +180,13 @@ TOLERANCE_CONSTANTS = {
     "roundoff-law": (
         semigroup, "ROUNDOFF", lambda traj: semigroup.check_semigroup_law(traj, _fields(traj)[0])
     ),
-    "solver-positivity": (semigroup, "SOLVER_TOL", _on_uncertified(semigroup.check_positivity)),
-    "solver-contraction": (semigroup, "SOLVER_TOL", _on_uncertified(semigroup.check_contraction)),
-    "solver-order": (semigroup, "SOLVER_TOL", _on_uncertified(semigroup.check_order_and_bounds)),
-    "solver-cauchy-schwarz": (
-        semigroup, "SOLVER_TOL", _on_uncertified(semigroup.check_cauchy_schwarz, lists=2)
+    "solver-positivity": (semigroup, "SOLVER_TOL", _on_uncertified("positivity")),
+    "solver-contraction": (
+        semigroup, "SOLVER_TOL",
+        _on_uncertified("contraction-l1", "contraction-l2", "contraction-linf"),
     ),
+    "solver-order": (semigroup, "SOLVER_TOL", _on_uncertified("order-bounds")),
+    "solver-cauchy-schwarz": (semigroup, "SOLVER_TOL", _on_uncertified("cauchy-schwarz")),
     "variance": (
         semigroup, "VARIANCE_C", lambda traj: semigroup.variance_identity(traj, _fields(traj))
     ),

@@ -15,17 +15,14 @@ from finslerheat import (
     RandersNorm,
     ScalarField,
     TorusGrid,
-    check_cauchy_schwarz,
     check_conservative,
-    check_contraction,
     check_duality,
-    check_order_and_bounds,
-    check_positivity,
     check_semigroup_law,
     gradient_estimate_check,
     laplacian_commutation,
     lipschitz_decay,
     local_logsob_check,
+    markov_reports,
     ricci_lower_bound,
     solve_heat_flow,
     variance_identity,
@@ -186,25 +183,18 @@ def test_batched_checks_match_field_by_field_checks(weighted_traj):
     traj, _ = weighted_traj
     rng = np.random.default_rng(9)
 
-    def fields(positive=False):
-        values = rng.standard_normal((3, traj.grid.n_nodes))
-        if positive:
-            values = np.exp(0.3 * values)
-        return [ScalarField(traj.grid, v) for v in values]
+    def fields():
+        return [ScalarField(traj.grid, v) for v in rng.standard_normal((3, traj.grid.n_nodes))]
 
     def same(check, *lists):
         batched = [r.to_dict() for r in check(traj, *lists)]
         singles = [r.to_dict() for one in zip(*lists) for r in check(traj, *([f] for f in one))]
         assert batched == singles
 
-    gs, psis, pos = fields(), fields(), fields(positive=True)
+    gs, psis = fields(), fields()
     x = traj.grid.coordinates()[:, 0]
     smooth = [ScalarField(traj.grid, np.cos(2 * math.pi * k * x + 0.4)) for k in (1, 2, 3)]
     same(check_duality, gs, psis)
-    same(check_contraction, gs)
-    same(check_cauchy_schwarz, gs, psis)
-    same(check_positivity, pos)
-    same(check_order_and_bounds, pos)
     same(variance_identity, smooth)
 
 
@@ -213,24 +203,27 @@ def test_batched_checks_match_field_by_field_checks(weighted_traj):
 # ---------------------------------------------------------------------------
 
 
+#: every report name of the four Markov checks, in registry order
+MARKOV_NAMES = [
+    "positivity", "contraction-l1", "contraction-l2", "contraction-linf", "order-bounds",
+    "cauchy-schwarz",
+]
+
+
 def test_positivity_preserved(euclid_traj):
-    (rep,) = check_positivity(euclid_traj, [positive_sine(euclid_traj.grid)])
+    (rep,) = markov_reports(euclid_traj, ["positivity"])
     assert rep.passed
     assert rep.n_violations == 0
+    # the certificate's verdict holds for a transported positive field
+    assert euclid_traj.transport(positive_sine(euclid_traj.grid).values, 0, 10).min() > 0.0
 
 
-def test_positivity_rejects_nonpositive_input(euclid_traj):
-    x = euclid_traj.grid.coordinates()[:, 0]
-    g = ScalarField(euclid_traj.grid, np.sin(2 * math.pi * x))
-    with pytest.raises(DomainError):
-        check_positivity(euclid_traj, [g])
-    with pytest.raises(DomainError):
-        check_positivity(euclid_traj, [ScalarField(euclid_traj.grid, np.full(64, np.nan))])
-
-
-def one_step_run(weight_78):
+def one_step_run(weight_78=1.0, leak=0.0, heavier=1.0):
     """A hand-built 1-d run of one recorded step on 16 nodes: unit edge
-    weights except on edge (7, 8), and u0 = 1e-3 plus a unit spike at node 8."""
+    weights except on edge (7, 8), and u0 = 1e-3 plus a unit spike at node 8.
+    ``leak`` is added to node 5's degree, so the step loses mass, and node
+    5's step weight sigma is ``heavier`` times the measure's, so the step is
+    self-adjoint in another measure than the run's."""
     grid = TorusGrid(1, 16)
     n, h = grid.n_nodes, grid.h
     w = np.ones(n)
@@ -239,16 +232,19 @@ def one_step_run(weight_78):
     j = (i + 1) % n
     edges = sp.csr_matrix((np.tile(w, 2), (np.hstack([i, j]), np.hstack([j, i]))), shape=(n, n))
     measure = MeasureField.lebesgue(grid)
+    degree = edges @ np.ones(n)
+    degree[5] += leak
+    sigma = measure.sigma.copy()
+    sigma[5] *= heavier
     dt = 50 * 0.02 * h * h
     step = DiffusionAssembly(
-        weights=edges, degree=edges @ np.ones(n), sigma=measure.sigma, time=0.0, dt=dt,
+        weights=edges, degree=degree, sigma=sigma, time=0.0, dt=dt,
         kappa_max=1.0, degenerate_nodes=0, shape=grid.shape, stencil=(((1,), float(np.mean(w))),),
     )
     u0 = np.full(n, 1e-3)
     u0[8] += 1.0
     metric = MetricField(grid, EuclideanNorm(1))
-    traj = Trajectory(metric, measure, [0.0, dt], [u0, step.advance(u0)], [step], dt)
-    return traj, ScalarField(grid, u0)
+    return Trajectory(metric, measure, [0.0, dt], [u0, step.advance(u0)], [step], dt)
 
 
 def test_positivity_fails_on_a_negative_edge_weight():
@@ -256,15 +252,37 @@ def test_positivity_fails_on_a_negative_edge_weight():
     # and the check must say so; the same run with the weight positive passes.
     # The probe finds the step's smallest kernel entry, between the ends of
     # the negative edge
-    traj, g = one_step_run(-0.2)
-    (rep,) = check_positivity(traj, [g])
+    traj = one_step_run(-0.2)
+    (rep,) = markov_reports(traj, ["positivity"])
     assert not rep.passed
     assert rep.worst_residual == pytest.approx(0.0114, abs=1e-4)
     assert abs(rep.worst_residual + dense_step_kernel(traj.assemblies[0]).min()) <= 1e-15
     assert rep.worst_location["step"] == 0 and sorted(rep.worst_location["nodes"]) == [7, 8]
-    traj, g = one_step_run(1.0)
-    (rep,) = check_positivity(traj, [g])
+    (rep,) = markov_reports(one_step_run(1.0), ["positivity"])
     assert rep.passed and rep.n_violations == 0
+
+
+@pytest.mark.parametrize(
+    "leak, heavier, failing",
+    [(0.0, 1.0, ()), (0.1, 1.0, ("conservative",)), (0.0, 2.0, ("duality",))],
+    ids=["exact", "leaky", "wrong-measure"],
+)
+def test_conservative_and_duality_fail_on_a_broken_step(leak, heavier, failing):
+    # negative controls: a degree above its row's weights leaks mass, and a
+    # step self-adjoint in another measure breaks duality in the run's one;
+    # either breaks its identity far above round-off, and the same step
+    # without either change passes both. Unit spikes at nodes 5 and 6 pair
+    # the entry of Sigma S that the heavier node makes asymmetric
+    traj = one_step_run(leak=leak, heavier=heavier)
+    g, psi = (ScalarField(traj.grid, np.eye(16)[k]) for k in (5, 6))
+    reports = {
+        "conservative": check_conservative(traj),
+        "duality": check_duality(traj, [g], [psi])[0],
+    }
+    for name, rep in reports.items():
+        assert rep.passed == (name not in failing), (name, rep.worst_residual)
+        if name in failing:
+            assert rep.worst_residual > 1e6 * rep.tolerance
 
 
 def dense_step_kernel(assembly):
@@ -284,19 +302,6 @@ def randers_2d_run(nodes, a, b, dt, t_final, f=None):
     metric = MetricField(grid, RandersNorm(np.array(a), np.array(b)))
     measure = MeasureField.lebesgue(grid) if f is None else MeasureField(grid, f(x))
     return solve_heat_flow(metric, measure, ScalarField(grid, u0), t_final, dt)
-
-
-def markov_reports(traj):
-    """Every report of the four Markov checks on two positive fields."""
-    rng = np.random.default_rng(17)
-    g = [ScalarField(traj.grid, np.exp(0.3 * rng.standard_normal(traj.grid.n_nodes)))
-         for _ in range(2)]
-    return [
-        *check_positivity(traj, g),
-        *check_order_and_bounds(traj, g),
-        *check_contraction(traj, g),
-        *check_cauchy_schwarz(traj, g, g),
-    ]
 
 
 def measure_l2_norm(assembly, kernel):
@@ -319,8 +324,8 @@ def test_markov_checks_fail_on_an_anisotropic_step_at_its_kernel_minimum():
     kernel = dense_step_kernel(traj.assemblies[0])
     worst = np.unravel_index(np.argmin(kernel), kernel.shape)
     assert kernel.min() == pytest.approx(-7.5057e-4, abs=1e-8)
-    reports = [rep for rep in markov_reports(traj) if rep.name != "contraction-l2"]
-    assert len(reports) == 2 + 2 + 4 + 2
+    reports = [rep for rep in markov_reports(traj, MARKOV_NAMES) if rep.name != "contraction-l2"]
+    assert len(reports) == 5
     coords = traj.grid.coordinates()
     for rep in reports:
         assert not rep.passed and rep.n_violations == 1
@@ -342,13 +347,11 @@ def test_l2_contraction_holds_on_a_step_with_negative_kernel_entries():
     assert measure_l2_norm(assembly, dense_step_kernel(assembly)) <= 1.0 + 1e-12
     (probe,) = traj.kernel_probe
     assert not probe.proven and 0.0 < probe.gain < 1.0
-    l2 = [rep for rep in markov_reports(traj) if rep.name == "contraction-l2"]
-    assert len(l2) == 2
-    for rep in l2:
-        assert rep.passed and rep.worst_residual == probe.gain - 1.0
-        assert rep.worst_location["step"] == 0 and rep.worst_location["nodes"] == [probe.spike]
-        assert rep.grid_meta["unproven_steps"] == 1
-        assert "prove none" in rep.tolerance_rule
+    (rep,) = markov_reports(traj, ["contraction-l2"])
+    assert rep.passed and rep.worst_residual == probe.gain - 1.0
+    assert rep.worst_location["step"] == 0 and rep.worst_location["nodes"] == [probe.spike]
+    assert rep.grid_meta["unproven_steps"] == 1
+    assert "prove none" in rep.tolerance_rule
 
 
 def test_probe_finds_true_kernel_entries_on_variable_coefficient_steps():
@@ -367,7 +370,7 @@ def test_probe_finds_true_kernel_entries_on_variable_coefficient_steps():
         assert abs(probe.floor - kernel[probe.nodes]) <= 1e-15
         assert probe.floor < -1e-3 if nodes == 16 else probe.floor < -7e-4
         assert probe.floor - kernel.min() == pytest.approx(gap, abs=1e-8)
-        (rep,) = check_positivity(traj, [ScalarField(traj.grid, np.ones(traj.grid.n_nodes))])
+        (rep,) = markov_reports(traj, ["positivity"])
         assert not rep.passed and rep.worst_residual == -probe.floor
 
 
@@ -380,7 +383,7 @@ def test_a_probe_without_a_violation_proves_nothing():
     assert not cert.certified and cert.negative_weights == 252
     kernel = dense_step_kernel(traj.assemblies[0])
     assert kernel.min() > 0.0
-    for rep in markov_reports(traj):
+    for rep in markov_reports(traj, MARKOV_NAMES):
         assert rep.passed
         assert rep.grid_meta["uncertified_steps"] == rep.grid_meta["unproven_steps"] == 1
 
@@ -398,7 +401,7 @@ def test_markov_checks_on_certified_steps_transport_nothing(monkeypatch):
         raise AssertionError("a certified step needs no transport")
 
     monkeypatch.setattr(DiffusionAssembly, "advance", no_transport)
-    for rep in markov_reports(traj):
+    for rep in markov_reports(traj, MARKOV_NAMES):
         assert rep.passed and rep.worst_residual == 0.0
         assert rep.grid_meta["uncertified_steps"] == rep.grid_meta["unproven_steps"] == 0
 
@@ -417,48 +420,62 @@ def test_certificate_reads_each_recorded_step_once():
     assert traj.certificate is certs
 
 
+def moved_whole_run(traj, values):
+    return traj.transport(values, 0, traj.n_times - 1)
+
+
+def measure_norm(traj, values, p):
+    if p == math.inf:
+        return np.max(np.abs(values))
+    return np.sum(traj.measure.sigma * np.abs(values) ** p) ** (1 / p)
+
+
 @pytest.mark.parametrize("p", [1, 2, math.inf])
 def test_contraction(weighted_traj, p):
+    # one report per exponent, whatever the field; a transported random
+    # field contracts as the certificate says it must
     traj, _ = weighted_traj
-    rng = np.random.default_rng(int(13 if p == math.inf else p))
-    for _ in range(3):
-        g = ScalarField(traj.grid, rng.standard_normal(traj.grid.n_nodes))
-        reports = check_contraction(traj, [g])
-        names = [r.name for r in reports]
-        assert names == ["contraction-l1", "contraction-l2", "contraction-linf"]
-        rep = reports[(1, 2, math.inf).index(p)]
-        assert rep.passed, (p, rep.worst_residual)
+    names = ["contraction-l1", "contraction-l2", "contraction-linf"]
+    reports = markov_reports(traj, names)
+    assert [r.name for r in reports] == names
+    rep = reports[(1, 2, math.inf).index(p)]
+    assert rep.passed, (p, rep.worst_residual)
+    g = np.random.default_rng(int(13 if p == math.inf else p)).standard_normal(traj.grid.n_nodes)
+    assert measure_norm(traj, moved_whole_run(traj, g), p) <= measure_norm(traj, g, p)
 
 
 def test_order_and_bounds(euclid_traj):
     # the bounds are the field's own range, about [0.5, 1.5] here
-    g = positive_sine(euclid_traj.grid)
-    (rep,) = check_order_and_bounds(euclid_traj, [g])
+    (rep,) = markov_reports(euclid_traj, ["order-bounds"])
     assert rep.passed
+    g = positive_sine(euclid_traj.grid).values
+    moved = moved_whole_run(euclid_traj, g)
+    assert g.min() <= moved.min() and moved.max() <= g.max()
 
 
 def test_cauchy_schwarz_random_pairs(randers_traj):
-    rng = np.random.default_rng(5)
-    for _ in range(4):
-        f = ScalarField(randers_traj.grid, rng.standard_normal(randers_traj.grid.n_nodes))
-        g = ScalarField(randers_traj.grid, rng.standard_normal(randers_traj.grid.n_nodes))
-        (rep,) = check_cauchy_schwarz(randers_traj, [f], [g])
-        assert rep.passed, rep.worst_residual
+    # the verdict reads no field; a random pair obeys it under transport
+    (rep,) = markov_reports(randers_traj, ["cauchy-schwarz"])
+    assert rep.passed, rep.worst_residual
+    f, g = np.random.default_rng(5).standard_normal((2, randers_traj.grid.n_nodes))
+    fg, ff, gg = (moved_whole_run(randers_traj, v) for v in (f * g, f * f, g * g))
+    assert np.all(fg * fg <= ff * gg * (1 + 1e-12))
 
 
 def test_cauchy_schwarz_equality_when_equal(euclid_traj):
-    f = positive_sine(euclid_traj.grid)
-    (rep,) = check_cauchy_schwarz(euclid_traj, [f], [f])
+    # every step is certified: the kernel floor is 0, with no slack
+    (rep,) = markov_reports(euclid_traj, ["cauchy-schwarz"])
     assert rep.passed
     assert rep.worst_residual == 0.0
 
 
 def test_cauchy_schwarz_unit_reduction(euclid_traj):
     # against g = 1 this is the variance inequality (Pf)^2 <= P(f^2)
-    f = positive_sine(euclid_traj.grid, amp=0.7)
-    ones = ScalarField(euclid_traj.grid, np.ones(euclid_traj.grid.n_nodes))
-    (rep,) = check_cauchy_schwarz(euclid_traj, [f], [ones])
+    (rep,) = markov_reports(euclid_traj, ["cauchy-schwarz"])
     assert rep.passed
+    f = positive_sine(euclid_traj.grid, amp=0.7).values
+    moved_f, moved_ff = moved_whole_run(euclid_traj, f), moved_whole_run(euclid_traj, f * f)
+    assert np.all(moved_f**2 <= moved_ff * (1 + 1e-12))
 
 
 # ---------------------------------------------------------------------------
