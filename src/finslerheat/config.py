@@ -202,7 +202,7 @@ class ExperimentConfig:
     K: float | None  # None: resolve from the certified curvature bound
     profile: str
     seed: int
-    n_fields: int
+    n_fields: int  # range-checked, read by no check; the benchmark configs set it
     s_time: float
     phi_expr: str
     harnack_pairs: tuple[tuple[int, float, int, float], ...]

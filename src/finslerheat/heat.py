@@ -20,7 +20,9 @@ With non-negative edge weights the step (Sigma + dt L)^-1 Sigma is the inverse
 of an M-matrix: like the paper's linearised semigroup it is positive and
 conserves mass. :attr:`Trajectory.certificate` reads that sign test from
 each recorded step's weights, and :attr:`Trajectory.kernel_probe` probes a
-step that fails it. Every step, in the solver and in transport alike, is one
+step that fails it. It also reads the three identities that make any step
+conserve mass and be self-adjoint in the measure: W = W^T, degree = W 1 and
+the run's sigma. Every step, in the solver and in transport alike, is one
 preconditioned measure-CG solve (see DiffusionAssembly.advance). In 1-d the
 preconditioner is the exact inverse of the step, from a tridiagonal LDL^T
 factor built once per assembly, and CG starts at its solution: one operator
@@ -371,11 +373,12 @@ def heat_step(
 
 @dataclass(frozen=True)
 class StepCertificate:
-    """The sign test of one recorded step's edge weights W.
+    """The sign test of one recorded step's edge weights W, and its identities.
 
     ``negative_weights`` counts the edges of negative weight, each once, and
     ``min_weight`` is the smallest weight, on the edge between ``nodes``;
-    ``time`` is the step's start.
+    ``time`` is the step's start. ``assembly`` is the step and
+    ``run_sigma`` the run's node weights, which :attr:`identities` reads.
     """
 
     step: int
@@ -383,11 +386,39 @@ class StepCertificate:
     negative_weights: int
     min_weight: float
     nodes: tuple[int, int]
+    assembly: DiffusionAssembly = field(repr=False, compare=False)
+    run_sigma: np.ndarray = field(repr=False, compare=False)
 
     @property
     def certified(self) -> bool:
         """W >= 0 on this step; a NaN weight certifies nothing."""
         return self.min_weight >= 0.0
+
+    @functools.cached_property
+    def identities(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
+        """The step's W = W^T, sigma = the run's and degree = W 1, each as
+        (largest defect, its nodes) in the matrix I + dt Sigma^-1 (D - W)
+        the step inverts: dt |W[i, j] - W[j, i]| / sigma_i, |sigma_i - run
+        sigma_i| / sigma_i and dt |degree_i - (W 1)_i| / sigma_i, each 0
+        where it holds bitwise. Read at first use: a run without duality
+        or conservative reads none."""
+        a, w, sigma = self.assembly, self.assembly.weights, self.run_sigma
+        every = np.arange(sigma.size)
+        rows = np.repeat(every, np.diff(w.indptr))
+        scale = a.dt / a.sigma
+        mirror = np.asarray(w[w.indices, rows]).ravel()  # W[j, i] at each stored (i, j)
+        return (
+            largest_defect(scale[rows] * np.abs(w.data - mirror), rows, w.indices),
+            largest_defect(np.abs(a.sigma - sigma) / sigma, every),
+            largest_defect(scale * np.abs(a.degree - w @ np.ones(every.size)), every),
+        )
+
+
+def largest_defect(gap: np.ndarray, *nodes: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """(gap[e], (nodes[0][e], ...)) at the largest entry e of ``gap``, or at
+    its first NaN."""
+    e = int(np.argmax(gap))
+    return float(gap[e]), tuple(int(at[e]) for at in nodes)
 
 
 @dataclass(frozen=True)
@@ -495,7 +526,8 @@ class Trajectory:
             rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
             negative = int(np.count_nonzero((w.data < 0.0) & (rows < w.indices)))
             nodes = (row, int(w.indices[e]))
-            out.append(StepCertificate(k, assembly.time, negative, float(w.data[e]), nodes))
+            sign_test = (negative, float(w.data[e]), nodes)
+            out.append(StepCertificate(k, assembly.time, *sign_test, assembly, self.measure.sigma))
         return out
 
     @functools.cached_property

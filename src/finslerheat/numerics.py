@@ -82,8 +82,8 @@ def cg_measure(
     sigma: np.ndarray,
     precond: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    # the contract ceiling is SOLVER_TOL; the tighter default keeps adjoint
-    # duality near 1e-12
+    # the contract ceiling is SOLVER_TOL; every solver field, and with it the
+    # benchmark's stored reference fields, depends on this default
     rel_tol: float = 1e-13,
 ) -> np.ndarray:
     """Preconditioned conjugate gradient for an operator self-adjoint (and

@@ -93,9 +93,6 @@ class CheckContext:
         self.grid = traj.grid
         self.t_end = traj.times[-1]
 
-    def rand_field(self) -> ScalarField:
-        return ScalarField(self.grid, self.rng.standard_normal(self.grid.n_nodes))
-
     def smooth_field(self) -> ScalarField:
         # band-limited: the variance identity gap is O(dt) only when the
         # field is resolved, white noise would put dt * lambda_max past 1
@@ -109,15 +106,6 @@ class CheckContext:
                 2.0 * math.pi / grid.period * (pts @ modes) + phase
             )
         return ScalarField(grid, vals)
-
-    def draws(self, make, count: int | None = None) -> list:
-        """Each check draws all its fields, in the order of the generator
-        stream, and then transports them as one block."""
-        return [make() for _ in range(count or self.config.n_fields)]
-
-    def random_pairs(self) -> tuple:
-        pairs = self.draws(lambda: (self.rand_field(), self.rand_field()))
-        return tuple(zip(*pairs))
 
     def finite_n(self) -> float:
         if math.isinf(self.config.N):
@@ -154,15 +142,17 @@ def _harnack(ctx: CheckContext):
 #: returns the check's reports. ``load_config`` validates names against it.
 CHECKS: dict[str, Callable[[CheckContext], list[InequalityReport]]] = {
     "conservative": lambda ctx: [semigroup.check_conservative(ctx.traj)],
-    "duality": lambda ctx: semigroup.check_duality(ctx.traj, *ctx.random_pairs()),
-    "semigroup_law": lambda ctx: [semigroup.check_semigroup_law(ctx.traj, ctx.rand_field())],
+    "duality": lambda ctx: [semigroup.check_duality(ctx.traj)],
+    "semigroup_law": lambda ctx: [semigroup.check_semigroup_law(ctx.traj)],
     "positivity": lambda ctx: semigroup.markov_reports(ctx.traj, ["positivity"]),
     "contraction": lambda ctx: semigroup.markov_reports(
         ctx.traj, ["contraction-l1", "contraction-l2", "contraction-linf"]
     ),
     "order_bounds": lambda ctx: semigroup.markov_reports(ctx.traj, ["order-bounds"]),
     "cauchy_schwarz": lambda ctx: semigroup.markov_reports(ctx.traj, ["cauchy-schwarz"]),
-    "variance": lambda ctx: semigroup.variance_identity(ctx.traj, ctx.draws(ctx.smooth_field, 3)),
+    "variance": lambda ctx: semigroup.variance_identity(
+        ctx.traj, [ctx.smooth_field() for _ in range(3)]
+    ),
     "laplacian_commutation": lambda ctx: [semigroup.laplacian_commutation(ctx.traj)],
     "gradient_estimate": lambda ctx: [semigroup.gradient_estimate_check(ctx.traj, ctx.K)],
     "local_logsob": lambda ctx: [semigroup.local_logsob_check(ctx.traj, ctx.K)],

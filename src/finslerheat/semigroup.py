@@ -1,18 +1,17 @@
 """Linear transport along a recorded flow and its inequality suite.
 
 The linearized semigroup is realized as the product of the recorded
-frozen-coefficient step operators of a Trajectory. Every step is
-self-adjoint in the measure inner product, so the adjoint semigroup is the
-same steps applied in reverse order; duality and the semigroup law are
-structural identities here, not numerical accidents. Every check takes the
-Trajectory and spans its whole record: P_{0,t} from its first time to its
-last. The four Markov checks (positivity, order bounds, contraction and
-Cauchy-Schwarz) hold for every field and every span once each step's kernel
-is nonnegative, so they read that from :attr:`Trajectory.kernel_probe`,
-take no field and transport none.
+frozen-coefficient step operators of a Trajectory; the adjoint semigroup
+is the same steps in reverse order. Seven checks read the record of steps,
+draw no field and name their worst point by step, time and nodes: duality
+and conservation from the identities of :attr:`Trajectory.certificate`, the
+four Markov checks (positivity, order bounds, contraction, Cauchy-Schwarz)
+from the kernel bounds of :attr:`Trajectory.kernel_probe`, and the
+semigroup law from the two steps around the middle of the record.
 
-All estimate checks follow one rule: quantities like F^2(grad u) are taken
-from the recorded assemblies (their carre du champ), those of log u through
+The other checks span the whole record, P_{0,t} from its first time to its
+last, and follow one rule: quantities like F^2(grad u) are taken from the
+recorded assemblies (their carre du champ), those of log u through
 :meth:`Trajectory.log_state`, never by re-differentiating transported
 fields in time or space. Discretization tolerances are reported alongside
 every result.
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import ZERO_CURVATURE, ScalarField, differential_field
-from .heat import PROBE_EDGES, Trajectory
+from .heat import PROBE_EDGES, Trajectory, largest_defect
 from .numerics import SOLVER_TOL, finite_exp, overflow_is_domain_error
 from .reporting import InequalityReport, compare, compare_discretized
 
@@ -38,14 +37,8 @@ ROUNDOFF_CHECKS = ("conservative", "duality", "semigroup_law")
 #: too tight for the runner's smooth fields on correct runs: over the 300
 #: seeds 1-300 of the 64^2 Randers check workload (dt 5e-4), the gap needs a
 #: constant of about 350 at the median and up to 620-630 (worst over
-#: tolerance up to 1.05), so 2 of the 300 seeded runs FAIL `variance`
+#: tolerance up to 1.05), so 4 of the 300 seeded runs FAIL `variance`
 VARIANCE_C = 600.0
-
-
-def _moved(traj: Trajectory, values: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """P_{0,t} over the whole record, or its adjoint, on one field (n,) or a
-    block (n, m) of fields as columns."""
-    return traj.transport(values, 0, traj.n_times - 1, adjoint)
 
 
 def _meta(traj: Trajectory, **extra) -> dict:
@@ -53,108 +46,89 @@ def _meta(traj: Trajectory, **extra) -> dict:
     return traj.grid_meta(start_time=traj.times[0], end_time=traj.times[-1], **extra)
 
 
-def _block(fields: list[ScalarField]) -> np.ndarray:
-    """The values of a list of fields as the columns of one block."""
-    return np.column_stack([f.values for f in fields])
+def _step_report(traj: Trajectory, name: str, rows, tolerance: float, rule: str, **meta):
+    """The test lhs <= rhs + ``tolerance`` on ``rows`` (step, lhs, rhs,
+    nodes) of recorded steps. Its worst point names the row's step, the
+    step's time and the row's nodes, with their coordinates."""
+    steps, lhs, rhs, nodes = zip(*rows)
+    report = compare(name, lhs, rhs, tolerance, rule, _meta(traj, **meta))
+    k = report.worst_location["index"]
+    located = list(nodes[k])
+    where = {
+        "step": steps[k],
+        "time": traj.certificate[steps[k]].time,
+        "nodes": located,
+        "coordinates": traj.grid.coordinates()[located].tolist(),
+    }
+    return dataclasses.replace(report, worst_location=where)
 
 
-def _reports(traj: Trajectory, rule: str, cases) -> list[InequalityReport]:
-    """One report per (name, lhs, rhs, tolerance) case, in order."""
-    return [
-        compare(name, lhs, rhs, tol, rule, grid_meta=_meta(traj))
-        for name, lhs, rhs, tol in cases
-    ]
+def _identity_report(traj: Trajectory, name: str, what: str, facts) -> InequalityReport:
+    """The round-off test of ``facts`` (step, (defect, nodes)) of recorded
+    steps, whose defects ``what`` names."""
+    rows = [(step, gap, 0.0, at) for step, (gap, at) in facts]
+    rule = f"absolute {ROUNDOFF:g} on {what} (bitwise identity expected)"
+    return _step_report(traj, name, rows, ROUNDOFF, rule)
 
 
 def check_conservative(traj: Trajectory) -> InequalityReport:
-    """Transported constants stay constant. In 2-d this is exact by the
-    stored row sums; a 1-d step is the LDL^T factor's solve, so there it
-    holds to the factor's round-off (below 1e-14 on the benchmark ladder)."""
-    out = _moved(traj, np.ones(traj.grid.n_nodes))
-    return compare(
-        "conservative",
-        np.abs(out - 1.0),
-        np.zeros_like(out),
-        ROUNDOFF,
-        f"absolute {ROUNDOFF:g} (structural identity)",
-        grid_meta=_meta(traj),
-    )
+    """Transported constants stay constant: each recorded step has degree =
+    W 1 bitwise, so it maps 1 to 1. This judges the steps, not the round-off
+    of solving them."""
+    facts = [(c.step, c.identities[2]) for c in traj.certificate]
+    return _identity_report(traj, "conservative", "each step's dt |degree - W 1| / sigma", facts)
 
 
-def check_duality(
-    traj: Trajectory, g: list[ScalarField], psi: list[ScalarField]
-) -> list[InequalityReport]:
-    """<psi, P g>_m equals <adjoint-P psi, g>_m up to solver tolerance.
-
-    ``g`` and ``psi`` are equal-length lists of fields: every g moves
-    forward in one block, every psi backward in another, and one report per
-    pair comes back in order.
-    """
-    gs, psis = _block(g), _block(psi)
-    sig = traj.measure.sigma
-    cases = []
-    for gj, pj, fwd, adj in zip(
-        gs.T, psis.T, _moved(traj, gs).T, _moved(traj, psis, adjoint=True).T
-    ):
-        a = float(np.sum(pj * fwd * sig))
-        b = float(np.sum(adj * gj * sig))
-        scale = max(1.0, abs(a), abs(b))
-        cases.append(("duality", np.array([abs(a - b)]), np.array([0.0]), ROUNDOFF * scale))
-    return _reports(traj, f"{ROUNDOFF:g} * pairing scale", cases)
+def check_duality(traj: Trajectory) -> InequalityReport:
+    """<psi, P g>_m equals <adjoint-P psi, g>_m for every pair and span: each
+    recorded step has W = W^T and the run's sigma bitwise, so Sigma S is
+    symmetric (:attr:`Trajectory.certificate`)."""
+    facts = [(c.step, fact) for c in traj.certificate for fact in c.identities[:2]]
+    what = "each step's dt |W - W^T| / sigma and |sigma - run sigma| / sigma"
+    return _identity_report(traj, "duality", what, facts)
 
 
-def check_semigroup_law(traj: Trajectory, g: ScalarField) -> InequalityReport:
-    """Composition through the middle recorded index equals direct transport.
-
-    Same operator product in the same order, so the gap is exactly zero in
-    floating point; the check guards the indexing, not the arithmetic.
-    """
-    end = traj.n_times - 1
-    if end < 2:
+def check_semigroup_law(traj: Trajectory) -> InequalityReport:
+    """P_{a,c} = P_{b,c} P_{a,b} and P*_{a,c} = P*_{a,b} P*_{b,c} on the
+    recorded field at a, for the two steps a, b = a + 1 around the middle of
+    the record, c = b + 1; the forward composition also gives the recorded
+    field at c. Each pair applies the same steps in the same order, so every
+    gap is exactly zero: the check guards the span arithmetic of
+    :meth:`Trajectory.transport`, not the arithmetic of a step."""
+    if traj.n_times < 3:
         raise ConfigError("semigroup_law needs at least two recorded steps")
-    mid = end // 2
-    two = traj.transport(traj.transport(g.values, 0, mid), mid, end)
-    direct = _moved(traj, g.values)
-    return compare(
-        "semigroup-law",
-        np.abs(two - direct),
-        np.zeros_like(direct),
-        ROUNDOFF,
-        f"absolute {ROUNDOFF:g} (bitwise identity expected)",
-        grid_meta=_meta(traj),
-    )
+    b = (traj.n_times - 1) // 2
+    a, c = b - 1, b + 1
+    g = traj.fields[a]
+    forward = traj.transport(traj.transport(g, a, b), b, c)
+    adjoint = traj.transport(traj.transport(g, b, c, True), a, b, True)
+    pairs = [
+        (forward, traj.transport(g, a, c)),
+        (forward, traj.fields[c]),
+        (adjoint, traj.transport(g, a, c, True)),
+    ]
+    every = np.arange(traj.grid.n_nodes)
+    facts = [(b, largest_defect(np.abs(x - y), every)) for x, y in pairs]
+    return _identity_report(traj, "semigroup-law", "two steps composed vs direct, recorded", facts)
 
 
-def _markov_report(traj: Trajectory, what: str, lhs, rhs, nodes) -> InequalityReport:
+def _markov_report(traj: Trajectory, what: str, rows) -> InequalityReport:
     """The per-step test lhs <= rhs + SOLVER_TOL of :attr:`Trajectory.
-    kernel_probe`, stating ``what`` it tests. Its worst point names the step,
-    its time and that step's ``nodes``, with their coordinates; its meta
-    counts the uncertified steps and, of those, the unproven ones, whose
-    probe found no violation."""
-    certs, probes = traj.certificate, traj.kernel_probe
-    lhs, rhs = np.array(lhs), np.array(rhs)
-    with np.errstate(invalid="ignore"):
-        held = lhs - rhs <= SOLVER_TOL
-    meta = _meta(
-        traj,
-        uncertified_steps=sum(not p.proven for p in probes),
-        unproven_steps=int(sum(ok and not p.proven for ok, p in zip(held, probes))),
-    )
+    kernel_probe` on ``rows`` (step, lhs, rhs, nodes), stating ``what`` it
+    tests; its meta counts the uncertified steps and, of those, the
+    unproven ones, whose probe found no violation."""
+    probes = traj.kernel_probe
+    held = [lhs - rhs <= SOLVER_TOL for _, lhs, rhs, _ in rows]
     rule = (
         f"{SOLVER_TOL:g} on {what}; W >= 0 proves a step, and unit spikes at the ends "
         f"of its {PROBE_EDGES} most negative first-order kernel entries test another, "
         "which can find a violation but prove none (unproven_steps)"
     )
-    report = compare("markov", lhs, rhs, SOLVER_TOL, rule, meta)
-    k = report.worst_location["index"]
-    located = list(nodes[k])
-    where = {
-        "step": k,
-        "time": certs[k].time,
-        "nodes": located,
-        "coordinates": traj.grid.coordinates()[located].tolist(),
-    }
-    return dataclasses.replace(report, worst_location=where)
+    return _step_report(
+        traj, "markov", rows, SOLVER_TOL, rule,
+        uncertified_steps=sum(not p.proven for p in probes),
+        unproven_steps=int(sum(ok and not p.proven for ok, p in zip(held, probes))),
+    )
 
 
 def markov_reports(traj: Trajectory, names: list[str]) -> list[InequalityReport]:
@@ -170,14 +144,12 @@ def markov_reports(traj: Trajectory, names: list[str]) -> list[InequalityReport]
     0 <= S[i, j] on each step's smallest kernel entry known. No field is
     read, so a property has one report whatever the field count.
     """
-    probes = traj.kernel_probe
-    floors = [p.floor for p in probes]
-    gains = [p.gain for p in probes]
+    probes = list(enumerate(traj.kernel_probe))
     entry = _markov_report(
-        traj, "one-step kernel entries", np.zeros_like(floors), floors, [p.nodes for p in probes]
+        traj, "one-step kernel entries", [(k, 0.0, p.floor, p.nodes) for k, p in probes]
     )
     gain = _markov_report(
-        traj, "one-step L^2 gains", gains, np.ones_like(gains), [(p.spike,) for p in probes]
+        traj, "one-step L^2 gains", [(k, p.gain, 1.0, (p.spike,)) for k, p in probes]
     )
     return [
         dataclasses.replace(gain if name == "contraction-l2" else entry, name=name)
@@ -197,7 +169,7 @@ def variance_identity(traj: Trajectory, f: list[ScalarField]) -> list[Inequality
     one report per field.
     """
     dt = traj.dt
-    x = _block(f)
+    x = np.column_stack([g.values for g in f])
     m = x.shape[1]
     acc = 0.5 * traj.assembly_at(0).carre_du_champ(x)
     state = np.hstack([x, x * x, acc])
@@ -206,20 +178,24 @@ def variance_identity(traj: Trajectory, f: list[ScalarField]) -> list[Inequality
         state = traj.transport(state, k, k + 1)
         w = 0.5 if k + 1 == end else 1.0
         state[:, 2 * m :] += w * traj.assembly_at(k + 1).carre_du_champ(state[:, :m])
-    cases = []
+    rule = f"C*dt with C={VARIANCE_C:g}, scaled by field size"
+    reports = []
     for x, y, acc in zip(*(block.T for block in np.hsplit(state, 3))):
         lhs, rhs = x * x - y, -2.0 * dt * acc
         scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
         gap = np.abs(lhs - rhs)
-        cases.append(("variance-identity", gap, np.zeros_like(lhs), VARIANCE_C * dt * scale))
-    return _reports(traj, f"C*dt with C={VARIANCE_C:g}, scaled by field size", cases)
+        tolerance = VARIANCE_C * dt * scale
+        reports.append(
+            compare("variance-identity", gap, np.zeros_like(lhs), tolerance, rule, _meta(traj))
+        )
+    return reports
 
 
 def laplacian_commutation(traj: Trajectory) -> InequalityReport:
     """The spatial operator commutes with transport along the flow."""
     lap_s = traj.delta_u(0)
     lap_t = traj.delta_u(traj.n_times - 1)
-    moved = _moved(traj, lap_s)
+    moved = traj.transport(lap_s, 0, traj.n_times - 1)
     gap = np.abs(lap_t - moved)
     scale = max(1.0, float(np.max(np.abs(lap_s))))
     return compare_discretized(

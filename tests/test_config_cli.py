@@ -502,11 +502,10 @@ def test_block_transport_reports_match_one_column_at_a_time(tmp_path, monkeypatc
             assert a.read() == b.read(), name
 
 
-def test_markov_checks_draw_no_field_and_write_one_report_per_property(tmp_path):
-    # the four Markov checks read the recorded steps alone: a check listed
-    # after them draws the fields it draws alone, and each writes one report
-    # per property it states, whatever n_fields is
-    counts = {"positivity": 1, "contraction": 3, "order_bounds": 1, "cauchy_schwarz": 1}
+def assert_checks_draw_no_field(tmp_path, counts):
+    """The checks ``counts`` read the recorded steps alone: ``variance``
+    listed after them draws the fields it draws alone, and each writes its
+    count of reports, whatever n_fields is."""
     for n_fields in (1, 5):
         variance = []
         for names in ([*counts, "variance"], ["variance"]):
@@ -520,6 +519,16 @@ def test_markov_checks_draw_no_field_and_write_one_report_per_property(tmp_path)
                 with open(manifest.report_paths[name]) as fh:
                     assert len(json.load(fh)["reports"]) == counts[name], (name, n_fields)
         assert variance[0] == variance[1], n_fields
+
+
+def test_markov_checks_draw_no_field_and_write_one_report_per_property(tmp_path):
+    # one report per property each Markov check states
+    counts = {"positivity": 1, "contraction": 3, "order_bounds": 1, "cauchy_schwarz": 1}
+    assert_checks_draw_no_field(tmp_path, counts)
+
+
+def test_structural_checks_draw_no_field(tmp_path):
+    assert_checks_draw_no_field(tmp_path, dict.fromkeys(ROUNDOFF_CHECKS, 1))
 
 
 def test_overclaimed_curvature_is_recorded_not_raised(tmp_path):
@@ -766,6 +775,50 @@ def test_cli_check_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ok   conservative" in out
     assert "0 of 2 checks failed" in out
+
+
+#: a stiff 1-d Randers run on a short torus, where a step's solve is exact
+#: only to the factor's kappa * eps: transported constants drift by up to
+#: 9.4e-11 from 1, which a verdict on them once read as a FAIL of conservative
+STIFF_1D = """\
+    [grid]
+    dim = 1
+    nodes = {nodes}
+    period = {period}
+
+    [metric]
+    family = randers
+    a = 1
+    b = 0.3
+
+    [measure]
+    f = 0.3*cos(1)
+
+    [initial]
+    u = 1 + 0.4*sin(1, 0.3)
+
+    [time]
+    dt = 1e-3
+    t_final = 5e-3
+
+    [checks]
+    names = conservative, duality, semigroup_law
+    K = 0
+    """
+
+
+@pytest.mark.parametrize("nodes, period", [(64, 0.01), (32, 0.001)])
+def test_cli_structural_checks_pass_a_stiff_1d_run(tmp_path, capsys, nodes, period):
+    # the verdicts judge the exact steps' identities, each located by step
+    runs = tmp_path / "runs"
+    config = STIFF_1D.format(nodes=nodes, period=period)
+    path = write_ini(tmp_path, config, f"[output]\ndir = {runs}\n")
+    assert main(["check", path]) == 0
+    assert "0 of 3 checks failed" in capsys.readouterr().out
+    for name in ROUNDOFF_CHECKS:
+        (report,) = json.loads((runs / f"check_{name}.json").read_text())["reports"]
+        assert report["passed"] and report["tolerance"] == 1e-12, (name, report)
+        assert isinstance(report["worst_location"]["step"], int), (name, report)
 
 
 def test_cli_check_reports_failures(tmp_path, capsys):

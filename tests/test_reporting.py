@@ -174,12 +174,8 @@ def _on_uncertified(*names):
 #: (module, constant, check): every tolerance constant with a check it sets
 TOLERANCE_CONSTANTS = {
     "roundoff-conservative": (semigroup, "ROUNDOFF", semigroup.check_conservative),
-    "roundoff-duality": (
-        semigroup, "ROUNDOFF", lambda traj: semigroup.check_duality(traj, *[_fields(traj)] * 2)
-    ),
-    "roundoff-law": (
-        semigroup, "ROUNDOFF", lambda traj: semigroup.check_semigroup_law(traj, _fields(traj)[0])
-    ),
+    "roundoff-duality": (semigroup, "ROUNDOFF", semigroup.check_duality),
+    "roundoff-law": (semigroup, "ROUNDOFF", semigroup.check_semigroup_law),
     "solver-positivity": (semigroup, "SOLVER_TOL", _on_uncertified("positivity")),
     "solver-contraction": (
         semigroup, "SOLVER_TOL",
