@@ -201,7 +201,7 @@ class ExperimentConfig:
     N: float
     K: float | None  # None: resolve from the certified curvature bound
     profile: str
-    seed: int
+    seed: int  # range-checked and recorded in the manifest, read by no check
     n_fields: int  # range-checked, read by no check; the benchmark configs set it
     s_time: float
     phi_expr: str

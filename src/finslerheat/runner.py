@@ -3,9 +3,8 @@ machine-readable reports.
 
 Determinism contract: for a fixed config the numeric content of every
 report file is byte-identical across runs. Checks execute in the order
-they appear in the config, random test fields come from one seeded
-generator consumed in that order, and wall-clock times live only in the
-manifest.
+they appear in the config, no check draws a random field, and wall-clock
+times live only in the manifest.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from . import harnack as harnack_mod
 from . import liyau, semigroup
 from ._version import __version__
 from .errors import ConfigError, FinslerHeatError
-from .geometry import ZERO_CURVATURE, ScalarField, ricci_lower_bound
+from .geometry import ZERO_CURVATURE, ricci_lower_bound
 from .heat import SCHEME, Trajectory, bochner_report, solve_heat_flow
 from .reporting import InequalityReport, write_json
 
@@ -79,33 +78,15 @@ def _resolve_curvature(config, metric, measure):
 
 
 class CheckContext:
-    """What a check reads: the config, the recorded run, the resolved K, the
-    entropy checks' test field phi and the one generator every random field
-    is drawn from. Checks execute in config order, so the stream of random
-    fields is reproducible."""
+    """What a check reads: the config, the recorded run, the resolved K and
+    the entropy checks' test field phi."""
 
-    def __init__(self, config: ExperimentConfig, traj: Trajectory, K: float, phi, rng):
+    def __init__(self, config: ExperimentConfig, traj: Trajectory, K: float, phi):
         self.config = config
         self.traj = traj
         self.K = K
         self.phi = phi
-        self.rng = rng
-        self.grid = traj.grid
         self.t_end = traj.times[-1]
-
-    def smooth_field(self) -> ScalarField:
-        # band-limited: the variance identity gap is O(dt) only when the
-        # field is resolved, white noise would put dt * lambda_max past 1
-        grid, rng = self.grid, self.rng
-        pts = grid.coordinates()
-        vals = np.zeros(grid.n_nodes)
-        for _ in range(4):
-            modes = rng.integers(-3, 4, size=grid.dim)
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            vals += rng.standard_normal() * np.cos(
-                2.0 * math.pi / grid.period * (pts @ modes) + phase
-            )
-        return ScalarField(grid, vals)
 
     def finite_n(self) -> float:
         if math.isinf(self.config.N):
@@ -150,9 +131,7 @@ CHECKS: dict[str, Callable[[CheckContext], list[InequalityReport]]] = {
     ),
     "order_bounds": lambda ctx: semigroup.markov_reports(ctx.traj, ["order-bounds"]),
     "cauchy_schwarz": lambda ctx: semigroup.markov_reports(ctx.traj, ["cauchy-schwarz"]),
-    "variance": lambda ctx: semigroup.variance_identity(
-        ctx.traj, [ctx.smooth_field() for _ in range(3)]
-    ),
+    "variance": lambda ctx: [semigroup.variance_identity(ctx.traj)],
     "laplacian_commutation": lambda ctx: [semigroup.laplacian_commutation(ctx.traj)],
     "gradient_estimate": lambda ctx: [semigroup.gradient_estimate_check(ctx.traj, ctx.K)],
     "local_logsob": lambda ctx: [semigroup.local_logsob_check(ctx.traj, ctx.K)],
@@ -220,7 +199,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
             for a, cert in zip(traj.assemblies, traj.certificate)
         ],
     )
-    ctx = CheckContext(config, traj, K, phi, np.random.default_rng(config.seed))
+    ctx = CheckContext(config, traj, K, phi)
     for name in config.checks:
         t0 = time.perf_counter()
         try:

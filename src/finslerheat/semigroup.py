@@ -2,12 +2,13 @@
 
 The linearized semigroup is realized as the product of the recorded
 frozen-coefficient step operators of a Trajectory; the adjoint semigroup
-is the same steps in reverse order. Seven checks read the record of steps,
-draw no field and name their worst point by step, time and nodes: duality
-and conservation from the identities of :attr:`Trajectory.certificate`, the
-four Markov checks (positivity, order bounds, contraction, Cauchy-Schwarz)
-from the kernel bounds of :attr:`Trajectory.kernel_probe`, and the
-semigroup law from the two steps around the middle of the record.
+is the same steps in reverse order. No check draws a field. Seven checks
+read the record of steps and name their worst point by step, time and
+nodes: duality and conservation from the identities of
+:attr:`Trajectory.certificate`, the four Markov checks (positivity, order
+bounds, contraction, Cauchy-Schwarz) from the kernel bounds of
+:attr:`Trajectory.kernel_probe`, and the semigroup law from the two steps
+around the middle of the record.
 
 The other checks span the whole record, P_{0,t} from its first time to its
 last, and follow one rule: quantities like F^2(grad u) are taken from the
@@ -24,21 +25,16 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import ZERO_CURVATURE, ScalarField, differential_field
+from .geometry import ZERO_CURVATURE, differential_field
 from .heat import PROBE_EDGES, Trajectory, largest_defect
 from .numerics import SOLVER_TOL, finite_exp, overflow_is_domain_error
 from .reporting import InequalityReport, compare, compare_discretized
 
-#: tolerance of the round-off checks: structural identities of the steps,
-#: by their config names
+#: tolerance of the structural identities of the steps
 ROUNDOFF = 1e-12
-ROUNDOFF_CHECKS = ("conservative", "duality", "semigroup_law")
-#: C of the variance identity's C*dt tolerance, scaled by field size. It is
-#: too tight for the runner's smooth fields on correct runs: over the 300
-#: seeds 1-300 of the 64^2 Randers check workload (dt 5e-4), the gap needs a
-#: constant of about 350 at the median and up to 620-630 (worst over
-#: tolerance up to 1.05), so 4 of the 300 seeded runs FAIL `variance`
-VARIANCE_C = 600.0
+#: config names of the checks whose residuals sit at round-off: the three
+#: structural identities and the variance identity of the recorded steps
+ROUNDOFF_CHECKS = ("conservative", "duality", "semigroup_law", "variance")
 
 
 def _meta(traj: Trajectory, **extra) -> dict:
@@ -157,38 +153,33 @@ def markov_reports(traj: Trajectory, names: list[str]) -> list[InequalityReport]
     ]
 
 
-def variance_identity(traj: Trajectory, f: list[ScalarField]) -> list[InequalityReport]:
-    """Pointwise identity between the transported-square gap and the
-    time-integrated, transported carre du champ.
+def variance_identity(traj: Trajectory) -> InequalityReport:
+    """The variance identity P(f^2) - (P f)^2 = 2 int P Gamma(P f) ds of the
+    recorded steps, f the recorded u_0, so that P f is the recorded field.
 
-    (P f)^2 - P(f^2) = -2 * integral of P(carre du champ of the running
-    transport), the integral taken by the trapezoid rule over recorded
-    steps. The two sides agree to O(dt) because both are built from the
-    same discrete operators; no spatial error enters. ``f`` is a list of
-    fields: x, y and acc of every field move as one block per step, with
-    one report per field.
+    One implicit Euler step S = (I - dt A)^-1 and x = S f give, exactly,
+    S(f^2) - x^2 = S[2 dt Gamma(x) + dt^2 (A x)^2]. So the gap of P(u_0^2)
+    over u_T^2 gathers, step by step, that source at the step's recorded
+    field, from the step's own assembly and dt, and moves through the step
+    with P(u_0^2) as one block of two columns. Each step solve errs by at
+    most SOLVER_TOL relative, and the errors of the record add.
     """
-    dt = traj.dt
-    x = np.column_stack([g.values for g in f])
-    m = x.shape[1]
-    acc = 0.5 * traj.assembly_at(0).carre_du_champ(x)
-    state = np.hstack([x, x * x, acc])
-    end = traj.n_times - 1
-    for k in range(end):
-        state = traj.transport(state, k, k + 1)
-        w = 0.5 if k + 1 == end else 1.0
-        state[:, 2 * m :] += w * traj.assembly_at(k + 1).carre_du_champ(state[:, :m])
-    rule = f"C*dt with C={VARIANCE_C:g}, scaled by field size"
-    reports = []
-    for x, y, acc in zip(*(block.T for block in np.hsplit(state, 3))):
-        lhs, rhs = x * x - y, -2.0 * dt * acc
-        scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-        gap = np.abs(lhs - rhs)
-        tolerance = VARIANCE_C * dt * scale
-        reports.append(
-            compare("variance-identity", gap, np.zeros_like(lhs), tolerance, rule, _meta(traj))
-        )
-    return reports
+    u = traj.fields
+    n_steps = traj.n_times - 1
+    square = u[0] * u[0]
+    block = np.column_stack([square, np.zeros_like(square)])
+    for k in range(n_steps):
+        step = traj.assemblies[k]
+        x = u[k + 1]
+        block[:, 1] += 2.0 * step.dt * step.carre_du_champ(x) + (step.dt * step.apply(x)) ** 2
+        block = traj.transport(block, k, k + 1)
+    gap = np.abs(block[:, 0] - u[n_steps] ** 2 - block[:, 1])
+    tolerance = n_steps * SOLVER_TOL * max(1.0, float(np.max(square)))
+    rule = (
+        f"n_steps * {SOLVER_TOL:g} * max(1, max u_0^2): each step solve errs by at most "
+        f"{SOLVER_TOL:g} relative"
+    )
+    return compare("variance-identity", gap, np.zeros_like(gap), tolerance, rule, _meta(traj))
 
 
 def laplacian_commutation(traj: Trajectory) -> InequalityReport:
