@@ -33,15 +33,21 @@ axis at a time, and CG starts at the right-hand side.
 
 :func:`heat_flow` is the one step loop, with two consumers:
 :func:`solve_heat_flow` records every step for the checks, and the ``solve``
-verb keeps only u0 and the latest field.
+verb keeps only u0 and the latest field. :meth:`Trajectory.transport` is
+the one transport loop over recorded steps, and :meth:`Trajectory.sweep`
+its one forward sweep of the whole record: the time-0 sources of
+:data:`SWEPT_SOURCES` that the checks spanning the record read move
+through it together, one block per step.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +74,23 @@ SCHEME = "implicit_euler"
 #: endpoints of its this many edges of most negative first-order kernel
 #: entry, dt W[i, j] / sigma_i (Trajectory.kernel_probe)
 PROBE_EDGES = 4
+
+
+def _log_sources(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """u Gamma(log u) and u log u at time 0, for a positive u_0."""
+    u, _, f2 = traj.log_state(0)
+    return u * f2, u * np.log(u)
+
+
+#: the time-0 sources that the checks spanning the whole record read moved
+#: to its end (:meth:`Trajectory.moved`), each formed from the record
+SWEPT_SOURCES = {
+    "laplacian": lambda traj: traj.delta_u(0),
+    "log_gradient": lambda traj: _log_sources(traj)[0],
+    "gradient": lambda traj: traj.assembly_at(0).carre_du_champ(traj.fields[0]),
+    "entropy": lambda traj: _log_sources(traj)[1],
+    "square": lambda traj: traj.fields[0] * traj.fields[0],
+}
 
 
 @dataclass
@@ -459,6 +482,8 @@ class Trajectory:
     assemblies: list[DiffusionAssembly]
     dt: float
     violations: list[dict] = field(default_factory=list)
+    #: the sources :meth:`sweep` has moved, by name
+    _moved: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def grid(self):
@@ -589,17 +614,48 @@ class Trajectory:
         assembly = self.assembly_at(index)
         return u, assembly.apply(u), assembly.carre_du_champ(np.log(u))
 
-    @functools.cached_property
-    def moved_log_sources(self) -> np.ndarray:
-        """The time-0 sources of the log-based checks, [u Gamma(log u),
-        Gamma(u), u log u] as the columns of one block, moved through the
-        whole record in one sweep: ``gradient_estimate`` and ``local_logsob``
-        both read it."""
-        u, _, f2 = self.log_state(0)
-        sources = [u * f2, self.assembly_at(0).carre_du_champ(u), u * np.log(u)]
-        moved = self.transport(np.column_stack(sources), 0, self.n_times - 1)
-        moved.flags.writeable = False  # both checks share it
-        return moved
+    def sweep(self, names: Iterable[str]) -> None:
+        """Move each named source of :data:`SWEPT_SOURCES` that is not yet
+        moved through the whole record, all in one forward sweep, for
+        :meth:`moved` to read. A source that cannot be formed, a log source
+        of a u_0 that is not strictly positive, is left out: the check that
+        reads it raises in its own turn."""
+        sources = {}
+        for name in dict.fromkeys(names):
+            if name not in self._moved:
+                with contextlib.suppress(DomainError):
+                    sources[name] = SWEPT_SOURCES[name](self)
+        self._sweep(sources)
+
+    def moved(self, *names: str) -> list[np.ndarray]:
+        """The named time-0 sources of :data:`SWEPT_SOURCES` moved through
+        the whole record, read-only; those not yet moved go through one
+        sweep of their own."""
+        self._sweep({n: SWEPT_SOURCES[n](self) for n in names if n not in self._moved})
+        return [self._moved[name] for name in names]
+
+    def _sweep(self, sources: dict[str, np.ndarray]) -> None:
+        """The one forward sweep: at each recorded step the sources move as
+        one block through :meth:`transport`. Column j of a block is bitwise
+        column j alone, so no moved source depends on its company. Before
+        step k the ``square`` column loses that step's variance source
+        2 dt Gamma_k(u_{k+1}) + dt^2 (A_k u_{k+1})^2 (see
+        :func:`semigroup.variance_identity`)."""
+        if not sources:
+            return
+        block = np.column_stack(list(sources.values()))
+        square = list(sources).index("square") if "square" in sources else None
+        for k in range(self.n_times - 1):
+            if square is not None:
+                step, x = self.assemblies[k], self.fields[k + 1]
+                block[:, square] -= (
+                    2.0 * step.dt * step.carre_du_champ(x) + (step.dt * step.apply(x)) ** 2
+                )
+            block = self.transport(block, k, k + 1)
+        for name, column in zip(sources, block.T):
+            moved = column.copy()
+            moved.flags.writeable = False  # the checks share it
+            self._moved[name] = moved
 
     def _check(self, index: int) -> int:
         if not 0 <= index < self.n_times:
@@ -611,12 +667,15 @@ class Trajectory:
 
         Each CSV is the text ``csv.writer`` would write, built as one string:
         the writer formats a float64 with ``str``, which is ``repr(float)``.
+        Each coordinate of the axis that ``grid.coordinates()`` stacks is
+        formatted once; nodes run in its C order.
         """
         os.makedirs(out_dir, exist_ok=True)
-        header = ",".join(["node"] + [f"x{i}" for i in range(self.grid.dim)] + ["u"])
+        grid = self.grid
+        header = ",".join(["node"] + [f"x{i}" for i in range(grid.dim)] + ["u"])
+        axis = [repr(x) + "," for x in (np.arange(grid.nodes_per_axis) * grid.h).tolist()]
         prefixes = [
-            ",".join(map(repr, [i, *xs])) + ","
-            for i, xs in enumerate(self.grid.coordinates().tolist())
+            f"{i},{''.join(xs)}" for i, xs in enumerate(itertools.product(axis, repeat=grid.dim))
         ]
         names = {k: f"field_{self.times[k]:.6f}.csv" for k in (0, self.n_times - 1)}
         if max(map(len, names.values())) > 255:  # NAME_MAX of common file systems

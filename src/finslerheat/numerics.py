@@ -17,6 +17,10 @@ from .errors import DomainError, NoConvergence, SolverDivergence
 
 #: relative accuracy that cg_measure's contract guarantees for a step solve
 SOLVER_TOL = 1e-10
+#: relative residual at which cg_measure stops; the contract ceiling is
+#: SOLVER_TOL, and every solver field, and with it the benchmark's stored
+#: reference fields, depends on this value
+CG_REL_TOL = 1e-13
 
 
 @contextlib.contextmanager
@@ -82,9 +86,6 @@ def cg_measure(
     sigma: np.ndarray,
     precond: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
-    # the contract ceiling is SOLVER_TOL; every solver field, and with it the
-    # benchmark's stored reference fields, depends on this default
-    rel_tol: float = 1e-13,
 ) -> np.ndarray:
     """Preconditioned conjugate gradient for an operator self-adjoint (and
     positive definite) in the measure inner product
@@ -98,16 +99,15 @@ def cg_measure(
     serves every row still iterating, while each row keeps its own scalars,
     stopping rule and row-wise reductions, so a field's result does not
     depend on its stack, bit for bit. A row leaves the sweep when its
-    (unpreconditioned) measure-norm residual is below ``rel_tol`` (floored
-    at 64 eps) times that of its right-hand side, or after 20 iterations
-    without a new best residual (the round-off floor). Raises
-    :class:`SolverDivergence` if one is still iterating after ``10 * n``
-    iterations.
+    (unpreconditioned) measure-norm residual is below :data:`CG_REL_TOL`
+    times that of its right-hand side, or after 20 iterations without a new
+    best residual (the round-off floor). Raises :class:`SolverDivergence`
+    if one is still iterating after ``10 * n`` iterations.
     """
     b = np.ascontiguousarray(np.atleast_2d(rhs), dtype=float)
     x = np.array(np.atleast_2d(x0), dtype=float, order="C")
     shape = np.shape(rhs)
-    tol2 = max(rel_tol, 64.0 * np.finfo(float).eps) ** 2
+    tol2 = CG_REL_TOL**2
     max_iter = 10 * b.shape[1]
     r = b - apply_op(x)
     rr = np.einsum("ij,ij,j->i", r, r, sigma)

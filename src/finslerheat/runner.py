@@ -9,6 +9,7 @@ times live only in the manifest.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -166,11 +167,22 @@ def _write_check(out_dir: str, name: str, reports: list[InequalityReport]) -> tu
     return write_json(os.path.join(out_dir, f"check_{name}.json"), payload), passed
 
 
+@contextlib.contextmanager
+def _named(what: str):
+    """Re-raise a module error with ``what`` it came from attached."""
+    try:
+        yield
+    except FinslerHeatError as exc:
+        raise type(exc)(f"{what}: {exc}") from exc
+
+
 def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
     """Solve the configured flow and execute its check list.
 
     Check failures are recorded, not raised; module errors inside a check
     are re-raised with the check name attached so batch logs stay usable.
+    The checks of :data:`semigroup.SWEPT_BY_CHECK` first share one sweep of
+    the sources they read (:meth:`Trajectory.sweep`).
     """
     out = out_dir or config.out_dir
     os.makedirs(out, exist_ok=True)
@@ -200,12 +212,17 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
         ],
     )
     ctx = CheckContext(config, traj, K, phi)
+    swept = [name for name in config.checks if name in semigroup.SWEPT_BY_CHECK]
+    if swept:
+        # the checks that span the whole record read one sweep of their sources
+        t0 = time.perf_counter()
+        with _named(f"checks {', '.join(swept)}"):
+            traj.sweep(source for name in swept for source in semigroup.SWEPT_BY_CHECK[name])
+        clock["sweep"] = time.perf_counter() - t0
     for name in config.checks:
         t0 = time.perf_counter()
-        try:
+        with _named(f"check {name}"):
             reports = CHECKS[name](ctx)
-        except FinslerHeatError as exc:
-            raise type(exc)(f"check {name}: {exc}") from exc
         clock[name] = time.perf_counter() - t0
         path, passed = _write_check(out, name, reports)
         manifest.report_paths[name] = path

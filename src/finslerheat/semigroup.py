@@ -14,8 +14,11 @@ The other checks span the whole record, P_{0,t} from its first time to its
 last, and follow one rule: quantities like F^2(grad u) are taken from the
 recorded assemblies (their carre du champ), those of log u through
 :meth:`Trajectory.log_state`, never by re-differentiating transported
-fields in time or space. Discretization tolerances are reported alongside
-every result.
+fields in time or space. Four of them (:data:`SWEPT_BY_CHECK`) read their
+time-0 sources moved to the end of the record from one forward sweep,
+:meth:`Trajectory.moved`: the sweep moves every source as one block per
+recorded step, and ``variance`` reads one column of it. Discretization
+tolerances are reported alongside every result.
 """
 
 from __future__ import annotations
@@ -35,6 +38,14 @@ ROUNDOFF = 1e-12
 #: config names of the checks whose residuals sit at round-off: the three
 #: structural identities and the variance identity of the recorded steps
 ROUNDOFF_CHECKS = ("conservative", "duality", "semigroup_law", "variance")
+#: the sources of :data:`heat.SWEPT_SOURCES` that each check spanning the
+#: whole record reads, by config name; a run moves them all in one sweep
+SWEPT_BY_CHECK = {
+    "laplacian_commutation": ("laplacian",),
+    "gradient_estimate": ("log_gradient", "gradient"),
+    "local_logsob": ("log_gradient", "entropy"),
+    "variance": ("square",),
+}
 
 
 def _meta(traj: Trajectory, **extra) -> dict:
@@ -158,23 +169,17 @@ def variance_identity(traj: Trajectory) -> InequalityReport:
     recorded steps, f the recorded u_0, so that P f is the recorded field.
 
     One implicit Euler step S = (I - dt A)^-1 and x = S f give, exactly,
-    S(f^2) - x^2 = S[2 dt Gamma(x) + dt^2 (A x)^2]. So the gap of P(u_0^2)
-    over u_T^2 gathers, step by step, that source at the step's recorded
-    field, from the step's own assembly and dt, and moves through the step
-    with P(u_0^2) as one block of two columns. Each step solve errs by at
-    most SOLVER_TOL relative, and the errors of the record add.
+    S(f^2) - x^2 = S[2 dt Gamma(x) + dt^2 (A x)^2], that is S(f^2 - src) =
+    x^2 with src that source at the step's recorded field, from the step's
+    own assembly and dt. So one column, u_0^2 less each step's source before
+    the step moves it (:meth:`Trajectory.moved`), must end at u_T^2. Each
+    step solve errs by at most SOLVER_TOL relative, and the errors of the
+    record add.
     """
-    u = traj.fields
+    (moved,) = traj.moved("square")
     n_steps = traj.n_times - 1
-    square = u[0] * u[0]
-    block = np.column_stack([square, np.zeros_like(square)])
-    for k in range(n_steps):
-        step = traj.assemblies[k]
-        x = u[k + 1]
-        block[:, 1] += 2.0 * step.dt * step.carre_du_champ(x) + (step.dt * step.apply(x)) ** 2
-        block = traj.transport(block, k, k + 1)
-    gap = np.abs(block[:, 0] - u[n_steps] ** 2 - block[:, 1])
-    tolerance = n_steps * SOLVER_TOL * max(1.0, float(np.max(square)))
+    gap = np.abs(moved - traj.fields[n_steps] ** 2)
+    tolerance = n_steps * SOLVER_TOL * max(1.0, float(np.max(traj.fields[0] ** 2)))
     rule = (
         f"n_steps * {SOLVER_TOL:g} * max(1, max u_0^2): each step solve errs by at most "
         f"{SOLVER_TOL:g} relative"
@@ -186,7 +191,7 @@ def laplacian_commutation(traj: Trajectory) -> InequalityReport:
     """The spatial operator commutes with transport along the flow."""
     lap_s = traj.delta_u(0)
     lap_t = traj.delta_u(traj.n_times - 1)
-    moved = traj.transport(lap_s, 0, traj.n_times - 1)
+    (moved,) = traj.moved("laplacian")
     gap = np.abs(lap_t - moved)
     scale = max(1.0, float(np.max(np.abs(lap_s))))
     return compare_discretized(
@@ -209,7 +214,7 @@ def gradient_estimate_check(traj: Trajectory, K: float) -> InequalityReport:
     u_t, _, f2_t = traj.log_state(traj.n_times - 1)
     raw_t = traj.assembly_at(traj.n_times - 1).carre_du_champ(u_t)
     lhs = np.concatenate([u_t * f2_t, raw_t])
-    rhs = np.concatenate(factor * traj.moved_log_sources[:, :2].T)
+    rhs = np.concatenate([factor * moved for moved in traj.moved("log_gradient", "gradient")])
     scale = max(1.0, float(np.max(np.abs(rhs))))
     return compare_discretized(
         "gradient-estimate", lhs, rhs, traj.grid.h, traj.dt, scale, "gradient",
@@ -237,7 +242,7 @@ def local_logsob_check(traj: Trajectory, K: float) -> InequalityReport:
     u_t, _, f2_t = traj.log_state(traj.n_times - 1)
     c_fwd, c_rev = _logsob_coefficients(K, traj.times[-1] - traj.times[0])
 
-    grad_s_moved, _, ent_s_moved = traj.moved_log_sources.T
+    grad_s_moved, ent_s_moved = traj.moved("log_gradient", "entropy")
     gap = u_t * np.log(u_t) - ent_s_moved
     grad_t = u_t * f2_t
 

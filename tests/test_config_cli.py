@@ -1,5 +1,6 @@
 """Config parsing, the batch runner, and the command line front end."""
 
+import dataclasses
 import json
 import math
 import os
@@ -457,8 +458,8 @@ def test_run_is_deterministic_for_a_fixed_config(tmp_path):
 
 
 def test_block_transport_reports_match_one_column_at_a_time(tmp_path, monkeypatch):
-    # variance moves a block of 2 columns and gradient_estimate one of 3;
-    # every report must keep its bytes when each column is stepped alone
+    # variance and gradient_estimate share one sweep of 3 columns; every
+    # report must keep its bytes when each column is stepped alone
     base = """\
         [grid]
         dim = 2
@@ -500,6 +501,111 @@ def test_block_transport_reports_match_one_column_at_a_time(tmp_path, monkeypatc
     for name in config.checks:
         with open(blocked.report_paths[name], "rb") as a, open(alone.report_paths[name], "rb") as b:
             assert a.read() == b.read(), name
+
+
+#: the checks that span the whole record, moving 1 + 2 + 2 + 1 sources of
+#: which 5 differ (Trajectory.sweep)
+SWEPT = "laplacian_commutation, gradient_estimate, local_logsob, variance"
+
+#: a 1-d weighted Randers run and a 2-d Randers run, each configuring SWEPT
+SWEPT_RUNS = {
+    "randers-1d-weighted": """\
+        [grid]
+        dim = 1
+        nodes = 32
+
+        [metric]
+        family = randers
+        a = 1
+        b = 0.3
+
+        [measure]
+        f = 0.2*cos(1)
+
+        [initial]
+        u = {u}
+
+        [time]
+        dt = 1e-3
+        t_final = 1e-2
+
+        [checks]
+        names = {names}
+        K = -0.5
+        """,
+    "randers-2d": """\
+        [grid]
+        dim = 2
+        nodes = 16
+
+        [metric]
+        family = randers
+        a = 1.0, 0.2, 0.8
+        b = 0.3, 0.1
+
+        [initial]
+        u = {u}
+
+        [time]
+        dt = 1e-3
+        t_final = 5e-3
+
+        [checks]
+        names = {names}
+        K = -0.5
+        """,
+}
+POSITIVE_U = {"randers-1d-weighted": "1 + 0.5*sin(1, 0.3)",
+              "randers-2d": "1 + 0.4*sin(1, 0, 0.3) + 0.2*cos(1, 1)"}
+
+
+def count_advances(monkeypatch) -> list:
+    """Record the shape of every DiffusionAssembly.advance argument."""
+    shapes = []
+    advance = DiffusionAssembly.advance
+
+    def counting(self, values):
+        shapes.append(np.shape(values))
+        return advance(self, values)
+
+    monkeypatch.setattr(DiffusionAssembly, "advance", counting)
+    return shapes
+
+
+@pytest.mark.parametrize("case", SWEPT_RUNS)
+def test_whole_record_checks_share_one_sweep_of_their_sources(tmp_path, monkeypatch, case):
+    # beyond the solve's steps, the four checks move their 5 distinct
+    # sources as one block per step, and each report is the bytes of the
+    # same check run alone
+    text = SWEPT_RUNS[case].format(u=POSITIVE_U[case], names=SWEPT)
+    config = load_config(write_ini(tmp_path, text))
+    shapes = count_advances(monkeypatch)
+    shared = run(config, out_dir=str(tmp_path / "shared"))
+    n, n_steps = config.build_grid().n_nodes, round(config.t_final / config.dt)
+    assert shapes == [(n,)] * n_steps + [(n, 5)] * n_steps
+    for name in config.checks:
+        alone = run(dataclasses.replace(config, checks=(name,)), out_dir=str(tmp_path / name))
+        with open(shared.report_paths[name], "rb") as a, open(alone.report_paths[name], "rb") as b:
+            assert a.read() == b.read(), name
+
+
+def test_only_variance_moves_one_column_per_step(tmp_path, monkeypatch, capsys):
+    text = SWEPT_RUNS["randers-2d"].format(u=POSITIVE_U["randers-2d"], names=SWEPT)
+    path = write_ini(tmp_path, text)
+    shapes = count_advances(monkeypatch)
+    assert main(["check", path, "--only", "variance", "--out", str(tmp_path / "out")]) == 0
+    assert shapes == [(256,)] * 5 + [(256, 1)] * 5
+
+
+def test_unformable_log_source_fails_its_own_check_after_variance(tmp_path, capsys):
+    # the log sources of a sign-changing u_0 stay out of the shared sweep:
+    # variance writes its report, then gradient_estimate exits 2
+    text = SWEPT_RUNS["randers-2d"].format(u="sin(1, 0)", names="variance, gradient_estimate")
+    out = tmp_path / "out"
+    assert main(["check", write_ini(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: check gradient_estimate: solution must stay strictly positive\n"
+    assert json.loads((out / "check_variance.json").read_text())["passed"]
 
 
 def test_no_check_reads_seed_or_n_fields(tmp_path):

@@ -784,24 +784,28 @@ def test_flow_commutes_with_tripling_and_translation_at_round_off(norm):
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_export_writes_the_csv_writer_bytes(tmp_path, dim):
-    grid = TorusGrid(dim, 8)
-    metric = MetricField(grid, EuclideanNorm(dim))
-    u0 = ScalarField(grid, 1.0 + 0.5 * np.sin(2 * math.pi * grid.coordinates()[:, 0]))
-    traj = solve_heat_flow(metric, MeasureField.lebesgue(grid), u0, 2e-3, 1e-3)
-    rng = np.random.default_rng(5)
-    last = rng.standard_normal(grid.n_nodes) * 10.0 ** rng.integers(-320, 300, grid.n_nodes)
-    last[:8] = [0.0, -0.0, np.nan, np.inf, 1e16, 1e-5, 5e-324, 0.1]
-    traj.fields[-1] = last
-    traj.export(str(tmp_path))
-    coords = grid.coordinates()
-    for k in (0, traj.n_times - 1):
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(["node"] + [f"x{i}" for i in range(dim)] + ["u"])
-        for i in range(grid.n_nodes):
-            writer.writerow([i, *coords[i], traj.fields[k][i]])
-        path = tmp_path / f"field_{traj.times[k]:.6f}.csv"
-        assert path.read_bytes() == buf.getvalue().encode()
+    # the export formats each axis coordinate once; every node's prefix must
+    # still be csv.writer's row of grid.coordinates(), on any period
+    for period in (1.0, 0.3):
+        grid = TorusGrid(dim, 8, period)
+        metric = MetricField(grid, EuclideanNorm(dim))
+        u0 = ScalarField(grid, 1.0 + 0.5 * np.sin(2 * math.pi * grid.coordinates()[:, 0]))
+        traj = solve_heat_flow(metric, MeasureField.lebesgue(grid), u0, 2e-3, 1e-3)
+        rng = np.random.default_rng(5)
+        last = rng.standard_normal(grid.n_nodes) * 10.0 ** rng.integers(-320, 300, grid.n_nodes)
+        last[:8] = [0.0, -0.0, np.nan, np.inf, 1e16, 1e-5, 5e-324, 0.1]
+        traj.fields[-1] = last
+        out = tmp_path / f"period-{period}"
+        traj.export(str(out))
+        coords = grid.coordinates()
+        for k in (0, traj.n_times - 1):
+            buf = io.StringIO(newline="")
+            writer = csv.writer(buf)
+            writer.writerow(["node"] + [f"x{i}" for i in range(dim)] + ["u"])
+            for i in range(grid.n_nodes):
+                writer.writerow([i, *coords[i], traj.fields[k][i]])
+            path = out / f"field_{traj.times[k]:.6f}.csv"
+            assert path.read_bytes() == buf.getvalue().encode(), period
 
 
 @pytest.mark.parametrize("last", [False, True])

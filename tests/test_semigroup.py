@@ -31,7 +31,6 @@ from finslerheat import (
 from finslerheat.geometry import differential_field
 from finslerheat.heat import DiffusionAssembly, Trajectory
 from finslerheat.numerics import SOLVER_TOL
-from finslerheat.reporting import json_text
 
 
 def positive_sine(grid, amp=0.5, phase=0.3):
@@ -674,25 +673,18 @@ def test_local_logsob_needs_positive_fields():
         local_logsob_check(traj, 0.0)
 
 
-def weighted_1d_run():
-    grid = TorusGrid(1, 32)
-    metric = MetricField(grid, RandersNorm(np.eye(1), np.array([0.3])))
-    measure = MeasureField(grid, 0.2 * np.cos(2 * math.pi * grid.coordinates()[:, 0]))
-    return solve_heat_flow(metric, measure, positive_sine(grid), 0.01, 1e-3)
-
-
 @pytest.mark.parametrize(
-    "run",
-    [weighted_1d_run, lambda: randers_2d_run(16, [[1.0, 0.2], [0.2, 0.8]], [0.3, 0.1], 1e-3, 5e-3)],
-    ids=["randers-1d-weighted", "randers-2d"],
+    "check, sources",
+    [
+        (lambda traj: laplacian_commutation(traj), 1),
+        (lambda traj: gradient_estimate_check(traj, -0.5), 2),
+        (lambda traj: local_logsob_check(traj, -0.5), 2),
+        (variance_identity, 1),
+    ],
+    ids=["laplacian_commutation", "gradient_estimate", "local_logsob", "variance"],
 )
-def test_log_based_checks_share_one_sweep_of_their_sources(monkeypatch, run):
-    # gradient_estimate and local_logsob read one transport of their three
-    # time-0 sources [u Gamma(log u), Gamma(u), u log u], one block per step,
-    # and each report is the bytes of the same check alone on a fresh run
-    checks = (gradient_estimate_check, local_logsob_check)
-    alone = [json_text(check(run(), -0.5).to_dict()) for check in checks]
-    traj = run()
+def test_a_check_called_alone_moves_only_its_own_sources(monkeypatch, randers_traj, check, sources):
+    traj = dataclasses.replace(randers_traj)  # a fresh record: nothing moved yet
     shapes = []
     advance = DiffusionAssembly.advance
 
@@ -701,10 +693,35 @@ def test_log_based_checks_share_one_sweep_of_their_sources(monkeypatch, run):
         return advance(self, values)
 
     monkeypatch.setattr(DiffusionAssembly, "advance", counting)
-    shared = [json_text(check(traj, -0.5).to_dict()) for check in checks]
-    assert shapes == [(traj.grid.n_nodes, 3)] * (traj.n_times - 1)
-    assert shared == alone
-    assert not traj.moved_log_sources.flags.writeable
+    check(traj)
+    assert shapes == [(traj.grid.n_nodes, sources)] * (traj.n_times - 1)
+    check(traj)  # the moved sources stay on the record
+    assert len(shapes) == traj.n_times - 1
+
+
+def test_swept_square_column_is_the_recorded_square_after_every_step(
+    monkeypatch, randers_2d_traj
+):
+    # u_0^2 less each step's variance source before the step moves it is
+    # u_k^2 after step k, at round-off
+    traj = dataclasses.replace(randers_2d_traj)
+    moved = []
+    advance = DiffusionAssembly.advance
+
+    def recording(self, values):
+        block = advance(self, values)
+        moved.append(block.copy())  # the sweep subtracts the next source in place
+        return block
+
+    monkeypatch.setattr(DiffusionAssembly, "advance", recording)
+    traj.sweep(["square"])
+    assert len(moved) == traj.n_times - 1
+    for k, block in enumerate(moved, start=1):
+        square = traj.fields[k] ** 2
+        assert np.max(np.abs(block[:, 0] - square)) <= 1e-12 * np.max(square), k
+    (last,) = traj.moved("square")
+    assert np.array_equal(last, moved[-1][:, 0])
+    assert not last.flags.writeable
 
 
 def test_lipschitz_decay_flat(euclid_traj):
