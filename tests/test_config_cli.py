@@ -555,8 +555,10 @@ SWEPT_RUNS = {
         K = -0.5
         """,
 }
-POSITIVE_U = {"randers-1d-weighted": "1 + 0.5*sin(1, 0.3)",
-              "randers-2d": "1 + 0.4*sin(1, 0, 0.3) + 0.2*cos(1, 1)"}
+POSITIVE_U = {
+    "randers-1d-weighted": "1 + 0.5*sin(1, 0.3)",
+    "randers-2d": "1 + 0.4*sin(1, 0, 0.3) + 0.2*cos(1, 1)",
+}
 
 
 def count_advances(monkeypatch) -> list:
