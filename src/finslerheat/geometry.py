@@ -62,10 +62,12 @@ class TorusGrid:
         return int(np.ravel_multi_index(tuple(multi), self.shape))
 
     def axis_diff(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Centered difference along ``axis`` with periodic wrap."""
-        arr = values.reshape(self.shape)
-        out = (np.roll(arr, -1, axis=axis) - np.roll(arr, 1, axis=axis)) / (2 * self.h)
-        return out.ravel()
+        """Centered difference along ``axis`` with periodic wrap, of one
+        field (n,) or of each row of a stack (m, n)."""
+        arr = values.reshape(values.shape[:-1] + self.shape)
+        ax = axis - self.dim
+        out = (np.roll(arr, -1, axis=ax) - np.roll(arr, 1, axis=ax)) / (2 * self.h)
+        return out.reshape(values.shape)
 
     def axis_second_diff(self, values: np.ndarray, axis: int) -> np.ndarray:
         arr = values.reshape(self.shape)
@@ -198,6 +200,8 @@ def _hessian_fields(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
 
 
 def _differential(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+    """Centered differential of one field (n,) or of each row of a stack
+    (m, n), with the axis last: (n, dim) or (m, n, dim)."""
     return np.stack(
         [grid.axis_diff(values, ax) for ax in range(grid.dim)], axis=-1
     )
@@ -228,8 +232,8 @@ def ricci_lower_bound(
 
     if f_constant:
         return CurvatureBound(N, 0.0, "analytic")
-    if desc.family in ("randers", "asym1d"):
-        raise UnsupportedFamily("asymmetric families support constant-density measures only")
+    if not desc.quadratic:
+        raise UnsupportedFamily("asymmetric norms support constant-density measures only")
     if N == n:
         # nonvanishing drift with no room in the dimension term
         return CurvatureBound(N, -math.inf, "analytic")

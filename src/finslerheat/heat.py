@@ -3,7 +3,9 @@
 Each step freezes the differential du of the current iterate, assembles the
 weighted diffusion operator with the dual tensor g*(du) (the Hessian of F*^2/2,
 which is g^{ij} at the gradient legendre(du)), and advances by one implicit
-Euler step. The assembly is a finite-volume stiffness built from face averages,
+Euler step. A quadratic norm (b = 0) has g*(du) = a^-1 for every du, so its
+flow is linear: the step is built once per run and serves every step and the
+final time. The assembly is a finite-volume stiffness built from face averages,
 so two structural identities hold exactly by construction:
 
 * the operator annihilates constants, and
@@ -22,14 +24,16 @@ conserves mass. :attr:`Trajectory.certificate` reads that sign test from
 each recorded step's weights, and :attr:`Trajectory.kernel_probe` probes a
 step that fails it. It also reads the three identities that make any step
 conserve mass and be self-adjoint in the measure: W = W^T, degree = W 1 and
-the run's sigma. Every step, in the solver and in transport alike, is one
-preconditioned measure-CG solve (see DiffusionAssembly.advance). In 1-d the
-preconditioner is the exact inverse of the step, from a tridiagonal LDL^T
-factor built once per assembly, and CG starts at its solution: one operator
-application checks the residual, and a field iterates only if that misses
-the tolerance. In 2-d the preconditioner is the FFT inverse of the same step
-with every edge weight replaced by its direction's mean, run on numpy.fft one
-axis at a time, and CG starts at the right-hand side.
+the run's sigma. The sign test, the probe and the first two identities are
+cached on the assembly, so a quadratic run reads each once. Every step, in
+the solver and in transport alike, is one preconditioned measure-CG solve
+(see DiffusionAssembly.advance). In 1-d the preconditioner is the exact
+inverse of the step, from a tridiagonal LDL^T factor built once per
+assembly, and CG starts at its solution: one operator application checks the
+residual, and a field iterates only if that misses the tolerance. In 2-d the
+preconditioner is the FFT inverse of the same step with every edge weight
+replaced by its direction's mean, run on numpy.fft one axis at a time, and
+CG starts at the right-hand side.
 
 :func:`heat_flow` is the one step loop, with two consumers:
 :func:`solve_heat_flow` records every step for the checks, and the ``solve``
@@ -100,13 +104,13 @@ class DiffusionAssembly:
     ``weights`` holds the symmetric off-diagonal edge weights; ``degree`` is
     the matching row sum, computed once by the same sparse product used in
     ``apply`` so that the operator kills constants exactly in floating
-    point. ``apply`` evaluates A u = (W u - degree * u) / sigma.
+    point. ``apply`` evaluates A u = (W u - degree * u) / sigma. One
+    assembly may serve many steps, so their times live in the record.
     """
 
     weights: sp.csr_matrix
     degree: np.ndarray
     sigma: np.ndarray
-    time: float
     dt: float
     kappa_max: float
     degenerate_nodes: int
@@ -186,7 +190,8 @@ class DiffusionAssembly:
         semi-definite, so B has an LDL^T factor (LAPACK dpttrf); Sherman-
         Morrison gives A^-1 y = x - z (v.x) / (1 + v.z) with x = B^-1 y,
         z = B^-1 u. The factor and z are about 3n floats. A non-finite or
-        indefinite B raises DomainError naming the step. LAPACK's dpttrs
+        indefinite B raises DomainError, which :func:`heat_step` prefixes
+        with the step's time and dt. LAPACK's dpttrs
         solves each right-hand side alone, so a row's result does not depend
         on its stack.
         """
@@ -198,10 +203,7 @@ class DiffusionAssembly:
         diag[-1] -= corner * corner / gamma
         d, e, info = dpttrf(diag, -dt * self.weights.diagonal(1))
         if info or not np.isfinite(d).all():  # dpttrf lets NaN through
-            raise DomainError(
-                f"the step at t = {self.time:g} with dt = {dt:g} has no finite "
-                "positive-definite factor"
-            )
+            raise DomainError("has no finite positive-definite factor")
         u = np.zeros((n, 1))
         u[0], u[-1] = gamma, corner
         z = dpttrs(d, e, u)[0][:, 0]
@@ -215,6 +217,57 @@ class DiffusionAssembly:
             return x
 
         return precond
+
+    @functools.cached_property
+    def sign_test(self) -> tuple[int, float, tuple[int, int]]:
+        """(count of negative edge weights, each edge once, the smallest
+        weight, the nodes of its edge) of W: :class:`StepCertificate`'s."""
+        w = self.weights
+        e = int(np.argmin(w.data))
+        row = int(np.searchsorted(w.indptr, e, side="right")) - 1
+        rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
+        negative = int(np.count_nonzero((w.data < 0.0) & (rows < w.indices)))
+        return negative, float(w.data[e]), (row, int(w.indices[e]))
+
+    @functools.cached_property
+    def identities(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
+        """W = W^T and degree = W 1, each as (largest defect, its nodes) in
+        the matrix I + dt Sigma^-1 (D - W) the step inverts: dt |W[i, j] -
+        W[j, i]| / sigma_i and dt |degree_i - (W 1)_i| / sigma_i, each 0
+        where it holds bitwise."""
+        w = self.weights
+        every = np.arange(w.shape[0])
+        rows = np.repeat(every, np.diff(w.indptr))
+        scale = self.dt / self.sigma
+        mirror = np.asarray(w[w.indices, rows]).ravel()  # W[j, i] at each stored (i, j)
+        return (
+            largest_defect(scale[rows] * np.abs(w.data - mirror), rows, w.indices),
+            largest_defect(scale * np.abs(self.degree - w @ np.ones(every.size)), every),
+        )
+
+    @functools.cached_property
+    def probe(self) -> KernelProbe:
+        """The step's kernel probed by unit spikes at the endpoints of its
+        :data:`PROBE_EDGES` edges of most negative first-order kernel entry,
+        moved through the step alone: the smallest entry and the largest
+        gain of their images (:attr:`Trajectory.kernel_probe`)."""
+        sigma, w = self.sigma, self.weights.tocoo()
+        upper = w.row < w.col
+        rows, cols = w.row[upper], w.col[upper]
+        # S[i, j] = dt W[i, j] / sigma_i to first order in dt: of an edge's
+        # two entries, the one in the lighter node's row is the lower
+        first_order = w.data[upper] / np.minimum(sigma[rows], sigma[cols])
+        worst = np.argsort(first_order, kind="stable")[:PROBE_EDGES]
+        nodes = np.unique(np.concatenate([rows[worst], cols[worst]]))
+        spikes = np.zeros((sigma.size, nodes.size))
+        spikes[nodes, np.arange(nodes.size)] = 1.0
+        kernel = self.advance(spikes)
+        i, j = np.unravel_index(np.argmin(kernel), kernel.shape)
+        gains = np.sqrt(sigma @ kernel**2 / sigma[nodes])
+        g = int(np.argmax(gains))
+        return KernelProbe(
+            float(kernel[i, j]), (int(i), int(nodes[j])), float(gains[g]), int(nodes[g]), False
+        )
 
     def _fft_inverse(self):
         """Approximate inverse of the step operator I + dt * Sigma^-1 L.
@@ -318,19 +371,19 @@ def weighted_laplacian(
     metric: MetricField,
     measure: MeasureField,
     differential: CovectorField,
-    time: float = 0.0,
     dt: float = 0.0,
 ) -> DiffusionAssembly:
     """Assemble the diffusion operator with the dual tensor g*(du) of the
     frozen differential du. Degenerate nodes (``RandersNorm.degenerate_mask``)
     take a^-1, the inverse of the Riemannian part; the assembly records their
-    count.
+    count. A quadratic norm has g* = a^-1 at every node and no degenerate one.
     """
     grid = metric.grid
     if measure.grid != grid or differential.grid != grid:
         raise ValueError("metric, measure and differential live on different grids")
-    mask = metric.descriptor.degenerate_mask(differential.values)
-    ginv = metric.descriptor.dual_tensor(differential.values, mask)
+    desc = metric.descriptor
+    mask = desc.degenerate_mask(differential.values) & (not desc.quadratic)
+    ginv = desc.dual_tensor(differential.values, mask)
     rho = measure.density
     h_pow = grid.h ** (grid.dim - 2)
 
@@ -363,7 +416,6 @@ def weighted_laplacian(
         weights=w_mat,
         degree=degree,
         sigma=measure.sigma,
-        time=time,
         dt=dt,
         kappa_max=kappa_max,
         degenerate_nodes=int(np.count_nonzero(mask)),
@@ -378,17 +430,24 @@ def heat_step(
     u: ScalarField,
     dt: float,
     time: float = 0.0,
+    assembly: DiffusionAssembly | None = None,
 ) -> tuple[ScalarField, DiffusionAssembly]:
-    """Advance the nonlinear flow by one frozen-coefficient step. A step too
-    long for double precision raises DomainError: where the solve
-    overflows, or where its CG reductions overflow unflagged and leave a
-    non-finite field."""
+    """Advance the nonlinear flow by one frozen-coefficient step from
+    ``time``, with ``assembly`` (a quadratic norm's step, which does not
+    depend on u) or else the assembly at du. A step too long for double
+    precision raises DomainError: where the solve overflows, where its CG
+    reductions overflow unflagged and leave a non-finite field, or where the
+    1-d step has no finite factor."""
     if dt <= 0:
         raise ValueError("step size must be positive")
     what = f"the step at t = {time:g} with dt = {dt:g}"
     with overflow_is_domain_error(what):
-        assembly = weighted_laplacian(metric, measure, differential_field(u), time, dt)
-        values = assembly.advance(u.values)
+        if assembly is None:
+            assembly = weighted_laplacian(metric, measure, differential_field(u), dt)
+        try:
+            values = assembly.advance(u.values)
+        except DomainError as exc:  # the 1-d factor's, which names no step
+            raise DomainError(f"{what} {exc}") from None
     if not np.isfinite(values).all():
         raise DomainError(f"{what} gives a non-finite field")
     return ScalarField(u.grid, values), assembly
@@ -399,9 +458,10 @@ class StepCertificate:
     """The sign test of one recorded step's edge weights W, and its identities.
 
     ``negative_weights`` counts the edges of negative weight, each once, and
-    ``min_weight`` is the smallest weight, on the edge between ``nodes``;
-    ``time`` is the step's start. ``assembly`` is the step and
-    ``run_sigma`` the run's node weights, which :attr:`identities` reads.
+    ``min_weight`` is the smallest weight, on the edge between ``nodes``
+    (:attr:`DiffusionAssembly.sign_test`); ``time`` is the step's start, as
+    recorded. ``assembly`` is the step and ``run_sigma`` the run's node
+    weights, which :attr:`identities` reads.
     """
 
     step: int
@@ -420,21 +480,14 @@ class StepCertificate:
     @functools.cached_property
     def identities(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
         """The step's W = W^T, sigma = the run's and degree = W 1, each as
-        (largest defect, its nodes) in the matrix I + dt Sigma^-1 (D - W)
-        the step inverts: dt |W[i, j] - W[j, i]| / sigma_i, |sigma_i - run
-        sigma_i| / sigma_i and dt |degree_i - (W 1)_i| / sigma_i, each 0
-        where it holds bitwise. Read at first use: a run without duality
-        or conservative reads none."""
-        a, w, sigma = self.assembly, self.assembly.weights, self.run_sigma
-        every = np.arange(sigma.size)
-        rows = np.repeat(every, np.diff(w.indptr))
-        scale = a.dt / a.sigma
-        mirror = np.asarray(w[w.indices, rows]).ravel()  # W[j, i] at each stored (i, j)
-        return (
-            largest_defect(scale[rows] * np.abs(w.data - mirror), rows, w.indices),
-            largest_defect(np.abs(a.sigma - sigma) / sigma, every),
-            largest_defect(scale * np.abs(a.degree - w @ np.ones(every.size)), every),
-        )
+        (largest defect, its nodes): the assembly's two
+        (:attr:`DiffusionAssembly.identities`) and |sigma_i - run sigma_i| /
+        sigma_i, 0 where it holds bitwise. Read at first use: a run without
+        duality or conservative reads none."""
+        symmetric, degree = self.assembly.identities
+        sigma = self.run_sigma
+        gap = np.abs(self.assembly.sigma - sigma) / sigma
+        return symmetric, largest_defect(gap, np.arange(sigma.size)), degree
 
 
 def largest_defect(gap: np.ndarray, *nodes: np.ndarray) -> tuple[float, tuple[int, ...]]:
@@ -470,8 +523,9 @@ class Trajectory:
 
     ``assemblies[k]`` advanced the solution from ``times[k]`` to
     ``times[k+1]``; an extra assembly at the final time is built lazily when
-    a time derivative there is requested. The time derivative at any
-    recorded index is defined through the frozen spatial operator,
+    a time derivative there is requested. A quadratic norm's run records
+    its one step for every k and the final time alike. The time derivative
+    at any recorded index is defined through the frozen spatial operator,
     du/dt := A_t u_t, never by differencing fields in time.
     """
 
@@ -506,13 +560,16 @@ class Trajectory:
 
     def assembly_at(self, index: int) -> DiffusionAssembly:
         index = self._check(index)
-        if index < len(self.assemblies):
-            return self.assemblies[index]
-        # final time: assemble once at the last recorded field
-        du = differential_field(self.field_at(index))
-        extra = weighted_laplacian(self.metric, self.measure, du, self.times[index], self.dt)
-        self.assemblies.append(extra)
-        return extra
+        if index == len(self.assemblies):
+            # final time: a quadratic norm's one step serves it, any other
+            # norm assembles once at the last recorded field
+            if self.metric.descriptor.quadratic:
+                extra = self.assemblies[-1]
+            else:
+                du = differential_field(self.field_at(index))
+                extra = weighted_laplacian(self.metric, self.measure, du, self.dt)
+            self.assemblies.append(extra)
+        return self.assemblies[index]
 
     def transport(
         self, values: np.ndarray, start: int, end: int, adjoint: bool = False
@@ -543,51 +600,22 @@ class Trajectory:
         in the measure: positive, order preserving and an L^p contraction
         on every field and every span.
         """
-        out = []
-        for k, assembly in enumerate(self.assemblies[: self.n_times - 1]):
-            w = assembly.weights
-            e = int(np.argmin(w.data))
-            row = int(np.searchsorted(w.indptr, e, side="right")) - 1
-            rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
-            negative = int(np.count_nonzero((w.data < 0.0) & (rows < w.indices)))
-            nodes = (row, int(w.indices[e]))
-            sign_test = (negative, float(w.data[e]), nodes)
-            out.append(StepCertificate(k, assembly.time, *sign_test, assembly, self.measure.sigma))
-        return out
+        return [
+            StepCertificate(k, self.times[k], *a.sign_test, a, self.measure.sigma)
+            for k, a in enumerate(self.assemblies[: self.n_times - 1])
+        ]
 
     @functools.cached_property
     def kernel_probe(self) -> list[KernelProbe]:
         """One :class:`KernelProbe` per recorded step. A certified step is
-        proven, located at its smallest weight. On another step, unit spikes
-        at the endpoints of its :data:`PROBE_EDGES` edges of most negative
-        first-order kernel entry move through that step alone, and the
-        smallest entry and the largest gain of their images are taken."""
+        proven, located at its smallest weight; another is probed
+        (:attr:`DiffusionAssembly.probe`), once per distinct step."""
         return [
             KernelProbe(0.0, cert.nodes, 1.0, cert.nodes[1], True)
             if cert.certified
-            else self._probe(cert.step)
+            else cert.assembly.probe
             for cert in self.certificate
         ]
-
-    def _probe(self, step: int) -> KernelProbe:
-        assembly = self.assemblies[step]
-        sigma, w = assembly.sigma, assembly.weights.tocoo()
-        upper = w.row < w.col
-        rows, cols = w.row[upper], w.col[upper]
-        # S[i, j] = dt W[i, j] / sigma_i to first order in dt: of an edge's
-        # two entries, the one in the lighter node's row is the lower
-        first_order = w.data[upper] / np.minimum(sigma[rows], sigma[cols])
-        worst = np.argsort(first_order, kind="stable")[:PROBE_EDGES]
-        nodes = np.unique(np.concatenate([rows[worst], cols[worst]]))
-        spikes = np.zeros((self.grid.n_nodes, nodes.size))
-        spikes[nodes, np.arange(nodes.size)] = 1.0
-        kernel = assembly.advance(spikes)
-        i, j = np.unravel_index(np.argmin(kernel), kernel.shape)
-        gains = np.sqrt(sigma @ kernel**2 / sigma[nodes])
-        g = int(np.argmax(gains))
-        return KernelProbe(
-            float(kernel[i, j]), (int(i), int(nodes[j])), float(gains[g]), int(nodes[g]), False
-        )
 
     def grid_meta(self, **extra) -> dict:
         """The grid, step and metric family, then ``extra``, for reports."""
@@ -710,9 +738,10 @@ def heat_flow(
     the flow from 0 to ``t_final``, the assembly being the step's own.
 
     The step count is rounded so the final time is hit exactly; each
-    assembly's ``dt`` is that step. Positivity and range monitors append
-    to ``violations``; nothing is clamped. Mass is conserved to solver
-    tolerance.
+    assembly's ``dt`` is that step. A quadratic norm's step does not depend
+    on u, so its first assembly is yielded again at every step. Positivity
+    and range monitors append to ``violations``; nothing is clamped. Mass
+    is conserved to solver tolerance.
     """
     if t_final <= 0 or dt <= 0:
         raise ValueError("final time and step size must be positive")
@@ -720,9 +749,10 @@ def heat_flow(
     dt_eff = t_final / n_steps
     lo0, hi0 = float(np.min(u0.values)), float(np.max(u0.values))
     drift_tol = 1e-9 * max(1.0, abs(lo0), abs(hi0))
-    u = u0
+    u, assembly = u0, None
     for k in range(n_steps):
-        u, assembly = heat_step(metric, measure, u, dt_eff, time=k * dt_eff)
+        reuse = assembly if metric.descriptor.quadratic else None
+        u, assembly = heat_step(metric, measure, u, dt_eff, k * dt_eff, reuse)
         t = (k + 1) * dt_eff
         lo, hi = float(np.min(u.values)), float(np.max(u.values))
         if lo0 > 0 and lo <= 0:
@@ -775,12 +805,11 @@ def bochner_residual(
     F*(du)^2/2 once. The slack field replaces the Hessian norm by (Au)^2 / N
     and the drift term by its N-dimensional version; it is bounded below by
     -O(h^2). Critical points of u need no guard: a quadratic metric has
-    g*(du) = a^-1 for every du, which is also what the assembly uses where
-    the differential vanishes. N = dim with a varying weight is a
-    DomainError.
+    g*(du) = a^-1 for every du, which is what the assembly uses. N = dim
+    with a varying weight is a DomainError.
     """
     desc = metric.descriptor
-    if desc.family not in ("euclidean", "riemannian"):
+    if not desc.quadratic:
         raise UnsupportedFamily("commutation residual needs a quadratic metric")
     grid = u.grid
     n = grid.dim

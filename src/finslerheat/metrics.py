@@ -70,6 +70,12 @@ class RandersNorm:
     def dim(self):
         return self.a.shape[0]
 
+    @property
+    def quadratic(self) -> bool:
+        """b = 0: F^2 is the quadratic form of ``a``, so g*(xi) = a^-1 for
+        every covector and the frozen operator does not depend on u."""
+        return not self.b.any()
+
     def degenerate_mask(self, xi: np.ndarray) -> np.ndarray:
         """True where a covector of ``xi`` is degenerate relative to the field
         scale: |xi| <= EPS_DEGENERATE * sqrt(tr a / dim) * max(1, max |xi|).
@@ -118,9 +124,12 @@ class RandersNorm:
         F*^2/2 at ``xi``: the inverse fundamental tensor at legendre(xi). With
         s and d = grad F* of :meth:`_dual_gradient`,
         g* = F*/(lam r) (lam a^-1 + beta beta^T - s s^T) + d d^T.
-        Rows flagged by ``mask`` get a^-1."""
+        Rows flagged by ``mask`` get a^-1, as every row of a quadratic norm
+        does."""
         a_inv, lam, beta = self.a_inv, 1.0 - self.b_norm_sq, self.a_inv @ self.b
         upper = [(i, j) for i in range(self.dim) for j in range(i, self.dim)]
+        if self.quadratic:
+            return tuple(np.full(mask.shape, a_inv[i, j]) for i, j in upper)
         fstar, r, s, d = self._dual_gradient(np.asarray(xi, float))
         with np.errstate(invalid="ignore", divide="ignore"):  # r = 0 where xi = 0
             c = fstar / (lam * r)
@@ -181,7 +190,7 @@ def reversibility(desc: RandersNorm) -> float:
     and rounded up, so round-off never puts it below the sup; exactly 1
     for quadratic norms.
     """
-    if not desc.b.any():
+    if desc.quadratic:
         return 1.0
     a = [[Fraction(x) for x in row] for row in desc.a.tolist()]
     b = [Fraction(x) for x in desc.b.tolist()]

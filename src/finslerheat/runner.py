@@ -49,9 +49,10 @@ class RunManifest:
     failed_checks: list = field(default_factory=list)
     wall_clock: dict = field(default_factory=dict)
     grid_meta: dict = field(default_factory=dict)
-    #: health of each solver step: its time, the largest eigenvalue of the
-    #: frozen tensor, the count of degenerate-gradient nodes, and the count
-    #: of negative edge weights and the smallest one (Trajectory.certificate)
+    #: health of each solver step: its recorded time, the largest eigenvalue
+    #: of the frozen tensor, the count of degenerate-gradient nodes (none for
+    #: a quadratic norm), and the count of negative edge weights and the
+    #: smallest one (Trajectory.certificate)
     solver_steps: list = field(default_factory=list)
 
     @property
@@ -206,7 +207,7 @@ def run(config: ExperimentConfig, out_dir: str | None = None) -> RunManifest:
         k_provenance=prov,
         grid_meta=traj.grid_meta(scheme=SCHEME, n_violations_solve=len(traj.violations)),
         solver_steps=[
-            {"time": a.time, "kappa_max": a.kappa_max, "degenerate_nodes": a.degenerate_nodes,
+            {"time": cert.time, "kappa_max": a.kappa_max, "degenerate_nodes": a.degenerate_nodes,
              "negative_weights": cert.negative_weights, "min_weight": cert.min_weight}
             for a, cert in zip(traj.assemblies, traj.certificate)
         ],

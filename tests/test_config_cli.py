@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finslerheat
+from finslerheat import heat, runner
 from finslerheat.cli import main
 from finslerheat.config import (
     ExperimentConfig,
@@ -24,7 +25,7 @@ from finslerheat.config import (
     parse_expression,
 )
 from finslerheat.errors import ConfigError
-from finslerheat.heat import DiffusionAssembly, solve_heat_flow
+from finslerheat.heat import DiffusionAssembly, Trajectory, dpttrf, heat_step, solve_heat_flow
 from finslerheat.liyau import LiYauProfile, alpha_phi, residual_linear
 from finslerheat.metrics import RandersNorm
 from finslerheat.numerics import SOLVER_TOL
@@ -608,6 +609,86 @@ def test_unformable_log_source_fails_its_own_check_after_variance(tmp_path, caps
     err = capsys.readouterr().err
     assert err == "error: check gradient_estimate: solution must stay strictly positive\n"
     assert json.loads((out / "check_variance.json").read_text())["passed"]
+
+
+#: every check a 1-d run reads from its record of steps
+RECORD_CHECKS = (
+    "conservative, duality, semigroup_law, positivity, contraction, order_bounds, "
+    "cauchy_schwarz, variance, laplacian_commutation, gradient_estimate, local_logsob, "
+    "lipschitz, liyau_envelope, liyau_linear"
+)
+
+
+def per_step_record(metric, measure, u0, t_final, dt):
+    """The record of :func:`solve_heat_flow` with every step assembled at
+    its own du, as a norm with b != 0 is."""
+    n_steps = round(t_final / dt)
+    dt_eff = t_final / n_steps
+    u, times, fields, steps = u0, [0.0], [u0.values.copy()], []
+    for k in range(n_steps):
+        u, step = heat_step(metric, measure, u, dt_eff, k * dt_eff)
+        times.append((k + 1) * dt_eff)
+        fields.append(u.values)
+        steps.append(step)
+    return Trajectory(metric, measure, times, fields, steps, dt_eff, [])
+
+
+def test_quadratic_record_holds_one_operator(tmp_path, monkeypatch):
+    # a quadratic norm's step does not depend on u: the run builds it once,
+    # records it for every step and the final time and factors it once, and
+    # every output is the bytes of a record assembled step by step
+    config = checked_config(tmp_path, f"[checks]\nnames = {RECORD_CHECKS}\nK = auto\nN = 8\n")
+    factors = []
+
+    def counted(*args):
+        factors.append(args)
+        return dpttrf(*args)
+
+    recorded = []
+
+    def recording(solve):
+        return lambda *args: recorded.append(solve(*args)) or recorded[-1]
+
+    monkeypatch.setattr(heat, "dpttrf", counted)
+    monkeypatch.setattr(runner, "solve_heat_flow", recording(solve_heat_flow))
+    one = run(config, out_dir=str(tmp_path / "one"))
+    (traj,) = recorded
+    assert len(factors) == 1
+    step = traj.assemblies[0]
+    assert all(a is step for a in traj.assemblies)
+    assert traj.assembly_at(traj.n_times - 1) is step
+    assert [s["time"] for s in one.solver_steps] == traj.times[:-1]
+
+    monkeypatch.setattr(runner, "solve_heat_flow", recording(per_step_record))
+    each = run(config, out_dir=str(tmp_path / "each"))
+    reference = recorded[1]
+    assert len({id(a) for a in reference.assemblies}) == reference.n_times - 1
+    assert traj.certificate == reference.certificate
+    assert [c.identities for c in traj.certificate] == [
+        c.identities for c in reference.certificate
+    ]
+    for k, values in enumerate(reference.fields):
+        assert np.array_equal(traj.fields[k], values)
+    compared = 0
+    for root, _, files in os.walk(tmp_path / "one"):
+        for file in set(files) - {"manifest.json"}:
+            got = os.path.join(root, file)
+            want = os.path.join(tmp_path / "each", os.path.relpath(got, tmp_path / "one"))
+            with open(got, "rb") as a, open(want, "rb") as b:
+                assert a.read() == b.read(), got
+            compared += 1
+    assert compared == len(config.checks) + 3  # two field CSVs and trajectory.json
+    assert one.solver_steps == each.solver_steps
+
+
+def test_randers_record_assembles_every_step(tmp_path):
+    # b != 0: the operator depends on du, so every step and the final time
+    # assemble their own
+    text = SWEPT_RUNS["randers-2d"].format(u=POSITIVE_U["randers-2d"], names="conservative")
+    config = load_config(write_ini(tmp_path, text))
+    traj = solve_heat_flow(*build_problem(config)[1:], config.t_final, config.dt)
+    traj.assembly_at(traj.n_times - 1)
+    assert len({id(a) for a in traj.assemblies}) == traj.n_times
 
 
 def test_no_check_reads_seed_or_n_fields(tmp_path):
@@ -1414,6 +1495,47 @@ def test_load_config_accepts_every_documented_metric(tmp_path, dim, metric, fami
     config = load_config(write_ini(tmp_path, text))
     assert config.descriptor.family == family
     assert config.descriptor.dim == dim
+
+
+#: one 1-d quadratic norm, F(y) = 1.5 |y|, under each label that can carry it
+QUADRATIC_LABELS = {
+    "riemannian": "family = riemannian\na = 2.25\n",
+    "randers": "family = randers\na = 2.25\n",
+    "asym1d": "family = asym1d\np_plus = 1.5\np_minus = 1.5\n",
+}
+
+
+def without_family(payload):
+    """A report or manifest payload with its ``family`` entries dropped."""
+    if isinstance(payload, dict):
+        return {k: without_family(v) for k, v in payload.items() if k != "family"}
+    return [without_family(v) for v in payload] if isinstance(payload, list) else payload
+
+
+def test_quadratic_norm_gets_the_same_weighted_run_under_every_label(tmp_path, capsys):
+    # K = auto and bochner read the norm, not its label: a Randers norm with
+    # b omitted and an asym1d norm with equal slopes are the Riemannian norm
+    # of the same a, with the same K and the same report numbers
+    checks = ("gradient_estimate", "lipschitz", "bochner")
+    runs = {}
+    for family, metric in QUADRATIC_LABELS.items():
+        text = (
+            f"[grid]\ndim = 1\nnodes = 32\n[metric]\n{metric}[measure]\nf = 0.2*cos(1)\n"
+            "[initial]\nu = 1 + 0.5*sin(1, 0.3)\n[time]\ndt = 1e-3\nt_final = 5e-3\n"
+            f"[checks]\nnames = {', '.join(checks)}\nK = auto\nN = 8\n"
+        )
+        out = tmp_path / family
+        assert main(["check", write_ini(tmp_path, text, name=f"{family}.ini"), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["grid_meta"]["family"] == family
+        reports = {name: json.loads((out / f"check_{name}.json").read_text()) for name in checks}
+        runs[family] = (
+            manifest["k_resolved"], manifest["k_provenance"], manifest["solver_steps"],
+            without_family(reports),
+        )
+    # min f'' / F(1)^2 = -0.2 (2 pi)^2 / 2.25, sampled on 32 nodes
+    assert runs["riemannian"][:2] == (pytest.approx(-7.896 / 2.25, rel=0.01), "sampled")
+    assert runs["randers"] == runs["riemannian"] == runs["asym1d"]
 
 
 @pytest.mark.parametrize("profile", ["sine", "sine:", "sine:wide", "cosine:1"])

@@ -28,6 +28,7 @@ from finslerheat import (
     solve_heat_flow,
     variance_identity,
 )
+from finslerheat import semigroup
 from finslerheat.geometry import differential_field
 from finslerheat.heat import DiffusionAssembly, Trajectory
 from finslerheat.numerics import SOLVER_TOL
@@ -229,7 +230,7 @@ def one_step_run(weight_78=1.0, leak=0.0, heavier=1.0, skew=0.0):
     sigma[5] *= heavier
     dt = 50 * 0.02 * h * h
     step = DiffusionAssembly(
-        weights=edges, degree=degree, sigma=sigma, time=0.0, dt=dt,
+        weights=edges, degree=degree, sigma=sigma, dt=dt,
         kappa_max=1.0, degenerate_nodes=0, shape=grid.shape, stencil=(((1,), float(np.mean(w))),),
     )
     u0 = np.full(n, 1e-3)
@@ -431,6 +432,22 @@ def test_a_probe_without_a_violation_proves_nothing():
     for rep in markov_reports(traj, MARKOV_NAMES):
         assert rep.passed
         assert rep.grid_meta["uncertified_steps"] == rep.grid_meta["unproven_steps"] == 1
+
+
+def test_a_quadratic_run_probes_its_one_step_once(monkeypatch):
+    # b = 0: the flow is linear and its one step serves every recorded step,
+    # so the uncertified anisotropic step is probed once for the record
+    traj = randers_2d_run(16, ANISOTROPIC[0], [0.0, 0.0], 1e-3, 5e-3)
+    shapes = []
+    advance = DiffusionAssembly.advance
+    monkeypatch.setattr(
+        DiffusionAssembly, "advance", lambda self, v: shapes.append(v.shape) or advance(self, v)
+    )
+    probes = traj.kernel_probe
+    assert len(probes) == 5 and all(p is probes[0] for p in probes)
+    assert not probes[0].proven and len(shapes) == 1
+    (rep,) = markov_reports(traj, ["positivity"])
+    assert rep.grid_meta["uncertified_steps"] == 5
 
 
 def test_markov_checks_on_certified_steps_transport_nothing(monkeypatch):
@@ -724,8 +741,33 @@ def test_swept_square_column_is_the_recorded_square_after_every_step(
     assert not last.flags.writeable
 
 
-def test_lipschitz_decay_flat(euclid_traj):
-    rep = lipschitz_decay(euclid_traj, 0.0)
+def blocked_lipschitz(traj, K, monkeypatch):
+    """lipschitz_decay, asserting that its stacked reads of the record give
+    the bits of each recorded field read alone, in blocks of any width."""
+    desc, alone = traj.metric.descriptor, []
+    for k in range(traj.n_times):
+        u = traj.field_at(k)
+        alone.append(float(np.max(desc.dual_norm(differential_field(u).values))))
+    for k in range(traj.n_times):
+        gamma = traj.assembly_at(k).carre_du_champ(traj.fields[k])
+        alone.append(float(np.sqrt(max(np.max(gamma), 0.0))))
+    seen, compare = [], semigroup.compare_discretized
+
+    def capturing(name, lhs, *args):
+        seen.append(lhs)
+        return compare(name, lhs, *args)
+
+    monkeypatch.setattr(semigroup, "compare_discretized", capturing)
+    rep = lipschitz_decay(traj, K)
+    monkeypatch.setattr(semigroup, "LIPSCHITZ_BLOCK", 7 * traj.grid.n_nodes)
+    assert lipschitz_decay(traj, K) == rep
+    for lhs in seen:
+        assert np.array_equal(lhs, alone)
+    return rep
+
+
+def test_lipschitz_decay_flat(euclid_traj, monkeypatch):
+    rep = blocked_lipschitz(euclid_traj, 0.0, monkeypatch)
     assert rep.passed
     desc = euclid_traj.metric.descriptor
     first = np.max(desc.dual_norm(differential_field(euclid_traj.field_at(0)).values))
@@ -737,17 +779,17 @@ def test_lipschitz_decay_flat(euclid_traj):
     assert last <= first
 
 
-def test_lipschitz_decay_weighted(weighted_traj):
+def test_lipschitz_decay_weighted(weighted_traj, monkeypatch):
     traj, K = weighted_traj
-    rep = lipschitz_decay(traj, K)
+    rep = blocked_lipschitz(traj, K, monkeypatch)
     assert rep.passed, (rep.worst_residual, rep.tolerance)
 
 
-def test_lipschitz_decay_randers(randers_traj):
-    rep = lipschitz_decay(randers_traj, 0.0)
+def test_lipschitz_decay_randers(randers_traj, monkeypatch):
+    rep = blocked_lipschitz(randers_traj, 0.0, monkeypatch)
     assert rep.passed, (rep.worst_residual, rep.tolerance)
 
 
-def test_lipschitz_decay_detects_overclaimed_curvature(euclid_traj):
-    rep = lipschitz_decay(euclid_traj, 50.0)
+def test_lipschitz_decay_detects_overclaimed_curvature(euclid_traj, monkeypatch):
+    rep = blocked_lipschitz(euclid_traj, 50.0, monkeypatch)
     assert not rep.passed
